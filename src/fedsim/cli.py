@@ -5,13 +5,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
 from .data import Dataset, PoisonSpec, load_idx, synthesize
 from .defense import DefenseConfig
-from .federation import ExperimentReport, FederationConfig, run_experiment
+from .federation import MEAN_FIELDS, ExperimentReport, FederationConfig, run_experiment
 from .privacy import LdpConfig
 
 _SYNTHETIC_DEFAULTS = {
@@ -23,53 +23,34 @@ _SYNTHETIC_DEFAULTS = {
     "noise_std": 1.0,
     "test_per_class": 50,
 }
-_IDX_KEYS = {"type", "train_images", "train_labels", "test_images", "test_labels"}
-_DEFENSE_DEFAULTS = {
-    "kind": "none",
-    "fixed_fraction": 0.2,
-    "zscore_threshold": 1.0,
-    "zscore_one_sided": False,
-    "kmeans_guard": 3.5,
-    "kmeans_max_iters": 100,
-}
-_LDP_DEFAULTS = {"epsilon": 1.0, "sensitivity": 0.0001}
-_TOP_DEFAULTS = {
-    "total_clients": 50,
-    "clients_per_round": 10,
-    "global_epochs": 15,
-    "client_epochs": 5,
-    "client_lr": 0.6,
-    "batch_size": 12,
-    "malicious_fraction": 0.0,
-    "source_class": 5,
-    "target_class": 3,
-    "hidden_dims": [32],
-    "seed": 0,
-    "repeats": 3,
+# Every IDX key is required; the empty strings only tell _merge that each value is a string.
+_IDX_KEYS = dict.fromkeys(("type", "train_images", "train_labels", "test_images", "test_labels"), "")
+
+# Accepted JSON value types (and their name in errors), by the type of a key's default.
+_JSON_TYPES = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    tuple: ((list,), "a list of integers"),
+    dict: ((dict,), "a JSON object"),
 }
 
-ROUNDS_COLUMNS = (
-    "repeat",
-    "epoch",
-    "malicious_fraction",
-    "defense",
-    "accuracy",
-    "test_loss",
-    "source_recall",
-    "det_accuracy",
-    "det_precision",
-    "det_recall",
-    "det_f1",
-    "eliminated_count",
-    "selected_count",
-)
+
+def _config_json(fed: FederationConfig) -> dict:
+    """The config as JSON values, with poison_spec flattened to source_class/target_class."""
+    values = asdict(fed)
+    values.update(values.pop("poison_spec"))
+    return values
+
+
+# Every key the config file accepts besides dataset and sweep, with its default.
+_DEFAULTS = _config_json(FederationConfig())
+
+ROUNDS_COLUMNS = ("repeat", "epoch", "malicious_fraction", "defense", *MEAN_FIELDS, "selected_count")
 SWEEP_COLUMNS = (
-    "malicious_fraction",
-    "defense_on",
-    "final_accuracy",
-    "final_source_recall",
-    "mean_det_accuracy",
-    "mean_det_f1",
+    "malicious_fraction", "defense_on", "final_accuracy", "final_source_recall",
+    "mean_det_accuracy", "mean_det_f1",
 )
 
 
@@ -84,17 +65,37 @@ class ExperimentSpec:
     sweep: tuple[float, ...] | None = None
 
 
-def _merge_strict(section: str, given: dict, defaults: dict) -> dict:
-    for key in given:
+def _merge(section: str, given: dict, defaults: dict) -> dict:
+    """The defaults updated by the given values; unknown keys and mistyped values are fatal."""
+    merged = dict(defaults)
+    for key, value in given.items():
         if key not in defaults:
             raise ConfigError(f"unknown key {key!r} in {section}")
-    merged = dict(defaults)
-    merged.update(given)
+        types, expected = _JSON_TYPES[type(defaults[key])]
+        if type(value) not in types or (
+            type(value) is list and not all(type(v) is int for v in value)
+        ):
+            raise ConfigError(f"{key} in {section} must be {expected}, got {value!r}")
+        merged[key] = _merge(key, value, defaults[key]) if type(value) is dict else value
     return merged
 
 
+def _sweep_fractions(values) -> tuple[float, ...]:
+    """A validated sweep list, from the config or from --fractions."""
+    if not isinstance(values, list) or not values:
+        raise ConfigError("sweep must be a nonempty list of fractions")
+    try:
+        fractions = tuple(float(f) for f in values)
+    except (TypeError, ValueError):
+        raise ConfigError(f"sweep fractions must be numbers, got {values}") from None
+    for f in fractions:
+        if not 0.0 <= f <= 0.5:
+            raise ConfigError(f"sweep fraction {f} outside the supported [0, 0.5]")
+    return fractions
+
+
 def parse_config(path) -> ExperimentSpec:
-    """Load and validate a JSON experiment config; unknown keys are fatal."""
+    """Load a JSON experiment config, checked against FederationConfig's fields and defaults."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -103,156 +104,91 @@ def parse_config(path) -> ExperimentSpec:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
 
-    known_top = set(_TOP_DEFAULTS) | {"dataset", "defense", "ldp", "sweep"}
-    for key in raw:
-        if key not in known_top:
-            raise ConfigError(f"unknown key {key!r} in config")
-
-    dataset_raw = raw.get("dataset", {"type": "synthetic"})
-    ds_type = dataset_raw.get("type")
+    dataset = raw.pop("dataset", {"type": "synthetic"})
+    ds_type = dataset.get("type") if isinstance(dataset, dict) else None
     if ds_type == "synthetic":
-        dataset = _merge_strict("dataset", dataset_raw, _SYNTHETIC_DEFAULTS)
+        dataset = _merge("dataset", dataset, _SYNTHETIC_DEFAULTS)
     elif ds_type == "idx":
-        for key in dataset_raw:
-            if key not in _IDX_KEYS:
-                raise ConfigError(f"unknown key {key!r} in dataset")
-        missing = _IDX_KEYS - set(dataset_raw)
+        missing = set(_IDX_KEYS) - set(dataset)
+        dataset = _merge("dataset", dataset, _IDX_KEYS)
         if missing:
             raise ConfigError(f"dataset missing keys: {sorted(missing)}")
-        dataset = dict(dataset_raw)
     else:
-        raise ConfigError(f"dataset type must be 'synthetic' or 'idx', got {ds_type!r}")
-
-    top = _merge_strict("config", {k: v for k, v in raw.items() if k in _TOP_DEFAULTS}, _TOP_DEFAULTS)
-    defense = _merge_strict("defense", raw.get("defense", {}), _DEFENSE_DEFAULTS)
-    ldp = _merge_strict("ldp", raw.get("ldp", {}), _LDP_DEFAULTS)
-
-    if not 0.0 <= top["malicious_fraction"] <= 0.5:
-        raise ConfigError(
-            f"malicious_fraction {top['malicious_fraction']} outside the supported [0, 0.5]"
-        )
-    sweep = raw.get("sweep")
-    if sweep is not None:
-        sweep = tuple(float(f) for f in sweep)
-        if not sweep:
-            raise ConfigError("sweep list must be nonempty")
-        for f in sweep:
-            if not 0.0 <= f <= 0.5:
-                raise ConfigError(f"sweep fraction {f} outside the supported [0, 0.5]")
-
+        raise ConfigError(f"dataset must be an object of type 'synthetic' or 'idx', got {dataset!r}")
+    sweep = raw.pop("sweep", None)
+    values = _merge("config", raw, _DEFAULTS)
     try:
         federation = FederationConfig(
-            total_clients=top["total_clients"],
-            clients_per_round=top["clients_per_round"],
-            global_epochs=top["global_epochs"],
-            client_epochs=top["client_epochs"],
-            client_lr=top["client_lr"],
-            batch_size=top["batch_size"],
-            malicious_fraction=top["malicious_fraction"],
-            poison_spec=PoisonSpec(top["source_class"], top["target_class"]),
-            defense=DefenseConfig(**defense),
-            ldp=LdpConfig(**ldp),
-            hidden_dims=tuple(top["hidden_dims"]),
-            seed=top["seed"],
-            repeats=top["repeats"],
+            poison_spec=PoisonSpec(values.pop("source_class"), values.pop("target_class")),
+            defense=DefenseConfig(**values.pop("defense")),
+            ldp=LdpConfig(**values.pop("ldp")),
+            hidden_dims=tuple(values.pop("hidden_dims")),
+            **values,
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
-    return ExperimentSpec(dataset=dataset, federation=federation, sweep=sweep)
+    return ExperimentSpec(dataset, federation, None if sweep is None else _sweep_fractions(sweep))
 
 
 def build_datasets(spec: ExperimentSpec) -> tuple[Dataset, Dataset]:
-    """Materialize the (train, test) pair named by the spec."""
+    """Materialize the (train, test) pair named by the spec and check the config fits it."""
     ds = spec.dataset
-    if ds["type"] == "synthetic":
-        seed = spec.federation.seed
-        train = synthesize(
-            ds["num_classes"], ds["per_class"], ds["dim"], ds["separation"],
-            seed=[seed, 1000], noise_std=ds["noise_std"],
-        )
-        test = synthesize(
-            ds["num_classes"], ds["test_per_class"], ds["dim"], ds["separation"],
-            seed=[seed, 1001], noise_std=ds["noise_std"],
-        )
-        return train, test
-    train = load_idx(ds["train_images"], ds["train_labels"])
-    test = load_idx(ds["test_images"], ds["test_labels"], num_classes=train.num_classes)
+    try:
+        if ds["type"] == "synthetic":
+            train, test = (
+                synthesize(ds["num_classes"], per_class, ds["dim"], ds["separation"],
+                           seed=[spec.federation.seed, stream], noise_std=ds["noise_std"])
+                for per_class, stream in ((ds["per_class"], 1000), (ds["test_per_class"], 1001))
+            )
+        else:
+            train = load_idx(ds["train_images"], ds["train_labels"])
+            test = load_idx(ds["test_images"], ds["test_labels"], num_classes=train.num_classes)
+    except ValueError as exc:
+        raise ConfigError(f"dataset: {exc}") from exc
+    fed = spec.federation
+    poison = fed.poison_spec
+    if max(poison.source_class, poison.target_class) >= train.num_classes:
+        raise ConfigError(f"{poison} names a class beyond the dataset's {train.num_classes} classes")
+    if fed.total_clients > len(train):
+        raise ConfigError(f"total_clients {fed.total_clients} exceeds the {len(train)} training samples")
     return train, test
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, float):
         return format(value, ".9g")
     return str(value)
 
 
-def _config_dict(spec: ExperimentSpec) -> dict:
-    fed = spec.federation
-    return {
-        "dataset": spec.dataset,
-        "total_clients": fed.total_clients,
-        "clients_per_round": fed.clients_per_round,
-        "global_epochs": fed.global_epochs,
-        "client_epochs": fed.client_epochs,
-        "client_lr": fed.client_lr,
-        "batch_size": fed.batch_size,
-        "malicious_fraction": fed.malicious_fraction,
-        "source_class": fed.poison_spec.source_class,
-        "target_class": fed.poison_spec.target_class,
-        "defense": {
-            "kind": fed.defense.kind,
-            "fixed_fraction": fed.defense.fixed_fraction,
-            "zscore_threshold": fed.defense.zscore_threshold,
-            "zscore_one_sided": fed.defense.zscore_one_sided,
-            "kmeans_guard": fed.defense.kmeans_guard,
-            "kmeans_max_iters": fed.defense.kmeans_max_iters,
-        },
-        "ldp": {"epsilon": fed.ldp.epsilon, "sensitivity": fed.ldp.sensitivity},
-        "hidden_dims": list(fed.hidden_dims),
-        "seed": fed.seed,
-        "repeats": fed.repeats,
-        "sweep": list(spec.sweep) if spec.sweep else None,
-    }
+def _write_csv(path: Path, rows) -> None:
+    lines = (",".join(_fmt(v) for v in row) for row in rows)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_reports(spec: ExperimentSpec, report: ExperimentReport, out_dir: Path) -> None:
     """Write rounds.csv (per-round rows plus repeat=-1 mean rows) and summary.json."""
     out_dir.mkdir(parents=True, exist_ok=True)
     fed = spec.federation
-    lines = [",".join(ROUNDS_COLUMNS)]
-    for repeat, run in enumerate(report.runs):
-        for rec in run:
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        repeat, rec.epoch, fed.malicious_fraction, fed.defense.kind,
-                        rec.accuracy, rec.test_loss, rec.source_recall,
-                        rec.det_accuracy, rec.det_precision, rec.det_recall, rec.det_f1,
-                        rec.eliminated_count, len(rec.selected),
-                    )
-                )
-            )
-    for epoch, means in enumerate(report.epoch_means):
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    -1, epoch, fed.malicious_fraction, fed.defense.kind,
-                    means["accuracy"], means["test_loss"], means["source_recall"],
-                    means["det_accuracy"], means["det_precision"], means["det_recall"],
-                    means["det_f1"], means["eliminated_count"], fed.clients_per_round,
-                )
-            )
-        )
-    (out_dir / "rounds.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # (repeat, epoch, metrics by name, selected count) of every row, mean rows last.
+    records = [
+        (repeat, rec.epoch, {name: getattr(rec, name) for name in MEAN_FIELDS}, len(rec.selected))
+        for repeat, run in enumerate(report.runs)
+        for rec in run
+    ]
+    records += [
+        (-1, epoch, means, fed.clients_per_round) for epoch, means in enumerate(report.epoch_means)
+    ]
+    rows = [
+        (repeat, epoch, fed.malicious_fraction, fed.defense.kind,
+         *(values[name] for name in MEAN_FIELDS), selected)
+        for repeat, epoch, values, selected in records
+    ]
+    _write_csv(out_dir / "rounds.csv", [ROUNDS_COLUMNS, *rows])
     summary = {
         "final_epoch_means": report.final_means,
         "mean_det_accuracy": report.mean_det_accuracy,
         "mean_det_f1": report.mean_det_f1,
-        "config": _config_dict(spec),
+        "config": {"dataset": spec.dataset, **_config_json(fed), "sweep": spec.sweep},
     }
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -273,64 +209,50 @@ def cmd_run(spec: ExperimentSpec, out_dir: Path) -> int:
 
 def cmd_sweep(spec: ExperimentSpec, fractions, out_dir: Path) -> int:
     """Run each fraction with the configured defense on and off; write sweep.csv."""
-    for f in fractions:
-        if not 0.0 <= f <= 0.5:
-            raise ConfigError(f"sweep fraction {f} outside the supported [0, 0.5]")
-    if spec.federation.defense.kind == "none":
+    defense = spec.federation.defense
+    if defense.kind == "none":
         raise ConfigError("sweep needs a defense kind other than 'none' to compare against")
     train, test = build_datasets(spec)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = [",".join(SWEEP_COLUMNS)]
+    rows = [SWEEP_COLUMNS]
     for fraction in fractions:
         for defense_on in (False, True):
-            fed = replace(
-                spec.federation,
-                malicious_fraction=fraction,
-                defense=spec.federation.defense if defense_on else DefenseConfig(kind="none"),
-            )
-            sub_spec = replace(spec, federation=fed, sweep=None)
+            arm_defense = defense if defense_on else replace(defense, kind="none")
+            fed = replace(spec.federation, malicious_fraction=fraction, defense=arm_defense)
             report = run_experiment(fed, train, test)
             label = "on" if defense_on else "off"
-            write_reports(sub_spec, report, out_dir / f"frac_{_fmt(fraction)}_{label}")
+            arm_dir = out_dir / f"frac_{_fmt(fraction)}_{label}"
+            write_reports(replace(spec, federation=fed, sweep=None), report, arm_dir)
             final = report.final_means
-            rows.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        fraction, defense_on, final["accuracy"], final["source_recall"],
-                        report.mean_det_accuracy, report.mean_det_f1,
-                    )
-                )
-            )
+            rows.append((
+                fraction, int(defense_on), final["accuracy"], final["source_recall"],
+                report.mean_det_accuracy, report.mean_det_f1,
+            ))
             print(
                 f"fraction={fraction:g} defense={label}: "
                 f"accuracy={final['accuracy']:.4f} source_recall={final['source_recall']:.4f}"
             )
-    (out_dir / "sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _write_csv(out_dir / "sweep.csv", rows)
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="fedsim",
-        description="Federated-learning poisoning/defense simulator",
+        prog="fedsim", description="Federated-learning poisoning/defense simulator"
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a single experiment")
-    p_run.add_argument("--config", required=True, help="path to a JSON experiment config")
-    p_run.add_argument("--out", default="out", help="output directory")
-    p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-
-    p_sweep = sub.add_parser("sweep", help="sweep malicious fractions with/without defense")
-    p_sweep.add_argument("--config", required=True, help="path to a JSON experiment config")
-    p_sweep.add_argument(
-        "--fractions",
-        default=None,
-        help="comma-separated malicious fractions (default: the config's sweep list)",
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="path to a JSON experiment config")
+    common.add_argument("--out", default="out", help="output directory")
+    p_run = sub.add_parser("run", parents=[common], help="run a single experiment")
+    p_run.add_argument("--seed", type=int, help="override the config seed")
+    p_sweep = sub.add_parser(
+        "sweep", parents=[common], help="sweep malicious fractions with/without defense"
     )
-    p_sweep.add_argument("--out", default="out", help="output directory")
+    p_sweep.add_argument(
+        "--fractions", help="comma-separated malicious fractions (default: the config's sweep list)"
+    )
     return parser
 
 
@@ -342,11 +264,10 @@ def main(argv=None) -> int:
             spec = replace(spec, federation=replace(spec.federation, seed=args.seed))
         if args.command == "run":
             return cmd_run(spec, Path(args.out))
+        fractions = spec.sweep
         if args.fractions is not None:
-            fractions = tuple(float(f) for f in args.fractions.split(","))
-        elif spec.sweep:
-            fractions = spec.sweep
-        else:
+            fractions = _sweep_fractions(args.fractions.split(","))
+        if fractions is None:
             raise ConfigError("sweep requires --fractions or a 'sweep' list in the config")
         return cmd_sweep(spec, fractions, Path(args.out))
     except (ConfigError, OSError) as exc:

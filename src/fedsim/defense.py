@@ -41,7 +41,7 @@ class DefenseConfig:
     fixed_fraction: float = 0.2
     zscore_threshold: float = 1.0
     zscore_one_sided: bool = False
-    kmeans_guard: float = 1.0
+    kmeans_guard: float = 3.5
     kmeans_max_iters: int = 100
 
     def __post_init__(self):
@@ -113,6 +113,9 @@ def eliminate_zscore(
     unusually high losses are dropped, never unusually low ones.
     """
     _check_reports(reports, minimum=2)
+    # In client-id order, so the mean's rounding, and with it a verdict that
+    # lands exactly on the threshold, does not depend on the reports' order.
+    reports = sorted(reports, key=lambda r: r.client_id)
     losses = np.array([r.noisy_loss for r in reports])
     mu = float(losses.mean())
     sigma = float(losses.std())

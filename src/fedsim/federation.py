@@ -42,7 +42,7 @@ class FederationConfig:
     ldp: LdpConfig = LdpConfig()
     hidden_dims: tuple[int, ...] = (32,)
     seed: int = 0
-    repeats: int = 1
+    repeats: int = 3
 
     def __post_init__(self):
         if self.clients_per_round > self.total_clients:
@@ -55,7 +55,7 @@ class FederationConfig:
         if self.client_lr <= 0:
             raise ValueError("client_lr must be positive")
         if not 0.0 <= self.malicious_fraction <= 0.5:
-            raise ValueError("malicious_fraction outside [0, 0.5]")
+            raise ValueError(f"malicious_fraction {self.malicious_fraction} outside [0, 0.5]")
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,8 @@ def init_state(
     )
 
 
-_MEAN_FIELDS = (
+# The RoundRecord metrics averaged per epoch, in report column order.
+MEAN_FIELDS = (
     "accuracy",
     "test_loss",
     "source_recall",
@@ -261,7 +262,7 @@ def run_experiment(
     epoch_means = [
         {
             name: float(np.mean([getattr(run[epoch], name) for run in runs]))
-            for name in _MEAN_FIELDS
+            for name in MEAN_FIELDS
         }
         for epoch in range(config.global_epochs)
     ]

@@ -48,19 +48,17 @@ def source_class_recall(predictions, labels, source_class: int) -> float:
 
 
 def evaluate_model(model: nn.ModelParams, test_set: Dataset) -> EvalResult:
-    """Accuracy, mean loss and per-class recall in one pass over the test set."""
-    predictions = nn.predict(model, test_set.features)
-    recalls, absent = [], []
-    for c in range(test_set.num_classes):
-        mask = test_set.labels == c
-        if mask.any():
-            recalls.append(float(np.mean(predictions[mask] == c)))
-        else:
-            recalls.append(1.0)
-            absent.append(c)
+    """Accuracy, mean loss and per-class recall from one forward pass over the test set."""
+    if len(test_set) == 0:
+        raise ValueError("test set is empty")
+    labels = test_set.labels
+    logits = nn.forward(model, test_set.features)
+    loss, _ = nn.softmax_cross_entropy(logits, labels)
+    predictions = np.argmax(logits, axis=1)
+    classes = range(test_set.num_classes)
     return EvalResult(
-        accuracy=sparse_categorical_accuracy(predictions, test_set.labels),
-        mean_ce_loss=test_cross_entropy(model, test_set),
-        per_class_recall=tuple(recalls),
-        absent_classes=tuple(absent),
+        accuracy=sparse_categorical_accuracy(predictions, labels),
+        mean_ce_loss=loss,
+        per_class_recall=tuple(source_class_recall(predictions, labels, c) for c in classes),
+        absent_classes=tuple(c for c in classes if not np.any(labels == c)),
     )

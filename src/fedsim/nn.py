@@ -56,13 +56,6 @@ def init_params(dims, rng: np.random.Generator) -> ModelParams:
     return ModelParams(tuple(weights), tuple(biases))
 
 
-def zeros_like_params(model: ModelParams) -> ModelParams:
-    return ModelParams(
-        tuple(np.zeros_like(w) for w in model.weights),
-        tuple(np.zeros_like(b) for b in model.biases),
-    )
-
-
 def _check_inputs(model: ModelParams, inputs: np.ndarray) -> None:
     if inputs.ndim != 2 or inputs.shape[1] != model.dims[0]:
         raise ShapeMismatchError(
@@ -73,12 +66,7 @@ def _check_inputs(model: ModelParams, inputs: np.ndarray) -> None:
 def forward(model: ModelParams, inputs: np.ndarray) -> np.ndarray:
     """Logits for a batch. Hidden layers use ReLU; the last layer is affine."""
     _check_inputs(model, inputs)
-    a = inputs
-    last = len(model.weights) - 1
-    for k, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
-        a = z if k == last else np.maximum(z, 0.0)
-    return a
+    return _forward_trace(model, inputs)[-1]
 
 
 def _forward_trace(model: ModelParams, inputs: np.ndarray):

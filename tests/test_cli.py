@@ -1,10 +1,15 @@
 """Tests for config parsing, report writers, and the command-line entry point."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from fedsim import cli
+from fedsim.federation import FederationConfig
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
 
 SMALL_CONFIG = {
     "dataset": {
@@ -57,7 +62,17 @@ def test_parse_config_defaults(tmp_path):
     assert fed.poison_spec.target_class == 3
     assert fed.ldp.epsilon == 1.0
     assert fed.ldp.sensitivity == 0.0001
+    assert fed.defense.kmeans_guard == 3.5
+    assert fed.repeats == 3
+    assert fed == FederationConfig()  # the CLI keeps no defaults of its own
     assert spec.dataset["type"] == "synthetic"
+
+
+def test_parse_config_float_fields_accept_integers(tmp_path):
+    path = write_config(tmp_path, {"client_lr": 1, "ldp": {"epsilon": 2}})
+    fed = cli.parse_config(path).federation
+    assert fed.client_lr == 1
+    assert fed.ldp.epsilon == 2
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):
@@ -167,6 +182,40 @@ def test_run_missing_config_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+IDX_PATHS = ("train_images", "train_labels", "test_images", "test_labels")
+BAD_INPUTS = {
+    "int_given_float": ({"clients_per_round": 5.0}, "run"),
+    "int_given_string": ({"seed": "x"}, "run"),
+    "int_given_bool": ({"total_clients": True}, "run"),
+    "repeats_given_float": ({"repeats": 2.0}, "run"),
+    "section_not_object": ({"defense": 3}, "run"),
+    "ldp_not_object": ({"ldp": [1.0]}, "run"),
+    "dataset_not_object": ({"dataset": "synthetic"}, "run"),
+    "hidden_dims_not_list": ({"hidden_dims": 6}, "run"),
+    "hidden_dims_float_item": ({"hidden_dims": [6.5]}, "run"),
+    "dataset_value_rejected": ({"dataset": {"type": "synthetic", "per_class": 0}}, "run"),
+    "idx_file_malformed": ({"dataset": {"type": "idx", **dict.fromkeys(IDX_PATHS, __file__)}}, "run"),
+    "source_class_beyond_dataset": ({"source_class": 12}, "run"),
+    "more_clients_than_samples": ({"total_clients": 5000}, "run"),
+    "config_sweep_not_list": ({"sweep": 0.2}, "run"),
+    "fractions_not_numbers": ({}, "sweep --fractions abc"),
+    "fractions_out_of_range": ({}, "sweep --fractions 0.2,0.9"),
+}
+
+
+@pytest.mark.parametrize("overrides, command", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_1_before_training(tmp_path, capsys, monkeypatch, overrides, command):
+    def no_training(*args):
+        raise AssertionError("training started before the input was rejected")
+
+    monkeypatch.setattr(cli, "run_experiment", no_training)
+    config = write_config(tmp_path, overrides)
+    argv = [*command.split(), "--config", str(config), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
 # --- sweep ------------------------------------------------------------------------
 
 def test_sweep_outputs_and_reruns_identically(tmp_path):
@@ -210,11 +259,13 @@ def test_sweep_rejects_defense_none(tmp_path, capsys):
 
 
 def test_sweep_cross_file_consistency(tmp_path):
-    """sweep.csv rows must agree with each sub-run's summary.json."""
-    config = write_config(tmp_path)
+    """sweep.csv rows must agree with each sub-run's summary.json, and the
+    off arm echoes the configured defense with only its kind switched off."""
+    config = write_config(tmp_path, {"defense": {"kind": "kmeans", "zscore_one_sided": True}})
     out = tmp_path / "out"
     cli.main(["sweep", "--config", str(config), "--fractions", "0.25", "--out", str(out)])
     _, rows = read_csv(out / "sweep.csv")
+    configs = {}
     for row, label in zip(rows, ("off", "on")):
         summary = json.loads(
             (out / f"frac_0.25_{label}" / "summary.json").read_text(encoding="utf-8")
@@ -223,6 +274,10 @@ def test_sweep_cross_file_consistency(tmp_path):
             summary["final_epoch_means"]["accuracy"]
         )
         assert float(row["mean_det_accuracy"]) == pytest.approx(summary["mean_det_accuracy"])
+        configs[label] = summary["config"]
+    assert configs["on"]["defense"]["zscore_one_sided"] is True
+    configs["off"]["defense"]["kind"] = "kmeans"
+    assert configs["off"] == configs["on"]
 
 
 # --- misc ------------------------------------------------------------------------
@@ -240,3 +295,48 @@ def test_help_exits_zero(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "run" in out and "sweep" in out
+
+
+# --- behaviour lock -----------------------------------------------------------------
+
+def cli_outputs(tmp_path) -> dict:
+    """Config echo, rounds.csv header and final means of a run and a two-fraction sweep.
+
+    Keyed by each report directory's path relative to tmp_path.
+    """
+    config = write_config(tmp_path)
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    sweep = ["sweep", "--config", str(config), "--fractions", "0.0,0.25"]
+    assert cli.main(sweep + ["--out", str(tmp_path / "sweep")]) == 0
+    outputs = {}
+    for path in sorted(tmp_path.rglob("summary.json")):
+        summary = json.loads(path.read_text(encoding="utf-8"))
+        outputs[path.parent.relative_to(tmp_path).as_posix()] = {
+            "config": summary["config"],
+            "rounds_header": (path.parent / "rounds.csv").read_text(encoding="utf-8").split("\n")[0],
+            "final_epoch_means": summary["final_epoch_means"],
+        }
+    return outputs
+
+
+def test_outputs_match_golden(tmp_path):
+    """A change that alters these on purpose rewrites the file (run this module) and says why."""
+    got = cli_outputs(tmp_path)
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert sorted(got) == sorted(want)
+    for name, expected in want.items():
+        # Compared as JSON text, so an int echoed where a float was (1 vs 1.0) differs.
+        assert json.dumps(got[name]["config"], sort_keys=True) == json.dumps(
+            expected["config"], sort_keys=True
+        ), name
+        assert got[name]["rounds_header"] == expected["rounds_header"], name
+        assert got[name]["final_epoch_means"] == pytest.approx(
+            expected["final_epoch_means"], rel=1e-9, abs=0.0
+        ), name
+
+
+if __name__ == "__main__":
+    # Rewrite the golden file from the current code: PYTHONPATH=src python tests/test_cli.py
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = cli_outputs(Path(tmp))
+    GOLDEN.write_text(json.dumps(outputs, indent=2, sort_keys=True) + "\n", encoding="utf-8")

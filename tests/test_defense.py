@@ -7,7 +7,7 @@ as hypothesis properties across all eliminators.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fedsim import defense
@@ -238,6 +238,11 @@ ALL_CONFIGS = (
 
 
 @given(losses=finite_losses, seed=st.integers(0, 100))
+# Every |z| is exactly 1, the zscore threshold: summing in report order flipped the verdict.
+@example(
+    losses=[-5.545881296090664, -5.545881296090664, -4.9847923885619885, -4.9847923885619885],
+    seed=0,
+)
 @settings(max_examples=80, deadline=None)
 def test_partition_and_permutation_invariance(losses, seed):
     rpts = reports(*losses)
