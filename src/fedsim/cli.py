@@ -145,6 +145,11 @@ def build_datasets(spec: ExperimentSpec) -> tuple[Dataset, Dataset]:
             test = load_idx(ds["test_images"], ds["test_labels"], num_classes=train.num_classes)
     except ValueError as exc:
         raise ConfigError(f"dataset: {exc}") from exc
+    if train.features.shape[1] != test.features.shape[1]:
+        raise ConfigError(
+            f"dataset: train samples have {train.features.shape[1]} features, "
+            f"test samples {test.features.shape[1]}"
+        )
     fed = spec.federation
     poison = fed.poison_spec
     if max(poison.source_class, poison.target_class) >= train.num_classes:
@@ -261,7 +266,10 @@ def main(argv=None) -> int:
     try:
         spec = parse_config(args.config)
         if getattr(args, "seed", None) is not None:
-            spec = replace(spec, federation=replace(spec.federation, seed=args.seed))
+            try:
+                spec = replace(spec, federation=replace(spec.federation, seed=args.seed))
+            except ValueError as exc:
+                raise ConfigError(f"invalid --seed: {exc}") from exc
         if args.command == "run":
             return cmd_run(spec, Path(args.out))
         fractions = spec.sweep

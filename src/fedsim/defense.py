@@ -49,6 +49,9 @@ class DefenseConfig:
             raise ValueError(f"unknown defense kind {self.kind!r}, expected one of {DEFENSE_KINDS}")
         if not 0.0 <= self.fixed_fraction < 1.0:
             raise ValueError("fixed_fraction must be in [0, 1)")
+        for name in ("zscore_threshold", "kmeans_guard"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} {getattr(self, name)} must be non-negative")
 
 
 def _check_reports(reports, minimum=1):

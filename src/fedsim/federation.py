@@ -27,6 +27,11 @@ _STREAM_INIT = 2
 _STREAM_SELECT = 3
 _STREAM_CLIENT = 4
 
+# Most bytes of stacked model parameters one local_train call trains at once.
+# Larger stacks dispatch less but hold more memory for each step's gradients
+# and activations; a model above the cap trains one client per call.
+_STACK_BYTES = 256 * 1024
+
 
 @dataclass(frozen=True)
 class FederationConfig:
@@ -56,6 +61,10 @@ class FederationConfig:
             raise ValueError("client_lr must be positive")
         if not 0.0 <= self.malicious_fraction <= 0.5:
             raise ValueError(f"malicious_fraction {self.malicious_fraction} outside [0, 0.5]")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be non-negative")
+        if any(width < 1 for width in self.hidden_dims):
+            raise ValueError(f"hidden_dims {list(self.hidden_dims)} must all be positive")
 
 
 @dataclass(frozen=True)
@@ -106,14 +115,20 @@ def select_clients(rng: np.random.Generator, total_clients: int, k: int) -> tupl
 
 def local_train(
     global_model: nn.ModelParams,
-    shard: ClientShard,
+    shards: list[ClientShard],
     client_epochs: int,
     lr: float,
     batch_size: int,
     ldp: LdpConfig,
-    rng: np.random.Generator,
-) -> ClientUpdate:
-    """One client's contribution: mini-batch SGD, then a noised loss report.
+    rngs: list[np.random.Generator],
+) -> list[ClientUpdate]:
+    """A group of clients' contributions: mini-batch SGD, then noised loss reports.
+
+    The shards must be of equal size; they train as one stacked model with a
+    leading client axis, which computes exactly what training each client
+    alone would. Each client draws from its own generator in rngs, in the
+    same order as alone: one permutation per epoch, then the Laplace noise.
+    Returns one ClientUpdate per shard, in shard order.
 
     The raw loss is the shard's mean loss under the incoming global model,
     monitored at the start of local training; only the noised value leaves
@@ -122,23 +137,42 @@ def local_train(
     poisoned shards; by the end of local training the client has fit its
     own labels, flipped or not, and the signal is gone.
     """
-    n = len(shard.data)
-    if n == 0:
-        raise ValueError(f"client {shard.client_id} has an empty shard")
-    model = global_model
-    features, labels = shard.data.features, shard.data.labels
-    raw_loss, _ = nn.softmax_cross_entropy(nn.forward(model, features), labels)
+    if len(shards) != len(rngs) or not shards:
+        raise ValueError(f"{len(shards)} shards and {len(rngs)} generators; need one each, at least one")
+    n = len(shards[0].data)
+    for shard in shards:
+        if len(shard.data) == 0:
+            raise ValueError(f"client {shard.client_id} has an empty shard")
+        if len(shard.data) != n:
+            raise ValueError(f"client {shard.client_id} has {len(shard.data)} samples, not {n}")
+    c = len(shards)
+    # Rows of every client's shard, client after client: client i owns rows i*n .. i*n+n-1.
+    features = np.concatenate([s.data.features for s in shards])
+    labels = np.concatenate([s.data.labels for s in shards])
+    model = nn.ModelParams(
+        tuple(np.broadcast_to(w, (c, *w.shape)) for w in global_model.weights),
+        tuple(np.broadcast_to(b, (c, *b.shape)) for b in global_model.biases),
+    )
+    raw_losses, _ = nn.softmax_cross_entropy(
+        nn.forward(model, features.reshape(c, n, -1)), labels.reshape(c, n)
+    )
+    offsets = np.arange(0, c * n, n)[:, None]
     for _ in range(client_epochs):
-        perm = rng.permutation(n)
+        perm = np.stack([rng.permutation(n) for rng in rngs]) + offsets
         for start in range(0, n, batch_size):
-            idx = perm[start : start + batch_size]
+            idx = perm[:, start : start + batch_size]
             grads, _ = nn.backward(model, features[idx], labels[idx])
             model = nn.sgd_step(model, grads, lr)
-    return ClientUpdate(
-        client_id=shard.client_id,
-        weights=model,
-        noisy_loss=perturb_loss(raw_loss, ldp, rng),
-    )
+    return [
+        ClientUpdate(
+            client_id=shard.client_id,
+            weights=nn.ModelParams(
+                tuple(w[i] for w in model.weights), tuple(b[i] for b in model.biases)
+            ),
+            noisy_loss=perturb_loss(float(raw_losses[i]), ldp, rng),
+        )
+        for i, (shard, rng) in enumerate(zip(shards, rngs))
+    ]
 
 
 def fed_avg(updates) -> nn.ModelParams:
@@ -179,24 +213,39 @@ def _rng(state: FederationState, *tail) -> np.random.Generator:
     return np.random.default_rng([*state.seed_prefix, *tail])
 
 
+def _training_groups(state: FederationState, selected) -> list[tuple[int, ...]]:
+    """The selected ids cut into local_train calls: equal shard sizes, capped stacks."""
+    by_size = {}
+    for cid in selected:
+        by_size.setdefault(len(state.shards[cid].data), []).append(cid)
+    model_bytes = sum(p.nbytes for p in state.model.weights + state.model.biases)
+    chunk = max(1, _STACK_BYTES // model_bytes)
+    return [
+        tuple(ids[start : start + chunk])
+        for ids in by_size.values()
+        for start in range(0, len(ids), chunk)
+    ]
+
+
 def global_round(state: FederationState, epoch: int) -> RoundRecord:
     """Run one global epoch in place and append its record to the history."""
     cfg = state.config
     selected = select_clients(
         _rng(state, _STREAM_SELECT, epoch), cfg.total_clients, cfg.clients_per_round
     )
-    updates = [
-        local_train(
+    by_id = {}
+    for group in _training_groups(state, selected):
+        trained = local_train(
             state.model,
-            state.shards[cid],
+            [state.shards[cid] for cid in group],
             cfg.client_epochs,
             cfg.client_lr,
             cfg.batch_size,
             cfg.ldp,
-            _rng(state, _STREAM_CLIENT, epoch, cid),
+            [_rng(state, _STREAM_CLIENT, epoch, cid) for cid in group],
         )
-        for cid in selected
-    ]
+        by_id.update((u.client_id, u) for u in trained)
+    updates = [by_id[cid] for cid in selected]
     reports = [LossReport(u.client_id, u.noisy_loss) for u in updates]
     outcome = run_eliminator(reports, cfg.defense)
     state.model = fed_avg([u for u in updates if u.client_id in outcome.retained])

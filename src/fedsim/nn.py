@@ -3,6 +3,12 @@
 Forward pass, softmax cross-entropy, backpropagation and plain SGD for a
 fully connected ReLU network. Everything is float64 and purely functional:
 no layer objects, no hidden state, just arrays in and arrays out.
+
+Every function also takes a stack of models with a leading client axis:
+weights of shape (C, out, in), inputs of shape (C, rows, in) and labels of
+shape (C, rows). Each client's slice goes through the same matrix products
+and reductions as a lone 2-D model would, so a stack of C models computes
+exactly the bits of C separate calls, with one numpy dispatch instead of C.
 """
 
 from __future__ import annotations
@@ -18,9 +24,10 @@ class ShapeMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Ordered (weight, bias) pairs of a dense network.
+    """Ordered (weight, bias) pairs of a dense network, or of a stack of them.
 
-    weights[k] has shape (dims[k+1], dims[k]); biases[k] has shape (dims[k+1],).
+    weights[k] has shape (*lead, dims[k+1], dims[k]); biases[k] has shape
+    (*lead, dims[k+1]). lead is () for one model and (C,) for C stacked ones.
     """
 
     weights: tuple[np.ndarray, ...]
@@ -30,20 +37,22 @@ class ModelParams:
         if len(self.weights) != len(self.biases):
             raise ShapeMismatchError("weights and biases differ in layer count")
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[0]:
+            if w.ndim not in (2, 3) or b.shape != w.shape[:-1]:
                 raise ShapeMismatchError(f"layer {k}: weight {w.shape} / bias {b.shape}")
-            if k > 0 and w.shape[1] != self.weights[k - 1].shape[0]:
+            # Same leading axes as the layer before, and its outputs as inputs.
+            if k > 0 and w.shape[:-2] + w.shape[-1:] != self.weights[k - 1].shape[:-1]:
                 raise ShapeMismatchError(
-                    f"layer {k} input dim {w.shape[1]} != layer {k-1} output dim"
+                    f"layer {k} weight {w.shape} does not follow layer {k-1} weight "
+                    f"{self.weights[k - 1].shape}"
                 )
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
+        return (self.weights[0].shape[-1],) + tuple(w.shape[-2] for w in self.weights)
 
     @property
     def num_classes(self) -> int:
-        return self.weights[-1].shape[0]
+        return self.weights[-1].shape[-2]
 
 
 def init_params(dims, rng: np.random.Generator) -> ModelParams:
@@ -57,10 +66,10 @@ def init_params(dims, rng: np.random.Generator) -> ModelParams:
 
 
 def _check_inputs(model: ModelParams, inputs: np.ndarray) -> None:
-    if inputs.ndim != 2 or inputs.shape[1] != model.dims[0]:
-        raise ShapeMismatchError(
-            f"inputs {inputs.shape} incompatible with model input dim {model.dims[0]}"
-        )
+    lead, dim = model.weights[0].shape[:-2], model.dims[0]
+    if inputs.ndim != len(lead) + 2 or inputs.shape[:-2] != lead or inputs.shape[-1] != dim:
+        stack = f" and client axes {lead}" if lead else ""
+        raise ShapeMismatchError(f"inputs {inputs.shape} incompatible with model input dim {dim}{stack}")
 
 
 def forward(model: ModelParams, inputs: np.ndarray) -> np.ndarray:
@@ -75,58 +84,70 @@ def _forward_trace(model: ModelParams, inputs: np.ndarray):
     a = inputs
     last = len(model.weights) - 1
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
+        z = a @ w.swapaxes(-1, -2) + b[..., None, :]
         a = z if k == last else np.maximum(z, 0.0)
         activations.append(a)
     return activations
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
+def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean cross-entropy of softmax(logits) against integer labels.
 
-    Returns (mean_loss, d loss / d logits). Softmax is computed with
-    max-subtraction so large logits stay finite.
+    Returns (mean_loss, d loss / d logits). The mean is over the rows of each
+    model: a float for 2-D logits, an array of C losses for (C, rows, classes)
+    logits. Softmax is computed with max-subtraction so large logits stay finite.
     """
     labels = np.asarray(labels)
-    n, num_classes = logits.shape
-    if labels.shape != (n,):
-        raise ShapeMismatchError(f"{labels.shape[0] if labels.ndim else 0} labels for {n} rows")
+    num_classes = logits.shape[-1]
+    n = logits.shape[-2]
+    if labels.shape != logits.shape[:-1]:
+        raise ShapeMismatchError(f"labels {labels.shape} for logits {logits.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError(f"label out of range [0, {num_classes})")
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    log_probs = shifted - np.log(exp.sum(axis=1, keepdims=True))
-    loss = -float(log_probs[np.arange(n), labels].mean())
-    grad = probs.copy()
-    grad[np.arange(n), labels] -= 1.0
-    return loss, grad / n
+    total = exp.sum(axis=-1, keepdims=True)
+    probs = exp / total
+    log_probs = shifted - np.log(total)
+    # Flat positions of each row's label entry, so one pick serves any leading axes.
+    picks = np.arange(labels.size) * num_classes + labels.ravel()
+    loss = -log_probs.reshape(-1)[picks].reshape(labels.shape).mean(axis=-1)
+    probs.reshape(-1)[picks] -= 1.0
+    return (float(loss) if loss.ndim == 0 else loss), probs / n
 
 
-def backward(model: ModelParams, inputs: np.ndarray, labels) -> tuple[ModelParams, float]:
-    """Gradients of the mean cross-entropy loss w.r.t. every parameter."""
+def backward(model: ModelParams, inputs: np.ndarray, labels) -> tuple[ModelParams, float | np.ndarray]:
+    """Gradients of the mean cross-entropy loss w.r.t. every parameter, and that loss."""
     activations = _forward_trace(model, inputs)
     loss, delta = softmax_cross_entropy(activations[-1], labels)
     grad_w = [None] * len(model.weights)
     grad_b = [None] * len(model.biases)
     for k in range(len(model.weights) - 1, -1, -1):
-        grad_w[k] = delta.T @ activations[k]
-        grad_b[k] = delta.sum(axis=0)
+        grad_w[k] = delta.swapaxes(-1, -2) @ activations[k]
+        grad_b[k] = delta.sum(axis=-2)
         if k > 0:
             delta = (delta @ model.weights[k]) * (activations[k] > 0)
     return ModelParams(tuple(grad_w), tuple(grad_b)), loss
 
 
+def _step(p: np.ndarray, g: np.ndarray, lr: float) -> np.ndarray:
+    """p - lr * g with a single allocation (same rounding as the expression)."""
+    out = lr * g
+    np.subtract(p, out, out=out)
+    return out
+
+
 def sgd_step(model: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     """One plain gradient-descent step: p' = p - lr * g."""
-    if model.dims != grads.dims:
-        raise ShapeMismatchError(f"model dims {model.dims} != gradient dims {grads.dims}")
+    shapes, grad_shapes = [w.shape for w in model.weights], [g.shape for g in grads.weights]
+    if shapes != grad_shapes:
+        raise ShapeMismatchError(f"model weights {shapes} != gradient weights {grad_shapes}")
     return ModelParams(
-        tuple(w - lr * g for w, g in zip(model.weights, grads.weights)),
-        tuple(b - lr * g for b, g in zip(model.biases, grads.biases)),
+        tuple(_step(w, g, lr) for w, g in zip(model.weights, grads.weights)),
+        tuple(_step(b, g, lr) for b, g in zip(model.biases, grads.biases)),
     )
 
 
 def predict(model: ModelParams, inputs: np.ndarray) -> np.ndarray:
     """Argmax class per row; ties go to the lowest class index."""
-    return np.argmax(forward(model, inputs), axis=1)
+    return np.argmax(forward(model, inputs), axis=-1)

@@ -1,12 +1,13 @@
 """Tests for config parsing, report writers, and the command-line entry point."""
 
 import json
+import struct
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from fedsim import cli
+from fedsim import cli, data
 from fedsim.federation import FederationConfig
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
@@ -183,6 +184,19 @@ def test_run_missing_config_file(tmp_path, capsys):
 
 
 IDX_PATHS = ("train_images", "train_labels", "test_images", "test_labels")
+
+
+def idx_train_4x4_test_5x5(tmp_path) -> dict:
+    """A dataset section whose train images are 4x4 pixels and test images 5x5."""
+    section = {"type": "idx"}
+    for split, side, n in (("train", 4, 40), ("test", 5, 12)):
+        images, labels = tmp_path / f"{split}-images.idx", tmp_path / f"{split}-labels.idx"
+        images.write_bytes(struct.pack(">IIII", data.IDX_IMAGES_MAGIC, n, side, side) + bytes(n * side * side))
+        labels.write_bytes(struct.pack(">II", data.IDX_LABELS_MAGIC, n) + bytes(i % 4 for i in range(n)))
+        section[f"{split}_images"], section[f"{split}_labels"] = str(images), str(labels)
+    return {"dataset": section}
+
+
 BAD_INPUTS = {
     "int_given_float": ({"clients_per_round": 5.0}, "run"),
     "int_given_string": ({"seed": "x"}, "run"),
@@ -200,6 +214,12 @@ BAD_INPUTS = {
     "config_sweep_not_list": ({"sweep": 0.2}, "run"),
     "fractions_not_numbers": ({}, "sweep --fractions abc"),
     "fractions_out_of_range": ({}, "sweep --fractions 0.2,0.9"),
+    "train_test_feature_dims_differ": (idx_train_4x4_test_5x5, "run"),
+    "seed_negative": ({"seed": -1}, "run"),
+    "seed_override_negative": ({}, "run --seed -1"),
+    "hidden_dims_zero_width": ({"hidden_dims": [0]}, "run"),
+    "kmeans_guard_negative": ({"defense": {"kind": "kmeans", "kmeans_guard": -1.0}}, "run"),
+    "zscore_threshold_negative": ({"defense": {"kind": "zscore", "zscore_threshold": -0.5}}, "run"),
 }
 
 
@@ -209,7 +229,7 @@ def test_bad_input_exits_1_before_training(tmp_path, capsys, monkeypatch, overri
         raise AssertionError("training started before the input was rejected")
 
     monkeypatch.setattr(cli, "run_experiment", no_training)
-    config = write_config(tmp_path, overrides)
+    config = write_config(tmp_path, overrides(tmp_path) if callable(overrides) else overrides)
     argv = [*command.split(), "--config", str(config), "--out", str(tmp_path / "o")]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err.splitlines()

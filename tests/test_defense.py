@@ -327,3 +327,10 @@ def test_detection_confusion_matrix_example():
 def test_detection_rejects_unknown_truth_ids():
     with pytest.raises(ValueError):
         defense.detection_score(outcome({0}, {1}), {99})
+
+
+@pytest.mark.parametrize("name", ["zscore_threshold", "kmeans_guard"])
+def test_defense_config_rejects_negative_threshold_by_value(name):
+    with pytest.raises(ValueError, match=f"{name} -0.5"):
+        DefenseConfig(**{name: -0.5})
+    DefenseConfig(**{name: 0.0})

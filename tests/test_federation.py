@@ -1,5 +1,8 @@
 """Tests for the federated loop: selection, local training, FedAvg, rounds."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from fedsim import federation, nn
 from fedsim.data import ClientShard, Dataset, PoisonSpec, synthesize
 from fedsim.defense import DefenseConfig
 from fedsim.federation import FederationConfig
-from fedsim.privacy import LdpConfig
+from fedsim.privacy import LdpConfig, perturb_loss
 
 
 def small_task(noise_std=1.0, seed=0):
@@ -110,7 +113,7 @@ def test_local_train_zero_epochs_returns_global_weights():
     rng = np.random.default_rng(0)
     shard = make_shard(rng)
     model = nn.init_params((4, 3), rng)
-    update = federation.local_train(model, shard, 0, 0.5, 4, LdpConfig(), np.random.default_rng(1))
+    [update] = federation.local_train(model, [shard], 0, 0.5, 4, LdpConfig(), [np.random.default_rng(1)])
     for wa, wb in zip(update.weights.weights, model.weights):
         np.testing.assert_array_equal(wa, wb)
 
@@ -122,7 +125,7 @@ def test_local_train_reports_loss_of_incoming_model():
     shard = make_shard(rng)
     model = nn.init_params((4, 3), rng)
     incoming, _ = nn.softmax_cross_entropy(nn.forward(model, shard.data.features), shard.data.labels)
-    update = federation.local_train(model, shard, 3, 0.5, 4, LdpConfig(), np.random.default_rng(7))
+    [update] = federation.local_train(model, [shard], 3, 0.5, 4, LdpConfig(), [np.random.default_rng(7)])
     assert update.noisy_loss == pytest.approx(incoming, abs=1e-2)
     trained, _ = nn.softmax_cross_entropy(
         nn.forward(update.weights, shard.data.features), shard.data.labels
@@ -134,7 +137,111 @@ def test_local_train_rejects_empty_shard():
     model = nn.init_params((4, 3), np.random.default_rng(0))
     empty = ClientShard(0, Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 3))
     with pytest.raises(ValueError):
-        federation.local_train(model, empty, 1, 0.5, 4, LdpConfig(), np.random.default_rng(0))
+        federation.local_train(model, [empty], 1, 0.5, 4, LdpConfig(), [np.random.default_rng(0)])
+
+
+def reference_local_train(global_model, shard, client_epochs, lr, batch_size, ldp, rng):
+    """One client trained alone on 2-D parameters: the oracle for the stacked trainer."""
+    n = len(shard.data)
+    features, labels = shard.data.features, shard.data.labels
+    model = global_model
+    raw_loss, _ = nn.softmax_cross_entropy(nn.forward(model, features), labels)
+    for _ in range(client_epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = perm[start : start + batch_size]
+            grads, _ = nn.backward(model, features[idx], labels[idx])
+            model = nn.sgd_step(model, grads, lr)
+    return federation.ClientUpdate(shard.client_id, model, perturb_loss(raw_loss, ldp, rng))
+
+
+def assert_same_update(got, want):
+    assert got.client_id == want.client_id
+    got_arrays = got.weights.weights + got.weights.biases
+    want_arrays = want.weights.weights + want.weights.biases
+    assert [a.shape for a in got_arrays] == [a.shape for a in want_arrays]
+    for a, b in zip(got_arrays, want_arrays):
+        assert a.tobytes() == b.tobytes(), got.client_id
+    assert type(got.noisy_loss) is float
+    assert np.float64(got.noisy_loss).tobytes() == np.float64(want.noisy_loss).tobytes()
+
+
+def test_local_train_matches_per_client_loop_bit_for_bit():
+    rng = np.random.default_rng(21)
+    # 13 samples in batches of 5 leave a short last batch; 13 rows of loss exceed
+    # the 8-way unrolled summation of numpy, so a changed reduction order would show.
+    shards = [make_shard(rng, n=13, dim=6, classes=4, cid=cid) for cid in (3, 1, 8, 5)]
+    model = nn.init_params((6, 9, 4), rng)
+    ldp = LdpConfig(epsilon=0.5)
+    got = federation.local_train(
+        model, shards, 3, 0.4, 5, ldp, [np.random.default_rng([7, s.client_id]) for s in shards]
+    )
+    for update, shard in zip(got, shards):
+        assert_same_update(
+            update,
+            reference_local_train(model, shard, 3, 0.4, 5, ldp, np.random.default_rng([7, shard.client_id])),
+        )
+
+
+def test_local_train_rejects_unequal_shards_and_missing_generators():
+    rng = np.random.default_rng(0)
+    model = nn.init_params((4, 3), rng)
+    shards = [make_shard(rng, n=12, cid=0), make_shard(rng, n=11, cid=1)]
+    rngs = [np.random.default_rng(i) for i in range(2)]
+    with pytest.raises(ValueError, match="client 1 has 11 samples"):
+        federation.local_train(model, shards, 1, 0.5, 4, LdpConfig(), rngs)
+    with pytest.raises(ValueError):
+        federation.local_train(model, shards[:1], 1, 0.5, 4, LdpConfig(), rngs)
+    with pytest.raises(ValueError):
+        federation.local_train(model, [], 1, 0.5, 4, LdpConfig(), [])
+
+
+@pytest.mark.parametrize("models_per_stack", [None, 3], ids=["default_cap", "cap_of_3_models"])
+def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_per_stack):
+    """50 samples over 8 clients give shards of 7 and 6 samples, so one round trains
+    two groups; a cap of 3 models also cuts the group of 6 into two stacks."""
+    train = synthesize(5, 10, 8, 6.0, seed=[0, 1000])
+    test = synthesize(5, 4, 8, 6.0, seed=[0, 1001])
+    cfg = small_config(total_clients=8, clients_per_round=8, batch_size=4, malicious_fraction=0.25)
+    state = federation.init_state(cfg, train, test)
+    # Hand the two 7-sample shards (clients 0 and 1) to clients 1 and 4, so the
+    # groups interleave in id order and the round must restore selected order.
+    order = (2, 0, 3, 4, 1, 5, 6, 7)
+    state.shards = [replace(state.shards[old], client_id=new) for new, old in enumerate(order)]
+    assert [len(s.data) for s in state.shards] == [6, 7, 6, 6, 7, 6, 6, 6]
+    if models_per_stack:
+        model_bytes = sum(p.nbytes for p in state.model.weights + state.model.biases)
+        monkeypatch.setattr(federation, "_STACK_BYTES", models_per_stack * model_bytes)
+    calls, reported = [], []
+    train_group, eliminate = federation.local_train, federation.run_eliminator
+
+    def recording_local_train(global_model, shards, *args):
+        updates = train_group(global_model, shards, *args)
+        calls.append(([s.client_id for s in shards], updates))
+        return updates
+
+    def recording_eliminator(reports, config):
+        reported.extend(r.client_id for r in reports)
+        return eliminate(reports, config)
+
+    monkeypatch.setattr(federation, "local_train", recording_local_train)
+    monkeypatch.setattr(federation, "run_eliminator", recording_eliminator)
+    model_before = state.model
+    record = federation.global_round(state, epoch=0)
+
+    assert reported == list(record.selected) == list(range(8))  # updates come back in selected order
+    groups = [ids for ids, _ in calls]
+    assert sorted(cid for ids in groups for cid in ids) == list(range(8))
+    assert all(len({len(state.shards[cid].data) for cid in ids}) == 1 for ids in groups)
+    expected_sizes = [2, 3, 3] if models_per_stack else [2, 6]
+    assert sorted(len(ids) for ids in groups) == expected_sizes
+    for ids, updates in calls:
+        for cid, update in zip(ids, updates):
+            want = reference_local_train(
+                model_before, state.shards[cid], cfg.client_epochs, cfg.client_lr,
+                cfg.batch_size, cfg.ldp, federation._rng(state, federation._STREAM_CLIENT, 0, cid),
+            )
+            assert_same_update(update, want)
 
 
 # --- experiment loop ---------------------------------------------------------
@@ -189,13 +296,13 @@ def test_eliminated_clients_do_not_influence_aggregate():
     updates = [
         federation.local_train(
             model_before,
-            state.shards[cid],
+            [state.shards[cid]],
             cfg.client_epochs,
             cfg.client_lr,
             cfg.batch_size,
             cfg.ldp,
-            np.random.default_rng([cfg.seed, 0, 4, 0, cid]),
-        )
+            [np.random.default_rng([cfg.seed, 0, 4, 0, cid])],
+        )[0]
         for cid in record.selected
         if cid not in record.eliminated
     ]
@@ -238,3 +345,13 @@ def test_config_validation():
         small_config(malicious_fraction=0.6)
     with pytest.raises(ValueError):
         small_config(client_epochs=-1)
+
+
+@pytest.mark.parametrize(
+    "name, value, shown",
+    [("seed", -1, "-1"), ("hidden_dims", (8, 0), "[8, 0]")],
+    ids=["seed_negative", "hidden_dims_zero_width"],
+)
+def test_config_rejects_out_of_range_value_by_name(name, value, shown):
+    with pytest.raises(ValueError, match=f"{name} {re.escape(shown)}"):
+        small_config(**{name: value})

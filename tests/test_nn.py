@@ -178,6 +178,72 @@ def test_model_params_validates_layer_chain():
         nn.ModelParams((np.zeros((3, 2)),), (np.zeros(4),))
 
 
+def stack(models):
+    """One ModelParams with a leading client axis over the given 2-D models."""
+    return nn.ModelParams(
+        tuple(np.stack(ws) for ws in zip(*(m.weights for m in models))),
+        tuple(np.stack(bs) for bs in zip(*(m.biases for m in models))),
+    )
+
+
+def arrays(params):
+    return params.weights + params.biases
+
+
+def test_stacked_models_compute_each_slice_bit_for_bit():
+    rng = np.random.default_rng(17)
+    models = [random_model(rng)[0] for _ in range(4)]
+    stacked = stack(models)
+    assert stacked.dims == models[0].dims
+    # 20 rows per client exceed numpy's 8-way unrolled summation, so a reduction
+    # that summed a stack in a different order than a lone model would show.
+    x = rng.standard_normal((4, 20, 5))
+    y = rng.integers(0, 3, size=(4, 20))
+    logits = nn.forward(stacked, x)
+    losses, dlogits = nn.softmax_cross_entropy(logits, y)
+    grads, backward_losses = nn.backward(stacked, x, y)
+    stepped = nn.sgd_step(stacked, grads, 0.3)
+    np.testing.assert_array_equal(nn.predict(stacked, x), np.argmax(logits, axis=-1))
+    for i, model in enumerate(models):
+        assert logits[i].tobytes() == nn.forward(model, x[i]).tobytes()
+        loss, dlogit = nn.softmax_cross_entropy(logits[i], y[i])
+        assert losses[i].tobytes() == np.float64(loss).tobytes()
+        assert dlogits[i].tobytes() == dlogit.tobytes()
+        grad, loss = nn.backward(model, x[i], y[i])
+        assert backward_losses[i].tobytes() == np.float64(loss).tobytes()
+        for a, b in zip(arrays(grads), arrays(grad)):
+            assert a[i].tobytes() == b.tobytes()
+        for a, b in zip(arrays(stepped), arrays(nn.sgd_step(model, grad, 0.3))):
+            assert a[i].tobytes() == b.tobytes()
+
+
+def test_stacked_shapes_are_checked():
+    rng = np.random.default_rng(4)
+    stacked = stack([random_model(rng)[0] for _ in range(3)])
+    with pytest.raises(nn.ShapeMismatchError):
+        nn.forward(stacked, np.zeros((2, 6, 5)))  # two clients' inputs for three models
+    with pytest.raises(nn.ShapeMismatchError):
+        nn.forward(stacked, np.zeros((6, 5)))  # one model's inputs for a stack
+    with pytest.raises(nn.ShapeMismatchError):
+        nn.softmax_cross_entropy(np.zeros((3, 6, 4)), np.zeros((3, 5), dtype=int))
+    lone, _ = random_model(rng)
+    with pytest.raises(nn.ShapeMismatchError):
+        nn.sgd_step(stacked, stack([lone, lone]), 0.1)
+
+
+def test_model_params_rejects_disagreeing_leading_axes():
+    with pytest.raises(nn.ShapeMismatchError):  # layers stacked over 2 and 3 clients
+        nn.ModelParams(
+            (np.zeros((2, 3, 2)), np.zeros((3, 4, 3))), (np.zeros((2, 3)), np.zeros((3, 4)))
+        )
+    with pytest.raises(nn.ShapeMismatchError):  # a stacked layer after a lone one
+        nn.ModelParams((np.zeros((3, 2)), np.zeros((2, 4, 3))), (np.zeros(3), np.zeros((2, 4))))
+    with pytest.raises(nn.ShapeMismatchError):  # weight over 2 clients, bias over 3
+        nn.ModelParams((np.zeros((2, 3, 2)),), (np.zeros((3, 3)),))
+    with pytest.raises(nn.ShapeMismatchError):  # a lone bias for a stacked weight
+        nn.ModelParams((np.zeros((2, 3, 2)),), (np.zeros(3),))
+
+
 def test_gradient_descent_fits_separable_blobs():
     rng = np.random.default_rng(0)
     x = np.concatenate([rng.normal(-2, 0.3, (40, 2)), rng.normal(2, 0.3, (40, 2))])
