@@ -27,7 +27,8 @@ from .federation import (
     local_train,
     run_experiment,
     select_clients,
+    validate,
 )
-from .metrics import EvalResult, evaluate_model, source_class_recall, sparse_categorical_accuracy, test_cross_entropy
-from .nn import ModelParams, backward, forward, init_params, predict, sgd_step, softmax_cross_entropy
+from .metrics import EvalResult, evaluate_model, source_class_recall, sparse_categorical_accuracy
+from .nn import ModelParams, backward, forward, init_params, sgd_step, softmax_cross_entropy
 from .privacy import LdpConfig, laplace_sample, laplace_scale, perturb_loss

@@ -11,7 +11,7 @@ from pathlib import Path
 from . import __version__
 from .data import Dataset, PoisonSpec, load_idx, synthesize
 from .defense import DefenseConfig
-from .federation import MEAN_FIELDS, ExperimentReport, FederationConfig, run_experiment
+from .federation import MEAN_FIELDS, ExperimentReport, FederationConfig, run_experiment, validate
 from .privacy import LdpConfig
 
 _SYNTHETIC_DEFAULTS = {
@@ -54,10 +54,6 @@ SWEEP_COLUMNS = (
 )
 
 
-class ConfigError(ValueError):
-    """Rejected experiment configuration."""
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     dataset: dict
@@ -70,12 +66,12 @@ def _merge(section: str, given: dict, defaults: dict) -> dict:
     merged = dict(defaults)
     for key, value in given.items():
         if key not in defaults:
-            raise ConfigError(f"unknown key {key!r} in {section}")
+            raise ValueError(f"unknown key {key!r} in {section}")
         types, expected = _JSON_TYPES[type(defaults[key])]
         if type(value) not in types or (
             type(value) is list and not all(type(v) is int for v in value)
         ):
-            raise ConfigError(f"{key} in {section} must be {expected}, got {value!r}")
+            raise ValueError(f"{key} in {section} must be {expected}, got {value!r}")
         merged[key] = _merge(key, value, defaults[key]) if type(value) is dict else value
     return merged
 
@@ -83,26 +79,31 @@ def _merge(section: str, given: dict, defaults: dict) -> dict:
 def _sweep_fractions(values) -> tuple[float, ...]:
     """A validated sweep list, from the config or from --fractions."""
     if not isinstance(values, list) or not values:
-        raise ConfigError("sweep must be a nonempty list of fractions")
+        raise ValueError("sweep must be a nonempty list of fractions")
     try:
         fractions = tuple(float(f) for f in values)
     except (TypeError, ValueError):
-        raise ConfigError(f"sweep fractions must be numbers, got {values}") from None
+        raise ValueError(f"sweep fractions must be numbers, got {values}") from None
     for f in fractions:
         if not 0.0 <= f <= 0.5:
-            raise ConfigError(f"sweep fraction {f} outside the supported [0, 0.5]")
+            raise ValueError(f"sweep fraction {f} outside the supported [0, 0.5]")
     return fractions
+
+
+def _non_finite(constant: str):
+    """json.loads hook for NaN, Infinity and -Infinity, which no config value may be."""
+    raise ValueError(f"{constant} in the config: every number must be finite")
 
 
 def parse_config(path) -> ExperimentSpec:
     """Load a JSON experiment config, checked against FederationConfig's fields and defaults."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8"), parse_constant=_non_finite)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
+        raise ValueError(f"{path}: top level must be a JSON object")
 
     dataset = raw.pop("dataset", {"type": "synthetic"})
     ds_type = dataset.get("type") if isinstance(dataset, dict) else None
@@ -112,50 +113,34 @@ def parse_config(path) -> ExperimentSpec:
         missing = set(_IDX_KEYS) - set(dataset)
         dataset = _merge("dataset", dataset, _IDX_KEYS)
         if missing:
-            raise ConfigError(f"dataset missing keys: {sorted(missing)}")
+            raise ValueError(f"dataset missing keys: {sorted(missing)}")
     else:
-        raise ConfigError(f"dataset must be an object of type 'synthetic' or 'idx', got {dataset!r}")
+        raise ValueError(f"dataset must be an object of type 'synthetic' or 'idx', got {dataset!r}")
     sweep = raw.pop("sweep", None)
     values = _merge("config", raw, _DEFAULTS)
-    try:
-        federation = FederationConfig(
-            poison_spec=PoisonSpec(values.pop("source_class"), values.pop("target_class")),
-            defense=DefenseConfig(**values.pop("defense")),
-            ldp=LdpConfig(**values.pop("ldp")),
-            hidden_dims=tuple(values.pop("hidden_dims")),
-            **values,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid config value: {exc}") from exc
+    federation = FederationConfig(
+        poison_spec=PoisonSpec(values.pop("source_class"), values.pop("target_class")),
+        defense=DefenseConfig(**values.pop("defense")),
+        ldp=LdpConfig(**values.pop("ldp")),
+        hidden_dims=tuple(values.pop("hidden_dims")),
+        **values,
+    )
     return ExperimentSpec(dataset, federation, None if sweep is None else _sweep_fractions(sweep))
 
 
 def build_datasets(spec: ExperimentSpec) -> tuple[Dataset, Dataset]:
-    """Materialize the (train, test) pair named by the spec and check the config fits it."""
+    """Materialize the (train, test) pair named by the spec; validate checks the config fits it."""
     ds = spec.dataset
-    try:
-        if ds["type"] == "synthetic":
-            train, test = (
-                synthesize(ds["num_classes"], per_class, ds["dim"], ds["separation"],
-                           seed=[spec.federation.seed, stream], noise_std=ds["noise_std"])
-                for per_class, stream in ((ds["per_class"], 1000), (ds["test_per_class"], 1001))
-            )
-        else:
-            train = load_idx(ds["train_images"], ds["train_labels"])
-            test = load_idx(ds["test_images"], ds["test_labels"], num_classes=train.num_classes)
-    except ValueError as exc:
-        raise ConfigError(f"dataset: {exc}") from exc
-    if train.features.shape[1] != test.features.shape[1]:
-        raise ConfigError(
-            f"dataset: train samples have {train.features.shape[1]} features, "
-            f"test samples {test.features.shape[1]}"
+    if ds["type"] == "synthetic":
+        train, test = (
+            synthesize(ds["num_classes"], per_class, ds["dim"], ds["separation"],
+                       seed=[spec.federation.seed, stream], noise_std=ds["noise_std"])
+            for per_class, stream in ((ds["per_class"], 1000), (ds["test_per_class"], 1001))
         )
-    fed = spec.federation
-    poison = fed.poison_spec
-    if max(poison.source_class, poison.target_class) >= train.num_classes:
-        raise ConfigError(f"{poison} names a class beyond the dataset's {train.num_classes} classes")
-    if fed.total_clients > len(train):
-        raise ConfigError(f"total_clients {fed.total_clients} exceeds the {len(train)} training samples")
+    else:
+        train = load_idx(ds["train_images"], ds["train_labels"])
+        test = load_idx(ds["test_images"], ds["test_labels"], num_classes=train.num_classes)
+    validate(spec.federation, train, test)
     return train, test
 
 
@@ -200,8 +185,7 @@ def write_reports(spec: ExperimentSpec, report: ExperimentReport, out_dir: Path)
     )
 
 
-def cmd_run(spec: ExperimentSpec, out_dir: Path) -> int:
-    train, test = build_datasets(spec)
+def cmd_run(spec: ExperimentSpec, train: Dataset, test: Dataset, out_dir: Path) -> int:
     report = run_experiment(spec.federation, train, test)
     write_reports(spec, report, out_dir)
     final = report.final_means
@@ -212,12 +196,9 @@ def cmd_run(spec: ExperimentSpec, out_dir: Path) -> int:
     return 0
 
 
-def cmd_sweep(spec: ExperimentSpec, fractions, out_dir: Path) -> int:
+def cmd_sweep(spec: ExperimentSpec, fractions, train: Dataset, test: Dataset, out_dir: Path) -> int:
     """Run each fraction with the configured defense on and off; write sweep.csv."""
     defense = spec.federation.defense
-    if defense.kind == "none":
-        raise ConfigError("sweep needs a defense kind other than 'none' to compare against")
-    train, test = build_datasets(spec)
     rows = [SWEEP_COLUMNS]
     for fraction in fractions:
         for defense_on in (False, True):
@@ -263,22 +244,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
+    out_dir = Path(args.out)
+    try:  # Every input is checked in this phase, before any training.
         spec = parse_config(args.config)
         if getattr(args, "seed", None) is not None:
-            try:
-                spec = replace(spec, federation=replace(spec.federation, seed=args.seed))
-            except ValueError as exc:
-                raise ConfigError(f"invalid --seed: {exc}") from exc
-        if args.command == "run":
-            return cmd_run(spec, Path(args.out))
+            spec = replace(spec, federation=replace(spec.federation, seed=args.seed))
         fractions = spec.sweep
-        if args.fractions is not None:
-            fractions = _sweep_fractions(args.fractions.split(","))
-        if fractions is None:
-            raise ConfigError("sweep requires --fractions or a 'sweep' list in the config")
-        return cmd_sweep(spec, fractions, Path(args.out))
-    except (ConfigError, OSError) as exc:
+        if args.command == "sweep":
+            if args.fractions is not None:
+                fractions = _sweep_fractions(args.fractions.split(","))
+            if fractions is None:
+                raise ValueError("sweep requires --fractions or a 'sweep' list in the config")
+            if spec.federation.defense.kind == "none":
+                raise ValueError("sweep needs a defense kind other than 'none' to compare against")
+        train, test = build_datasets(spec)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    try:  # A ValueError from here on is a bug, and keeps its traceback.
+        if args.command == "run":
+            return cmd_run(spec, train, test, out_dir)
+        return cmd_sweep(spec, fractions, train, test, out_dir)
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

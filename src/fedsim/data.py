@@ -217,6 +217,8 @@ def class_means(num_classes: int, dim: int, separation: float) -> np.ndarray:
     for c in range(num_classes):
         if c < len(_DIGIT_GLYPHS):
             p = _glyph_pattern(c, dim)
+        elif int(np.all(np.abs(patterns[:c]) == 1.0, axis=1).sum()) == 2**dim:  # all +-1 taken
+            raise ValueError(f"{num_classes} classes need more distinct patterns than dim={dim} has")
         else:
             salt = 0
             while True:
@@ -254,8 +256,10 @@ def synthesize(
     """
     if num_classes < 1 or per_class < 1 or dim < 1:
         raise ValueError("num_classes, per_class and dim must be positive")
-    if separation <= 0:
-        raise ValueError("separation must be positive")
+    if not 0 < separation < np.inf:
+        raise ValueError(f"separation {separation} must be positive and finite")
+    if not 0 <= noise_std < np.inf:
+        raise ValueError(f"noise_std {noise_std} must be non-negative and finite")
     means = class_means(num_classes, dim, separation)
     rng = np.random.default_rng(seed)
     features = np.empty((num_classes * per_class, dim))

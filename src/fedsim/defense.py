@@ -15,9 +15,6 @@ import numpy as np
 
 from .data import round_half_up
 
-DEFENSE_KINDS = ("none", "fixed_fraction", "largest_gap", "zscore", "kmeans")
-
-
 @dataclass(frozen=True)
 class LossReport:
     client_id: int
@@ -48,10 +45,12 @@ class DefenseConfig:
         if self.kind not in DEFENSE_KINDS:
             raise ValueError(f"unknown defense kind {self.kind!r}, expected one of {DEFENSE_KINDS}")
         if not 0.0 <= self.fixed_fraction < 1.0:
-            raise ValueError("fixed_fraction must be in [0, 1)")
+            raise ValueError(f"fixed_fraction {self.fixed_fraction} outside [0, 1)")
         for name in ("zscore_threshold", "kmeans_guard"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} {getattr(self, name)} must be non-negative")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} {getattr(self, name)} must be non-negative and finite")
+        if self.kmeans_max_iters < 0:
+            raise ValueError(f"kmeans_max_iters {self.kmeans_max_iters} must be non-negative")
 
 
 def _check_reports(reports, minimum=1):
@@ -173,20 +172,25 @@ def eliminate_kmeans(reports, config: DefenseConfig) -> EliminationOutcome:
     )
 
 
+def _eliminate_none(reports, config: DefenseConfig) -> EliminationOutcome:
+    _check_reports(reports)
+    return _outcome(reports, (), {})
+
+
+# Each defense kind and the eliminator it runs.
+_ELIMINATORS = {
+    "none": _eliminate_none,
+    "fixed_fraction": lambda reports, cfg: eliminate_fixed_fraction(reports, cfg.fixed_fraction),
+    "largest_gap": lambda reports, cfg: eliminate_largest_gap(reports),
+    "zscore": lambda reports, cfg: eliminate_zscore(reports, cfg.zscore_threshold, cfg.zscore_one_sided),
+    "kmeans": eliminate_kmeans,
+}
+DEFENSE_KINDS = tuple(_ELIMINATORS)
+
+
 def run_eliminator(reports, config: DefenseConfig) -> EliminationOutcome:
     """Dispatch on the configured defense kind."""
-    if config.kind == "none":
-        _check_reports(reports)
-        return _outcome(reports, (), {})
-    if config.kind == "fixed_fraction":
-        return eliminate_fixed_fraction(reports, config.fixed_fraction)
-    if config.kind == "largest_gap":
-        return eliminate_largest_gap(reports)
-    if config.kind == "zscore":
-        return eliminate_zscore(reports, config.zscore_threshold, config.zscore_one_sided)
-    if config.kind == "kmeans":
-        return eliminate_kmeans(reports, config)
-    raise ValueError(f"unknown defense kind {config.kind!r}")
+    return _ELIMINATORS[config.kind](reports, config)
 
 
 @dataclass(frozen=True)

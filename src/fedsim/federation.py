@@ -57,8 +57,8 @@ class FederationConfig:
                 raise ValueError(f"{name} must be positive")
         if self.client_epochs < 0:
             raise ValueError("client_epochs must be non-negative")
-        if self.client_lr <= 0:
-            raise ValueError("client_lr must be positive")
+        if not 0 < self.client_lr < np.inf:
+            raise ValueError(f"client_lr {self.client_lr} must be positive and finite")
         if not 0.0 <= self.malicious_fraction <= 0.5:
             raise ValueError(f"malicious_fraction {self.malicious_fraction} outside [0, 0.5]")
         if self.seed < 0:
@@ -94,7 +94,6 @@ class RoundRecord:
 
 @dataclass
 class ExperimentReport:
-    config: FederationConfig
     runs: list  # runs[repeat][epoch] -> RoundRecord
     epoch_means: list  # one dict per epoch, metrics averaged across repeats
     mean_det_accuracy: float
@@ -298,10 +297,28 @@ MEAN_FIELDS = (
 )
 
 
+def validate(config: FederationConfig, train_set: Dataset, test_set: Dataset) -> None:
+    """Reject a config and datasets that cannot run together, before any training."""
+    dims = (train_set.features.shape[1], test_set.features.shape[1])
+    classes = (train_set.num_classes, test_set.num_classes)
+    poison = config.poison_spec
+    if len(test_set) == 0:
+        raise ValueError("test set is empty")
+    if dims[0] != dims[1]:
+        raise ValueError(f"train samples have {dims[0]} features, test samples {dims[1]}")
+    if classes[0] != classes[1]:
+        raise ValueError(f"train set has {classes[0]} classes, test set {classes[1]}")
+    if max(poison.source_class, poison.target_class) >= classes[0]:
+        raise ValueError(f"{poison} names a class beyond the dataset's {classes[0]} classes")
+    if config.total_clients > len(train_set):
+        raise ValueError(f"total_clients {config.total_clients} exceeds the {len(train_set)} training samples")
+
+
 def run_experiment(
     config: FederationConfig, train_set: Dataset, test_set: Dataset
 ) -> ExperimentReport:
-    """Run `repeats` independent seeded trainings and average them per epoch."""
+    """Validate the inputs, run `repeats` seeded trainings and average them per epoch."""
+    validate(config, train_set, test_set)
     runs = []
     for repeat in range(config.repeats):
         state = init_state(config, train_set, test_set, repeat)
@@ -317,7 +334,6 @@ def run_experiment(
     ]
     all_records = [rec for run in runs for rec in run]
     return ExperimentReport(
-        config=config,
         runs=runs,
         epoch_means=epoch_means,
         mean_det_accuracy=float(np.mean([r.det_accuracy for r in all_records])),

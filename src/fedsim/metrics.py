@@ -14,8 +14,7 @@ from .data import Dataset
 class EvalResult:
     accuracy: float
     mean_ce_loss: float
-    per_class_recall: tuple[float, ...]
-    absent_classes: tuple[int, ...]  # classes missing from the test set (recall pinned at 1)
+    per_class_recall: tuple[float, ...]  # 1.0 for a class missing from the test set
 
 
 def sparse_categorical_accuracy(predictions, labels) -> float:
@@ -25,14 +24,6 @@ def sparse_categorical_accuracy(predictions, labels) -> float:
     if predictions.shape != labels.shape or predictions.size == 0:
         raise ValueError(f"predictions {predictions.shape} vs labels {labels.shape}")
     return float(np.mean(predictions == labels))
-
-
-def test_cross_entropy(model: nn.ModelParams, test_set: Dataset) -> float:
-    """Mean softmax cross-entropy of the model over the full test set."""
-    if len(test_set) == 0:
-        raise ValueError("test set is empty")
-    loss, _ = nn.softmax_cross_entropy(nn.forward(model, test_set.features), test_set.labels)
-    return loss
 
 
 def source_class_recall(predictions, labels, source_class: int) -> float:
@@ -48,7 +39,10 @@ def source_class_recall(predictions, labels, source_class: int) -> float:
 
 
 def evaluate_model(model: nn.ModelParams, test_set: Dataset) -> EvalResult:
-    """Accuracy, mean loss and per-class recall from one forward pass over the test set."""
+    """Accuracy, mean loss and per-class recall from one forward pass over the test set.
+
+    A row's prediction is its highest logit; ties go to the lowest class.
+    """
     if len(test_set) == 0:
         raise ValueError("test set is empty")
     labels = test_set.labels
@@ -60,5 +54,4 @@ def evaluate_model(model: nn.ModelParams, test_set: Dataset) -> EvalResult:
         accuracy=sparse_categorical_accuracy(predictions, labels),
         mean_ce_loss=loss,
         per_class_recall=tuple(source_class_recall(predictions, labels, c) for c in classes),
-        absent_classes=tuple(c for c in classes if not np.any(labels == c)),
     )

@@ -50,10 +50,6 @@ class ModelParams:
     def dims(self) -> tuple[int, ...]:
         return (self.weights[0].shape[-1],) + tuple(w.shape[-2] for w in self.weights)
 
-    @property
-    def num_classes(self) -> int:
-        return self.weights[-1].shape[-2]
-
 
 def init_params(dims, rng: np.random.Generator) -> ModelParams:
     """Glorot-uniform weights, zero biases, drawn from the given generator."""
@@ -146,8 +142,3 @@ def sgd_step(model: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
         tuple(_step(w, g, lr) for w, g in zip(model.weights, grads.weights)),
         tuple(_step(b, g, lr) for b, g in zip(model.biases, grads.biases)),
     )
-
-
-def predict(model: ModelParams, inputs: np.ndarray) -> np.ndarray:
-    """Argmax class per row; ties go to the lowest class index."""
-    return np.argmax(forward(model, inputs), axis=-1)

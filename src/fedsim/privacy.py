@@ -21,10 +21,9 @@ class LdpConfig:
     sensitivity: float = 0.0001
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.sensitivity <= 0:
-            raise ValueError("sensitivity must be positive")
+        for name in ("epsilon", "sensitivity"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} {getattr(self, name)} must be positive and finite")
 
 
 def laplace_scale(config: LdpConfig) -> float:

@@ -1,13 +1,19 @@
 """Tests for config parsing, report writers, and the command-line entry point."""
 
+import contextlib
+import io
 import json
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from fedsim import cli, data
+from fedsim.defense import DEFENSE_KINDS
 from fedsim.federation import FederationConfig
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
@@ -78,21 +84,21 @@ def test_parse_config_float_fields_accept_integers(tmp_path):
 
 def test_parse_config_rejects_unknown_key(tmp_path):
     path = write_config(tmp_path, {"defence": {"kind": "kmeans"}})
-    with pytest.raises(cli.ConfigError) as err:
+    with pytest.raises(ValueError) as err:
         cli.parse_config(path)
     assert "defence" in str(err.value)
 
 
 def test_parse_config_rejects_unknown_nested_key(tmp_path):
     path = write_config(tmp_path, {"defense": {"kind": "kmeans", "gaurd": 2.0}})
-    with pytest.raises(cli.ConfigError) as err:
+    with pytest.raises(ValueError) as err:
         cli.parse_config(path)
     assert "gaurd" in str(err.value)
 
 
 def test_parse_config_rejects_excess_fraction(tmp_path):
     path = write_config(tmp_path, {"malicious_fraction": 0.7})
-    with pytest.raises(cli.ConfigError) as err:
+    with pytest.raises(ValueError) as err:
         cli.parse_config(path)
     assert "0.7" in str(err.value)
 
@@ -100,21 +106,21 @@ def test_parse_config_rejects_excess_fraction(tmp_path):
 def test_parse_config_reports_json_error_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "total_clients": ,\n}', encoding="utf-8")
-    with pytest.raises(cli.ConfigError) as err:
+    with pytest.raises(ValueError) as err:
         cli.parse_config(path)
     assert "line 2" in str(err.value)
 
 
 def test_parse_config_idx_requires_all_paths(tmp_path):
     path = write_config(tmp_path, {"dataset": {"type": "idx", "train_images": "x"}})
-    with pytest.raises(cli.ConfigError) as err:
+    with pytest.raises(ValueError) as err:
         cli.parse_config(path)
     assert "train_labels" in str(err.value)
 
 
 def test_parse_config_rejects_bad_sweep(tmp_path):
     path = write_config(tmp_path, {"sweep": [0.2, 0.8]})
-    with pytest.raises(cli.ConfigError):
+    with pytest.raises(ValueError):
         cli.parse_config(path)
 
 
@@ -186,17 +192,24 @@ def test_run_missing_config_file(tmp_path, capsys):
 IDX_PATHS = ("train_images", "train_labels", "test_images", "test_labels")
 
 
-def idx_train_4x4_test_5x5(tmp_path) -> dict:
-    """A dataset section whose train images are 4x4 pixels and test images 5x5."""
-    section = {"type": "idx"}
-    for split, side, n in (("train", 4, 40), ("test", 5, 12)):
-        images, labels = tmp_path / f"{split}-images.idx", tmp_path / f"{split}-labels.idx"
-        images.write_bytes(struct.pack(">IIII", data.IDX_IMAGES_MAGIC, n, side, side) + bytes(n * side * side))
-        labels.write_bytes(struct.pack(">II", data.IDX_LABELS_MAGIC, n) + bytes(i % 4 for i in range(n)))
-        section[f"{split}_images"], section[f"{split}_labels"] = str(images), str(labels)
-    return {"dataset": section}
+def idx_dataset(train_side, test_side, test_count=12):
+    """Overrides whose dataset section points at IDX files written into tmp_path.
+
+    40 train and test_count test images, of train_side and test_side pixels square.
+    """
+    def overrides(tmp_path) -> dict:
+        section = {"type": "idx"}
+        for split, side, n in (("train", train_side, 40), ("test", test_side, test_count)):
+            images, labels = tmp_path / f"{split}-images.idx", tmp_path / f"{split}-labels.idx"
+            images.write_bytes(struct.pack(">IIII", data.IDX_IMAGES_MAGIC, n, side, side) + bytes(n * side * side))
+            labels.write_bytes(struct.pack(">II", data.IDX_LABELS_MAGIC, n) + bytes(i % 4 for i in range(n)))
+            section[f"{split}_images"], section[f"{split}_labels"] = str(images), str(labels)
+        return {"dataset": section}
+
+    return overrides
 
 
+NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infinity
 BAD_INPUTS = {
     "int_given_float": ({"clients_per_round": 5.0}, "run"),
     "int_given_string": ({"seed": "x"}, "run"),
@@ -214,12 +227,19 @@ BAD_INPUTS = {
     "config_sweep_not_list": ({"sweep": 0.2}, "run"),
     "fractions_not_numbers": ({}, "sweep --fractions abc"),
     "fractions_out_of_range": ({}, "sweep --fractions 0.2,0.9"),
-    "train_test_feature_dims_differ": (idx_train_4x4_test_5x5, "run"),
+    "train_test_feature_dims_differ": (idx_dataset(4, 5), "run"),
     "seed_negative": ({"seed": -1}, "run"),
     "seed_override_negative": ({}, "run --seed -1"),
     "hidden_dims_zero_width": ({"hidden_dims": [0]}, "run"),
     "kmeans_guard_negative": ({"defense": {"kind": "kmeans", "kmeans_guard": -1.0}}, "run"),
     "zscore_threshold_negative": ({"defense": {"kind": "zscore", "zscore_threshold": -0.5}}, "run"),
+    "kmeans_max_iters_negative": ({"defense": {"kind": "kmeans", "kmeans_max_iters": -5}}, "run"),
+    "client_lr_nan": ({"client_lr": NAN}, "run"),
+    "ldp_epsilon_infinite": ({"ldp": {"epsilon": INF}}, "run"),
+    "ldp_sensitivity_nan": ({"ldp": {"sensitivity": NAN}}, "run"),
+    "dataset_separation_nan": ({"dataset": {**SMALL_CONFIG["dataset"], "separation": NAN}}, "run"),
+    "idx_test_set_empty": (idx_dataset(4, 4, test_count=0), "run"),
+    "dataset_classes_beyond_patterns": ({"dataset": {"type": "synthetic", "num_classes": 75, "dim": 6}}, "run"),
 }
 
 
@@ -234,6 +254,75 @@ def test_bad_input_exits_1_before_training(tmp_path, capsys, monkeypatch, overri
     assert cli.main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+# --- fuzz -----------------------------------------------------------------------
+
+class TrainingReached(Exception):
+    """Raised in place of run_experiment: the input passed every check."""
+
+
+# Any JSON value. Integers stay small, so no dataset they size gets large;
+# floats include NaN and the infinities, which json.dumps writes as NaN and Infinity.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 60) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+# Values of each JSON type a config default has, in range and out of it.
+FITTING = {
+    bool: st.booleans(),
+    int: st.integers(-2, 60),
+    float: st.floats(-0.5, 2.0) | st.sampled_from([NAN, INF, -INF]) | st.floats(),
+    str: st.sampled_from([*DEFENSE_KINDS, "synthetic", "idx", "other"]),
+    tuple: st.lists(st.integers(-1, 8) | st.floats(-0.1, 0.6), max_size=3),
+}
+SCHEMA = {**cli._DEFAULTS, "dataset": cli._SYNTHETIC_DEFAULTS, "sweep": (0.1,)}
+
+
+def fitting_values(default):
+    """Values of the default's JSON type; a section gets its kind and some of its other keys."""
+    if type(default) is dict:
+        kinds = {k: fitting_values(v) for k, v in default.items() if type(v) is str}
+        others = {k: fitting_values(v) for k, v in default.items() if k not in kinds}
+        return st.fixed_dictionaries(kinds, optional=others)
+    if type(default) is str:  # the default kind about half the time
+        return st.just(default) | FITTING[str]
+    return FITTING[type(default)]
+
+
+@st.composite
+def configs(draw):
+    """A config of schema keys, spoiled at most once: any JSON value for the whole
+    config, or for a key of any name in the top level or in a section."""
+    config = draw(fitting_values(SCHEMA))
+    spoiler = draw(st.sampled_from(["none", "none", "key", "whole"]))  # half stay unspoiled
+    if spoiler == "whole":
+        return draw(JSON_VALUES)
+    if spoiler == "key":
+        section = draw(st.sampled_from([config, *(v for v in config.values() if type(v) is dict)]))
+        section[draw(st.sampled_from(sorted(SCHEMA)) | st.text(max_size=3))] = draw(JSON_VALUES)
+    return config
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=configs())
+def test_fuzzed_config_exits_1_or_reaches_training(config):
+    """Any config either fails with one error line or passes every check; nothing else escapes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["run", "--config", str(path), "--out", str(Path(tmp) / "o")]
+        err = io.StringIO()
+        with mock.patch.object(cli, "run_experiment", side_effect=TrainingReached), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except TrainingReached:
+                event("reached training")
+                return
+    lines = err.getvalue().splitlines()
+    assert code == 1 and len(lines) == 1 and lines[0].startswith("error:"), (code, lines)
 
 
 # --- sweep ------------------------------------------------------------------------

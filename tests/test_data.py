@@ -91,6 +91,13 @@ def test_class_means_respect_separation():
                 assert np.linalg.norm(means[i] - means[j]) >= 6.0 - 1e-9
 
 
+def test_class_means_rejects_more_classes_than_patterns():
+    # dim 6 leaves 64 sign patterns for the classes after the ten glyphs: 74 classes fit.
+    assert data.class_means(74, 6, 6.0).shape == (74, 6)
+    with pytest.raises(ValueError, match="75 classes need more distinct patterns than dim=6"):
+        data.class_means(75, 6, 6.0)
+
+
 def test_synthesize_nearest_centroid_oracle():
     # Well-separated blobs must be almost perfectly recoverable by the
     # nearest-centroid rule (clipping into [0,1] distorts means slightly).

@@ -347,11 +347,64 @@ def test_config_validation():
         small_config(client_epochs=-1)
 
 
-@pytest.mark.parametrize(
-    "name, value, shown",
-    [("seed", -1, "-1"), ("hidden_dims", (8, 0), "[8, 0]")],
-    ids=["seed_negative", "hidden_dims_zero_width"],
-)
-def test_config_rejects_out_of_range_value_by_name(name, value, shown):
-    with pytest.raises(ValueError, match=f"{name} {re.escape(shown)}"):
-        small_config(**{name: value})
+NAN, INF = float("nan"), float("inf")
+OUT_OF_RANGE = {
+    "seed_negative": (lambda: small_config(seed=-1), "seed -1"),
+    "hidden_dims_zero_width": (lambda: small_config(hidden_dims=(8, 0)), "hidden_dims [8, 0]"),
+    "client_lr_nan": (lambda: small_config(client_lr=NAN), "client_lr nan"),
+    "client_lr_infinite": (lambda: small_config(client_lr=INF), "client_lr inf"),
+    "malicious_fraction_nan": (lambda: small_config(malicious_fraction=NAN), "malicious_fraction nan"),
+    "fixed_fraction_nan": (lambda: DefenseConfig(fixed_fraction=NAN), "fixed_fraction nan"),
+    "zscore_threshold_infinite": (lambda: DefenseConfig(zscore_threshold=INF), "zscore_threshold inf"),
+    "kmeans_guard_nan": (lambda: DefenseConfig(kmeans_guard=NAN), "kmeans_guard nan"),
+    "kmeans_max_iters_negative": (lambda: DefenseConfig(kmeans_max_iters=-5), "kmeans_max_iters -5"),
+    "epsilon_infinite": (lambda: LdpConfig(epsilon=INF), "epsilon inf"),
+    "sensitivity_nan": (lambda: LdpConfig(sensitivity=NAN), "sensitivity nan"),
+    "separation_nan": (lambda: synthesize(4, 5, 8, NAN, seed=0), "separation nan"),
+    "noise_std_infinite": (lambda: synthesize(4, 5, 8, 6.0, seed=0, noise_std=INF), "noise_std inf"),
+    "noise_std_negative": (lambda: synthesize(4, 5, 8, 6.0, seed=0, noise_std=-1.0), "noise_std -1.0"),
+}
+
+
+@pytest.mark.parametrize("build, shown", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+def test_config_rejects_out_of_range_value_by_name(build, shown):
+    with pytest.raises(ValueError, match=re.escape(shown)):
+        build()
+
+
+def keep(train, test):
+    return train, test
+
+
+# Inputs that run_experiment must reject, and the words its error names the problem with.
+MISFITS = {
+    "poison_class_beyond_classes": (
+        {"poison_spec": PoisonSpec(12, 3)}, keep, "source_class=12, target_class=3) names a class beyond"
+    ),
+    "feature_dims_differ": (
+        {}, lambda train, test: (train, Dataset(test.features[:, 1:], test.labels, 4)),
+        "train samples have 8 features, test samples 7",
+    ),
+    "test_set_empty": (
+        {}, lambda train, test: (train, Dataset(test.features[:0], test.labels[:0], 4)), "test set is empty"
+    ),
+    "class_counts_differ": (
+        {}, lambda train, test: (train, Dataset(test.features, test.labels, 5)),
+        "train set has 4 classes, test set 5",
+    ),
+    "more_clients_than_samples": (
+        {"total_clients": 121}, keep, "total_clients 121 exceeds the 120 training samples"
+    ),
+}
+
+
+@pytest.mark.parametrize("overrides, datasets, problem", MISFITS.values(), ids=MISFITS.keys())
+def test_run_experiment_rejects_misfit_inputs_before_training(monkeypatch, overrides, datasets, problem):
+    def no_training(*args):
+        raise AssertionError("training started before the inputs were rejected")
+
+    monkeypatch.setattr(federation, "init_state", no_training)
+    config = small_config(**overrides)
+    assert config.malicious_fraction == 0.0
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        federation.run_experiment(config, *datasets(*small_task()))

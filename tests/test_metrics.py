@@ -33,30 +33,23 @@ def test_source_class_recall():
     assert metrics.source_class_recall(preds, labels, 1) == 1.0
 
 
-def test_test_cross_entropy_matches_nn():
-    rng = np.random.default_rng(0)
-    model = nn.init_params((4, 3), rng)
-    ds = Dataset(rng.random((10, 4)), rng.integers(0, 3, size=10), 3)
-    expected, _ = nn.softmax_cross_entropy(nn.forward(model, ds.features), ds.labels)
-    assert metrics.test_cross_entropy(model, ds) == pytest.approx(expected, abs=1e-15)
-
-
-def test_test_cross_entropy_rejects_empty_set():
-    model = nn.init_params((4, 3), np.random.default_rng(0))
-    empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 3)
-    with pytest.raises(ValueError):
-        metrics.test_cross_entropy(model, empty)
-
-
 def test_evaluate_model_consistency():
     # Model always predicts class 1; recalls follow directly.
     model = constant_model([0.0, 5.0, 0.0])
     ds = Dataset(np.zeros((4, 2)), np.array([0, 1, 1, 1]), 3)
     result = metrics.evaluate_model(model, ds)
     assert result.accuracy == pytest.approx(0.75)
-    assert result.per_class_recall == (0.0, 1.0, 1.0)
-    assert result.absent_classes == (2,)
-    assert result.mean_ce_loss == pytest.approx(metrics.test_cross_entropy(model, ds))
+    assert result.per_class_recall == (0.0, 1.0, 1.0)  # class 2 is absent: recall 1
+    expected, _ = nn.softmax_cross_entropy(nn.forward(model, ds.features), ds.labels)
+    assert result.mean_ce_loss == expected
+
+
+def test_evaluate_model_argmax_ties_go_to_lowest_class():
+    # Classes 0 and 1 tie on every row, so every row predicts class 0.
+    model = constant_model([1.0, 1.0, 0.0])
+    result = metrics.evaluate_model(model, Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), 3))
+    assert result.per_class_recall == (1.0, 0.0, 1.0)
+    assert result.accuracy == 0.5
 
 
 def test_evaluate_model_perfect_classifier():
@@ -67,4 +60,3 @@ def test_evaluate_model_perfect_classifier():
     result = metrics.evaluate_model(model, Dataset(x, y, 2))
     assert result.accuracy == 1.0
     assert result.per_class_recall == (1.0, 1.0)
-    assert result.absent_classes == ()
