@@ -8,7 +8,6 @@ from .defense import (
     DefenseConfig,
     DetectionScore,
     EliminationOutcome,
-    LossReport,
     detection_score,
     eliminate_fixed_fraction,
     eliminate_kmeans,

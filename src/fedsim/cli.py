@@ -77,16 +77,15 @@ def _merge(section: str, given: dict, defaults: dict) -> dict:
 
 
 def _sweep_fractions(values) -> tuple[float, ...]:
-    """A validated sweep list, from the config or from --fractions."""
-    if not isinstance(values, list) or not values:
-        raise ValueError("sweep must be a nonempty list of fractions")
-    try:
-        fractions = tuple(float(f) for f in values)
-    except (TypeError, ValueError):
-        raise ValueError(f"sweep fractions must be numbers, got {values}") from None
+    """A validated sweep list of numbers, from the config or from --fractions."""
+    if type(values) is not list or not values or any(type(f) not in (int, float) for f in values):
+        raise ValueError(f"sweep must be a nonempty list of numbers, got {values!r}")
+    fractions = tuple(float(f) for f in values)
     for f in fractions:
         if not 0.0 <= f <= 0.5:
             raise ValueError(f"sweep fraction {f} outside the supported [0, 0.5]")
+    if len({_fmt(f) for f in fractions}) < len(fractions):
+        raise ValueError(f"sweep fractions {values} repeat a fraction, to 9 significant digits")
     return fractions
 
 
@@ -132,6 +131,8 @@ def build_datasets(spec: ExperimentSpec) -> tuple[Dataset, Dataset]:
     """Materialize the (train, test) pair named by the spec; validate checks the config fits it."""
     ds = spec.dataset
     if ds["type"] == "synthetic":
+        if ds["test_per_class"] < 1:
+            raise ValueError(f"test_per_class {ds['test_per_class']} in dataset must be positive")
         train, test = (
             synthesize(ds["num_classes"], per_class, ds["dim"], ds["separation"],
                        seed=[spec.federation.seed, stream], noise_std=ds["noise_std"])
@@ -185,42 +186,6 @@ def write_reports(spec: ExperimentSpec, report: ExperimentReport, out_dir: Path)
     )
 
 
-def cmd_run(spec: ExperimentSpec, train: Dataset, test: Dataset, out_dir: Path) -> int:
-    report = run_experiment(spec.federation, train, test)
-    write_reports(spec, report, out_dir)
-    final = report.final_means
-    print(
-        f"done: accuracy={final['accuracy']:.4f} test_loss={final['test_loss']:.4f} "
-        f"source_recall={final['source_recall']:.4f} det_accuracy={report.mean_det_accuracy:.4f}"
-    )
-    return 0
-
-
-def cmd_sweep(spec: ExperimentSpec, fractions, train: Dataset, test: Dataset, out_dir: Path) -> int:
-    """Run each fraction with the configured defense on and off; write sweep.csv."""
-    defense = spec.federation.defense
-    rows = [SWEEP_COLUMNS]
-    for fraction in fractions:
-        for defense_on in (False, True):
-            arm_defense = defense if defense_on else replace(defense, kind="none")
-            fed = replace(spec.federation, malicious_fraction=fraction, defense=arm_defense)
-            report = run_experiment(fed, train, test)
-            label = "on" if defense_on else "off"
-            arm_dir = out_dir / f"frac_{_fmt(fraction)}_{label}"
-            write_reports(replace(spec, federation=fed, sweep=None), report, arm_dir)
-            final = report.final_means
-            rows.append((
-                fraction, int(defense_on), final["accuracy"], final["source_recall"],
-                report.mean_det_accuracy, report.mean_det_f1,
-            ))
-            print(
-                f"fraction={fraction:g} defense={label}: "
-                f"accuracy={final['accuracy']:.4f} source_recall={final['source_recall']:.4f}"
-            )
-    _write_csv(out_dir / "sweep.csv", rows)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedsim", description="Federated-learning poisoning/defense simulator"
@@ -249,25 +214,52 @@ def main(argv=None) -> int:
         spec = parse_config(args.config)
         if getattr(args, "seed", None) is not None:
             spec = replace(spec, federation=replace(spec.federation, seed=args.seed))
-        fractions = spec.sweep
+        experiments = [(spec, out_dir)]  # (spec, report directory) of each experiment
         if args.command == "sweep":
+            fractions = spec.sweep
             if args.fractions is not None:
-                fractions = _sweep_fractions(args.fractions.split(","))
+                try:
+                    fractions = _sweep_fractions([float(f) for f in args.fractions.split(",")])
+                except ValueError as exc:
+                    raise ValueError(f"--fractions {args.fractions!r}: {exc}") from None
             if fractions is None:
                 raise ValueError("sweep requires --fractions or a 'sweep' list in the config")
-            if spec.federation.defense.kind == "none":
+            defense = spec.federation.defense
+            if defense.kind == "none":
                 raise ValueError("sweep needs a defense kind other than 'none' to compare against")
+            # Each fraction with the defense off, then on.
+            experiments = [
+                (replace(spec, sweep=None, federation=replace(
+                    spec.federation, malicious_fraction=fraction, defense=arm_defense)),
+                 out_dir / f"frac_{_fmt(fraction)}_{label}")
+                for fraction in fractions
+                for label, arm_defense in (("off", replace(defense, kind="none")), ("on", defense))
+            ]
         train, test = build_datasets(spec)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    rows = [SWEEP_COLUMNS]
     try:  # A ValueError from here on is a bug, and keeps its traceback.
-        if args.command == "run":
-            return cmd_run(spec, train, test, out_dir)
-        return cmd_sweep(spec, fractions, train, test, out_dir)
+        for arm, arm_dir in experiments:
+            fed = arm.federation
+            report = run_experiment(fed, train, test)
+            write_reports(arm, report, arm_dir)
+            final = report.final_means
+            rows.append((
+                fed.malicious_fraction, int(fed.defense.kind != "none"), final["accuracy"],
+                final["source_recall"], report.mean_det_accuracy, report.mean_det_f1,
+            ))
+            print(
+                f"{arm_dir}: accuracy={final['accuracy']:.4f} test_loss={final['test_loss']:.4f} "
+                f"source_recall={final['source_recall']:.4f} det_accuracy={report.mean_det_accuracy:.4f}"
+            )
+        if args.command == "sweep":
+            _write_csv(out_dir / "sweep.csv", rows)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

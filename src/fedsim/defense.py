@@ -2,9 +2,11 @@
 
 Four strategies decide which clients are dropped from aggregation: a fixed
 top-fraction cut, the largest gap in the sorted losses, an absolute Z-score
-threshold, and 1-D two-cluster K-means. All of them are deterministic
-functions of the reports, and every outcome partitions the round's client
-set into eliminated and retained with retained never empty.
+threshold, and 1-D two-cluster K-means. Each takes the round's reports as a
+{client_id: noisy_loss} map and a DefenseConfig, and reads the map only in
+client-id order, so its verdict and diagnostics are deterministic functions
+of the reports' contents. Every outcome partitions the round's client set
+into eliminated and retained with retained never empty.
 """
 
 from __future__ import annotations
@@ -14,15 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import round_half_up
-
-@dataclass(frozen=True)
-class LossReport:
-    client_id: int
-    noisy_loss: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.noisy_loss):
-            raise ValueError(f"noisy_loss must be finite, got {self.noisy_loss}")
 
 
 @dataclass
@@ -53,84 +46,79 @@ class DefenseConfig:
             raise ValueError(f"kmeans_max_iters {self.kmeans_max_iters} must be non-negative")
 
 
-def _check_reports(reports, minimum=1):
+def _losses(reports, minimum=1) -> tuple[list, np.ndarray]:
+    """The reporting client ids in ascending order, and their losses in that order.
+
+    The one reader of a {client_id: noisy_loss} map: every verdict and
+    diagnostic is computed in id order, so none depends on the map's order.
+    """
     if len(reports) < minimum:
         raise ValueError(f"need at least {minimum} loss report(s), got {len(reports)}")
-    ids = [r.client_id for r in reports]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate client_id in loss reports")
+    ids = sorted(reports)
+    losses = np.array([reports[cid] for cid in ids], dtype=np.float64)
+    if not np.isfinite(losses).all():
+        cid = ids[int(np.flatnonzero(~np.isfinite(losses))[0])]
+        raise ValueError(f"client {cid} reported a non-finite loss {reports[cid]}")
+    return ids, losses
 
 
-def _outcome(reports, eliminated_ids, diagnostics):
+def _outcome(ids, losses, eliminated_ids, diagnostics):
     """Close the partition, enforcing that at least one client is retained."""
-    all_ids = {r.client_id for r in reports}
     eliminated = set(eliminated_ids)
-    if eliminated == all_ids and eliminated:
-        keep = min(reports, key=lambda r: (r.noisy_loss, r.client_id)).client_id
-        eliminated.discard(keep)
+    if len(eliminated) == len(ids):
+        # argmin takes the first of equal losses, which is the lowest id.
+        eliminated.discard(ids[int(np.argmin(losses))])
         diagnostics["retain_one_fallback"] = True
     return EliminationOutcome(
         eliminated=frozenset(eliminated),
-        retained=frozenset(all_ids - eliminated),
+        retained=frozenset(ids) - eliminated,
         diagnostics=diagnostics,
     )
 
 
-def eliminate_fixed_fraction(reports, fraction: float) -> EliminationOutcome:
-    """Drop the top round(fraction * n) losses; equal losses drop lower ids first."""
-    _check_reports(reports)
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError("fraction must be in [0, 1)")
-    count = round_half_up(fraction * len(reports))
-    order = sorted(reports, key=lambda r: (-r.noisy_loss, r.client_id))
-    return _outcome(reports, (r.client_id for r in order[:count]), {"cut_count": count})
+def eliminate_fixed_fraction(reports, config: DefenseConfig) -> EliminationOutcome:
+    """Drop the top round(fixed_fraction * n) losses; equal losses drop lower ids first."""
+    ids, losses = _losses(reports)
+    count = round_half_up(config.fixed_fraction * len(ids))
+    order = np.argsort(-losses, kind="stable")
+    return _outcome(ids, losses, (ids[i] for i in order[:count]), {"cut_count": count})
 
 
-def eliminate_largest_gap(reports) -> EliminationOutcome:
+def eliminate_largest_gap(reports, config: DefenseConfig) -> EliminationOutcome:
     """Split the sorted losses at their widest consecutive gap and drop the top."""
-    _check_reports(reports)
-    if len(reports) < 2:
-        return _outcome(reports, (), {"too_few_reports": True})
-    order = sorted(reports, key=lambda r: (r.noisy_loss, r.client_id))
-    losses = np.array([r.noisy_loss for r in order])
-    gaps = np.diff(losses)
+    ids, losses = _losses(reports)
+    if len(ids) < 2:
+        return _outcome(ids, losses, (), {"too_few_reports": True})
+    order = np.argsort(losses, kind="stable")
+    gaps = np.diff(losses[order])
     widest = float(gaps.max())
     if widest <= 0.0:
-        return _outcome(reports, (), {"gap": 0.0})
+        return _outcome(ids, losses, (), {"gap": 0.0})
     # Last occurrence of the widest gap: ties eliminate as few clients as possible.
     cut = int(np.flatnonzero(gaps == widest)[-1])
     return _outcome(
-        reports,
-        (r.client_id for r in order[cut + 1 :]),
-        {"gap": widest, "boundary_loss": float(losses[cut])},
+        ids,
+        losses,
+        (ids[i] for i in order[cut + 1 :]),
+        {"gap": widest, "boundary_loss": float(losses[order[cut]])},
     )
 
 
-def eliminate_zscore(
-    reports, threshold: float = 1.0, one_sided: bool = False
-) -> EliminationOutcome:
-    """Drop reports whose Z-score magnitude exceeds the threshold.
+def eliminate_zscore(reports, config: DefenseConfig) -> EliminationOutcome:
+    """Drop reports whose Z-score magnitude exceeds zscore_threshold.
 
-    Uses the population standard deviation. With one_sided=True only
+    Uses the population standard deviation. With zscore_one_sided only
     unusually high losses are dropped, never unusually low ones.
     """
-    _check_reports(reports, minimum=2)
-    # In client-id order, so the mean's rounding, and with it a verdict that
-    # lands exactly on the threshold, does not depend on the reports' order.
-    reports = sorted(reports, key=lambda r: r.client_id)
-    losses = np.array([r.noisy_loss for r in reports])
+    ids, losses = _losses(reports, minimum=2)
     mu = float(losses.mean())
     sigma = float(losses.std())
     diagnostics = {"mean": mu, "std": sigma}
     if sigma < 1e-12:
-        return _outcome(reports, (), diagnostics)
+        return _outcome(ids, losses, (), diagnostics)
     z = (losses - mu) / sigma
-    flag = z > threshold if one_sided else np.abs(z) > threshold
-    return _outcome(
-        reports, (r.client_id for r, f in zip(reports, flag) if f), diagnostics
-    )
-
-
+    flag = (z if config.zscore_one_sided else np.abs(z)) > config.zscore_threshold
+    return _outcome(ids, losses, (cid for cid, f in zip(ids, flag) if f), diagnostics)
 def eliminate_kmeans(reports, config: DefenseConfig) -> EliminationOutcome:
     """Two-cluster 1-D Lloyd iteration; drop the high-loss cluster if separated.
 
@@ -138,14 +126,13 @@ def eliminate_kmeans(reports, config: DefenseConfig) -> EliminationOutcome:
     the centroid gap exceeds kmeans_guard times the pooled within-cluster
     spread; guard 0 recovers the unconditional split-and-drop behavior.
     """
-    _check_reports(reports, minimum=2)
-    losses = np.array([r.noisy_loss for r in reports])
+    ids, losses = _losses(reports, minimum=2)
     c_low, c_high = float(losses.min()), float(losses.max())
     diagnostics = {"centroids": (c_low, c_high)}
     if c_high - c_low < 1e-15:
         diagnostics["pooled_std"] = 0.0
         diagnostics["guard_passed"] = False
-        return _outcome(reports, (), diagnostics)
+        return _outcome(ids, losses, (), diagnostics)
     in_high = losses - c_low > c_high - losses  # ties join the low cluster
     for _ in range(config.kmeans_max_iters):
         if not in_high.any() or in_high.all():
@@ -166,30 +153,28 @@ def eliminate_kmeans(reports, config: DefenseConfig) -> EliminationOutcome:
         centroids=(c_low, c_high), pooled_std=pooled_std, guard_passed=guard_passed
     )
     if not guard_passed:
-        return _outcome(reports, (), diagnostics)
-    return _outcome(
-        reports, (r.client_id for r, f in zip(reports, in_high) if f), diagnostics
-    )
+        return _outcome(ids, losses, (), diagnostics)
+    return _outcome(ids, losses, (cid for cid, f in zip(ids, in_high) if f), diagnostics)
 
 
 def _eliminate_none(reports, config: DefenseConfig) -> EliminationOutcome:
-    _check_reports(reports)
-    return _outcome(reports, (), {})
+    ids, losses = _losses(reports)
+    return _outcome(ids, losses, (), {})
 
 
 # Each defense kind and the eliminator it runs.
 _ELIMINATORS = {
     "none": _eliminate_none,
-    "fixed_fraction": lambda reports, cfg: eliminate_fixed_fraction(reports, cfg.fixed_fraction),
-    "largest_gap": lambda reports, cfg: eliminate_largest_gap(reports),
-    "zscore": lambda reports, cfg: eliminate_zscore(reports, cfg.zscore_threshold, cfg.zscore_one_sided),
+    "fixed_fraction": eliminate_fixed_fraction,
+    "largest_gap": eliminate_largest_gap,
+    "zscore": eliminate_zscore,
     "kmeans": eliminate_kmeans,
 }
 DEFENSE_KINDS = tuple(_ELIMINATORS)
 
 
 def run_eliminator(reports, config: DefenseConfig) -> EliminationOutcome:
-    """Dispatch on the configured defense kind."""
+    """Judge a round's {client_id: noisy_loss} reports with the configured defense kind."""
     return _ELIMINATORS[config.kind](reports, config)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .data import ClientShard, Dataset, PoisonSpec, mark_malicious, partition, poison_labels
-from .defense import DefenseConfig, LossReport, detection_score, run_eliminator
+from .defense import DefenseConfig, detection_score, run_eliminator
 from .metrics import evaluate_model
 from .privacy import LdpConfig, perturb_loss
 
@@ -245,8 +245,7 @@ def global_round(state: FederationState, epoch: int) -> RoundRecord:
         )
         by_id.update((u.client_id, u) for u in trained)
     updates = [by_id[cid] for cid in selected]
-    reports = [LossReport(u.client_id, u.noisy_loss) for u in updates]
-    outcome = run_eliminator(reports, cfg.defense)
+    outcome = run_eliminator({u.client_id: u.noisy_loss for u in updates}, cfg.defense)
     state.model = fed_avg([u for u in updates if u.client_id in outcome.retained])
     result = evaluate_model(state.model, state.test_set)
     truth = {cid for cid in selected if state.shards[cid].is_malicious}

@@ -15,7 +15,7 @@ import pytest
 
 from fedsim import cli, defense, federation, nn, privacy
 from fedsim.data import synthesize
-from fedsim.defense import DefenseConfig, LossReport
+from fedsim.defense import DefenseConfig
 from fedsim.federation import FederationConfig
 
 SEED = 0
@@ -206,9 +206,7 @@ def test_a6_numerical_core():
         spread = float(rng.random() * 0.5 + 0.01)
         gap = 4 * spread * n + float(rng.random())
         losses = np.concatenate([rng.random(n - k) * spread, gap + rng.random(k) * spread])
-        out = defense.eliminate_kmeans(
-            [LossReport(i, float(v)) for i, v in enumerate(losses)], cfg
-        )
+        out = defense.eliminate_kmeans(dict(enumerate(losses)), cfg)
         order = np.sort(losses)
         best, best_sse = None, np.inf
         for cut in range(1, n):
@@ -252,23 +250,29 @@ def test_a8_eliminator_unit_oracles():
     checks = []
 
     def rpts(*losses):
-        return [LossReport(i, v) for i, v in enumerate(losses)]
+        return dict(enumerate(losses))
 
-    out = defense.eliminate_fixed_fraction(rpts(*np.random.default_rng(0).random(10)), 0.2)
+    def fixed(fraction):
+        return DefenseConfig(kind="fixed_fraction", fixed_fraction=fraction)
+
+    gap = DefenseConfig(kind="largest_gap")
+    zscore = DefenseConfig(kind="zscore")
+
+    out = defense.eliminate_fixed_fraction(rpts(*np.random.default_rng(0).random(10)), fixed(0.2))
     checks.append(len(out.eliminated) == 2)
-    checks.append(len(defense.eliminate_fixed_fraction(rpts(1, 2, 3, 4, 5), 0.25).eliminated) == 1)
-    checks.append(defense.eliminate_fixed_fraction(rpts(1, 2, 3), 0.0).eliminated == frozenset())
+    checks.append(len(defense.eliminate_fixed_fraction(rpts(1, 2, 3, 4, 5), fixed(0.25)).eliminated) == 1)
+    checks.append(defense.eliminate_fixed_fraction(rpts(1, 2, 3), fixed(0.0)).eliminated == frozenset())
 
-    checks.append(defense.eliminate_largest_gap(rpts(0.10, 0.12, 0.13, 0.90)).eliminated == {3})
-    checks.append(defense.eliminate_largest_gap(rpts(0.4, 0.4, 0.4)).eliminated == frozenset())
-    checks.append(defense.eliminate_largest_gap(rpts(1.0, 2.0, 3.0)).eliminated == {2})
+    checks.append(defense.eliminate_largest_gap(rpts(0.10, 0.12, 0.13, 0.90), gap).eliminated == {3})
+    checks.append(defense.eliminate_largest_gap(rpts(0.4, 0.4, 0.4), gap).eliminated == frozenset())
+    checks.append(defense.eliminate_largest_gap(rpts(1.0, 2.0, 3.0), gap).eliminated == {2})
 
-    z = defense.eliminate_zscore(rpts(0.5, 0.5, 0.5, 0.5, 2.0), 1.0)
+    z = defense.eliminate_zscore(rpts(0.5, 0.5, 0.5, 0.5, 2.0), zscore)
     checks.append(z.diagnostics["mean"] == pytest.approx(0.8))
     checks.append(z.diagnostics["std"] == pytest.approx(0.6))
     checks.append(z.eliminated == {4})
-    checks.append(1 in defense.eliminate_zscore(rpts(1.0, 2.0, 3.0), 0.1).retained)
-    checks.append(defense.eliminate_zscore(rpts(1, 1, 1), 1.0).eliminated == frozenset())
+    checks.append(1 in defense.eliminate_zscore(rpts(1.0, 2.0, 3.0), DefenseConfig(kind="zscore", zscore_threshold=0.1)).retained)
+    checks.append(defense.eliminate_zscore(rpts(1, 1, 1), zscore).eliminated == frozenset())
 
     km = defense.eliminate_kmeans(rpts(0.1, 0.1, 0.9, 0.9), DefenseConfig(kind="kmeans"))
     checks.append(km.eliminated == {2, 3})

@@ -184,6 +184,12 @@ def test_run_reports_config_errors_on_stderr(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_synthetic_test_per_class_error_names_its_key(tmp_path, capsys):
+    config = write_config(tmp_path, {"dataset": {**SMALL_CONFIG["dataset"], "test_per_class": 0}})
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert "test_per_class 0" in capsys.readouterr().err
+
+
 def test_run_missing_config_file(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -240,6 +246,11 @@ BAD_INPUTS = {
     "dataset_separation_nan": ({"dataset": {**SMALL_CONFIG["dataset"], "separation": NAN}}, "run"),
     "idx_test_set_empty": (idx_dataset(4, 4, test_count=0), "run"),
     "dataset_classes_beyond_patterns": ({"dataset": {"type": "synthetic", "num_classes": 75, "dim": 6}}, "run"),
+    "dataset_test_per_class_zero": ({"dataset": {"type": "synthetic", "test_per_class": 0}}, "run"),
+    "fractions_share_a_directory": ({}, "sweep --fractions 0.25,0.25,0.250"),
+    "config_sweep_repeats_fraction": ({"sweep": [0.1, 0.1000000000001]}, "sweep"),
+    "config_sweep_bool_item": ({"sweep": [False, 0.25]}, "run"),
+    "config_sweep_string_item": ({"sweep": [0.0, "0.25"]}, "run"),
 }
 
 

@@ -221,7 +221,7 @@ def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_pe
         return updates
 
     def recording_eliminator(reports, config):
-        reported.extend(r.client_id for r in reports)
+        reported.extend(reports)
         return eliminate(reports, config)
 
     monkeypatch.setattr(federation, "local_train", recording_local_train)
