@@ -24,7 +24,9 @@ print(f"P(noise > 0)    {np.mean(samples > 0):.4f}     (theory 0.5)")
 # Adjacent losses: the mechanism's output distributions may differ at most
 # by a factor of e^epsilon. Compare histogram densities bin by bin.
 x, y = 0.73, 0.73 + config.sensitivity
-print(f"one private report of loss {x}: {perturb_loss(x, config, np.random.default_rng(42)):.6f}")
+# perturb_loss noises a stack of clients' losses, each from its own generator.
+[report] = perturb_loss(np.array([x]), config, [np.random.default_rng(42)])
+print(f"one private report of loss {x}: {report:.6f}")
 out_x = x + laplace_sample(b, np.random.default_rng(1), size=500_000)
 out_y = y + laplace_sample(b, np.random.default_rng(2), size=500_000)
 edges = np.linspace(x - 4 * b, y + 4 * b, 31)

@@ -16,10 +16,10 @@ from .defense import (
     run_eliminator,
 )
 from .federation import (
-    ClientUpdate,
     ExperimentReport,
     FederationConfig,
     RoundRecord,
+    StackUpdate,
     fed_avg,
     global_round,
     init_state,
@@ -28,6 +28,6 @@ from .federation import (
     select_clients,
     validate,
 )
-from .metrics import EvalResult, evaluate_model, source_class_recall, sparse_categorical_accuracy
+from .metrics import EvalResult, evaluate_model
 from .nn import ModelParams, backward, forward, init_params, sgd_step, softmax_cross_entropy
 from .privacy import LdpConfig, laplace_sample, laplace_scale, perturb_loss

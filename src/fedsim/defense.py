@@ -119,6 +119,8 @@ def eliminate_zscore(reports, config: DefenseConfig) -> EliminationOutcome:
     z = (losses - mu) / sigma
     flag = (z if config.zscore_one_sided else np.abs(z)) > config.zscore_threshold
     return _outcome(ids, losses, (cid for cid, f in zip(ids, flag) if f), diagnostics)
+
+
 def eliminate_kmeans(reports, config: DefenseConfig) -> EliminationOutcome:
     """Two-cluster 1-D Lloyd iteration; drop the high-loss cluster if separated.
 

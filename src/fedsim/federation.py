@@ -1,11 +1,11 @@
 """The federated training loop: select, train locally, report, defend, average.
 
 Each global epoch the server samples a subset of clients, ships them the
-current model, and gets back exactly one (weights, noisy loss) tuple per
-client. The configured eliminator filters the reports, FedAvg averages the
-surviving weights, and the new model is scored on a held-out honest test
-set. Everything is driven by explicit seeded generators, so a config fully
-determines every round record.
+current model, and gets back one (weights, noisy loss) pair per client,
+delivered in stacks of clients trained together. The configured eliminator
+filters the reports, FedAvg averages the surviving weights, and the new
+model is scored on a held-out honest test set. Everything is driven by
+explicit seeded generators, so a config fully determines every round record.
 """
 
 from __future__ import annotations
@@ -68,10 +68,14 @@ class FederationConfig:
 
 
 @dataclass(frozen=True)
-class ClientUpdate:
-    client_id: int
+class StackUpdate:
+    """What one local_train call returns: client client_ids[i] trained
+    slice i of weights (a stack with a leading client axis) and reported
+    noisy_losses[i] (float64)."""
+
+    client_ids: tuple[int, ...]
     weights: nn.ModelParams
-    noisy_loss: float
+    noisy_losses: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -120,14 +124,14 @@ def local_train(
     batch_size: int,
     ldp: LdpConfig,
     rngs: list[np.random.Generator],
-) -> list[ClientUpdate]:
+) -> StackUpdate:
     """A group of clients' contributions: mini-batch SGD, then noised loss reports.
 
     The shards must be of equal size; they train as one stacked model with a
     leading client axis, which computes exactly what training each client
     alone would. Each client draws from its own generator in rngs, in the
     same order as alone: one permutation per epoch, then the Laplace noise.
-    Returns one ClientUpdate per shard, in shard order.
+    Returns the trained stack and its reports, in shard order.
 
     The raw loss is the shard's mean loss under the incoming global model,
     monitored at the start of local training; only the noised value leaves
@@ -162,40 +166,35 @@ def local_train(
             idx = perm[:, start : start + batch_size]
             grads, _ = nn.backward(model, features[idx], labels[idx])
             model = nn.sgd_step(model, grads, lr)
-    return [
-        ClientUpdate(
-            client_id=shard.client_id,
-            weights=nn.ModelParams(
-                tuple(w[i] for w in model.weights), tuple(b[i] for b in model.biases)
-            ),
-            noisy_loss=perturb_loss(float(raw_losses[i]), ldp, rng),
-        )
-        for i, (shard, rng) in enumerate(zip(shards, rngs))
-    ]
+    return StackUpdate(
+        tuple(shard.client_id for shard in shards), model, perturb_loss(raw_losses, ldp, rngs)
+    )
 
 
-def fed_avg(updates) -> nn.ModelParams:
-    """Unweighted element-wise mean of the updates' parameters.
+def fed_avg(updates, retained) -> nn.ModelParams:
+    """Unweighted element-wise mean of the retained clients' parameters.
 
-    Accumulation runs in ascending client_id order so the result is
-    bit-reproducible regardless of how the updates were produced.
+    updates are StackUpdates. Each retained client's slice is added, as a
+    view, in ascending client id across all stacks, so the result is
+    bit-reproducible however the clients were stacked.
     """
-    if not updates:
-        raise ValueError("fed_avg needs at least one update")
-    ordered = sorted(updates, key=lambda u: u.client_id)
-    dims = ordered[0].weights.dims
-    for u in ordered[1:]:
-        if u.weights.dims != dims:
-            raise ValueError("updates disagree on model dims")
-    sum_w = [np.zeros_like(w) for w in ordered[0].weights.weights]
-    sum_b = [np.zeros_like(b) for b in ordered[0].weights.biases]
-    for u in ordered:
-        for acc, w in zip(sum_w, u.weights.weights):
-            acc += w
-        for acc, b in zip(sum_b, u.weights.biases):
-            acc += b
-    inv = 1.0 / len(ordered)
-    return nn.ModelParams(tuple(w * inv for w in sum_w), tuple(b * inv for b in sum_b))
+    if not updates or not retained:
+        raise ValueError("fed_avg needs at least one update and one retained client")
+    dims = updates[0].weights.dims
+    if any(u.weights.dims != dims for u in updates):
+        raise ValueError("updates disagree on model dims")
+    params = [u.weights.weights + u.weights.biases for u in updates]
+    slices = {cid: (p, i) for u, p in zip(updates, params) for i, cid in enumerate(u.client_ids)}
+    if missing := set(retained) - slices.keys():
+        raise ValueError(f"retained clients {sorted(missing)} are in no update")
+    sums = [np.zeros(p.shape[1:]) for p in params[0]]
+    for cid in sorted(retained):
+        stack, i = slices[cid]
+        for acc, p in zip(sums, stack):
+            acc += p[i]
+    inv = 1.0 / len(retained)
+    layers = len(dims) - 1
+    return nn.ModelParams(tuple(w * inv for w in sums[:layers]), tuple(b * inv for b in sums[layers:]))
 
 
 @dataclass
@@ -232,9 +231,8 @@ def global_round(state: FederationState, epoch: int) -> RoundRecord:
     selected = select_clients(
         _rng(state, _STREAM_SELECT, epoch), cfg.total_clients, cfg.clients_per_round
     )
-    by_id = {}
-    for group in _training_groups(state, selected):
-        trained = local_train(
+    stacks = [
+        local_train(
             state.model,
             [state.shards[cid] for cid in group],
             cfg.client_epochs,
@@ -243,10 +241,11 @@ def global_round(state: FederationState, epoch: int) -> RoundRecord:
             cfg.ldp,
             [_rng(state, _STREAM_CLIENT, epoch, cid) for cid in group],
         )
-        by_id.update((u.client_id, u) for u in trained)
-    updates = [by_id[cid] for cid in selected]
-    outcome = run_eliminator({u.client_id: u.noisy_loss for u in updates}, cfg.defense)
-    state.model = fed_avg([u for u in updates if u.client_id in outcome.retained])
+        for group in _training_groups(state, selected)
+    ]
+    noisy = {cid: loss for u in stacks for cid, loss in zip(u.client_ids, u.noisy_losses.tolist())}
+    outcome = run_eliminator({cid: noisy[cid] for cid in selected}, cfg.defense)
+    state.model = fed_avg(stacks, outcome.retained)
     result = evaluate_model(state.model, state.test_set)
     truth = {cid for cid in selected if state.shards[cid].is_malicious}
     det = detection_score(outcome, truth)

@@ -17,27 +17,6 @@ class EvalResult:
     per_class_recall: tuple[float, ...]  # 1.0 for a class missing from the test set
 
 
-def sparse_categorical_accuracy(predictions, labels) -> float:
-    """Fraction of predictions that exactly match the labels."""
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if predictions.shape != labels.shape or predictions.size == 0:
-        raise ValueError(f"predictions {predictions.shape} vs labels {labels.shape}")
-    return float(np.mean(predictions == labels))
-
-
-def source_class_recall(predictions, labels, source_class: int) -> float:
-    """TP / (TP + FN) restricted to the source class; 1.0 if the class is absent."""
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if predictions.shape != labels.shape:
-        raise ValueError(f"predictions {predictions.shape} vs labels {labels.shape}")
-    mask = labels == source_class
-    if not mask.any():
-        return 1.0
-    return float(np.mean(predictions[mask] == source_class))
-
-
 def evaluate_model(model: nn.ModelParams, test_set: Dataset) -> EvalResult:
     """Accuracy, mean loss and per-class recall from one forward pass over the test set.
 
@@ -48,10 +27,11 @@ def evaluate_model(model: nn.ModelParams, test_set: Dataset) -> EvalResult:
     labels = test_set.labels
     logits = nn.forward(model, test_set.features)
     loss, _ = nn.softmax_cross_entropy(logits, labels)
-    predictions = np.argmax(logits, axis=1)
-    classes = range(test_set.num_classes)
+    correct = np.argmax(logits, axis=1) == labels
+    hits = np.bincount(labels[correct], minlength=test_set.num_classes)
+    totals = np.bincount(labels, minlength=test_set.num_classes)
     return EvalResult(
-        accuracy=sparse_categorical_accuracy(predictions, labels),
+        accuracy=float(np.mean(correct)),
         mean_ce_loss=loss,
-        per_class_recall=tuple(source_class_recall(predictions, labels, c) for c in classes),
+        per_class_recall=tuple(np.where(totals > 0, hits / np.maximum(totals, 1), 1.0).tolist()),
     )

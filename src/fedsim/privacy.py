@@ -31,24 +31,34 @@ def laplace_scale(config: LdpConfig) -> float:
     return config.sensitivity / config.epsilon
 
 
-def laplace_sample(b: float, rng: np.random.Generator, size: int | None = None):
-    """Laplace(0, b) noise via inverse CDF.
+def _laplace_noise(b: float, uniform):
+    """Laplace(0, b) noise from uniform draws in [0, 1), elementwise, by inverse CDF.
 
-    Draws u uniform in [-0.5, 0.5) and returns -b * sign(u) * ln(1 - 2|u|).
-    Returns a scalar when size is None, else an array of that length.
+    Maps each draw to u in [-0.5, 0.5) and returns -b * sign(u) * ln(1 - 2|u|).
     """
     if b <= 0:
         raise ValueError("scale b must be positive")
-    u = rng.random(size) - 0.5
+    u = uniform - 0.5
     # rng.random() can return exactly 0.0, which maps u to the closed
     # endpoint -0.5 and the formula to -inf; nudge inside the open interval.
     u = np.where(u == -0.5, np.nextafter(-0.5, 0.0), u)
-    noise = -b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    return -b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+
+
+def laplace_sample(b: float, rng: np.random.Generator, size: int | None = None):
+    """Laplace(0, b) noise: a scalar when size is None, else an array of that length."""
+    noise = _laplace_noise(b, rng.random(size))
     return float(noise) if size is None else noise
 
 
-def perturb_loss(loss: float, config: LdpConfig, rng: np.random.Generator) -> float:
-    """The reported value: true loss plus Laplace noise. May go negative."""
-    if not np.isfinite(loss):
-        raise ValueError(f"loss must be finite, got {loss}")
-    return loss + laplace_sample(laplace_scale(config), rng)
+def perturb_loss(losses: np.ndarray, config: LdpConfig, rngs) -> np.ndarray:
+    """The reported values: each true loss plus Laplace noise. May go negative.
+
+    Client i draws one uniform from rngs[i], so its noise is what
+    laplace_sample(laplace_scale(config), rngs[i]) would return.
+    """
+    if len(losses) != len(rngs):
+        raise ValueError(f"{len(losses)} losses and {len(rngs)} generators; need one each")
+    if not np.isfinite(losses).all():
+        raise ValueError(f"loss must be finite, got {losses[~np.isfinite(losses)][0]}")
+    return losses + _laplace_noise(laplace_scale(config), np.array([rng.random() for rng in rngs]))

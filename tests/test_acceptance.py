@@ -186,15 +186,25 @@ def test_a6_numerical_core():
         worst = max(worst, rel)
     grad_ok = worst < 1e-4
 
+    models = [nn.init_params((4, 5, 3), rng) for _ in range(9)]
+    # Two stacks with a leading client axis, as two local_train calls return them.
     updates = [
-        federation.ClientUpdate(i, nn.init_params((4, 5, 3), rng), 0.0) for i in range(9)
+        federation.StackUpdate(
+            tuple(ids),
+            nn.ModelParams(
+                tuple(np.stack(layer) for layer in zip(*(models[i].weights for i in ids))),
+                tuple(np.stack(layer) for layer in zip(*(models[i].biases for i in ids))),
+            ),
+            np.zeros(len(ids)),
+        )
+        for ids in (range(5), range(5, 9))
     ]
-    avg = federation.fed_avg(updates)
+    avg = federation.fed_avg(updates, range(9))
     fed_err = 0.0
     for k in range(len(avg.weights)):
-        naive = sum(u.weights.weights[k] for u in updates) / len(updates)
+        naive = sum(m.weights[k] for m in models) / len(models)
         fed_err = max(fed_err, float(np.abs(avg.weights[k] - naive).max()))
-        naive_b = sum(u.weights.biases[k] for u in updates) / len(updates)
+        naive_b = sum(m.biases[k] for m in models) / len(models)
         fed_err = max(fed_err, float(np.abs(avg.biases[k] - naive_b).max()))
     fed_ok = fed_err <= 1e-12
 

@@ -5,12 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim import federation, nn
 from fedsim.data import ClientShard, Dataset, PoisonSpec, synthesize
 from fedsim.defense import DefenseConfig
 from fedsim.federation import FederationConfig
-from fedsim.privacy import LdpConfig, perturb_loss
+from fedsim.privacy import LdpConfig, laplace_sample, laplace_scale
 
 
 def small_task(noise_std=1.0, seed=0):
@@ -62,44 +64,98 @@ def test_selection_is_roughly_uniform():
 
 # --- fed_avg ----------------------------------------------------------------
 
-def random_update(cid, rng, dims=(3, 4, 2)):
-    return federation.ClientUpdate(cid, nn.init_params(dims, rng), 0.0)
+def stack_update(client_ids, models):
+    """The StackUpdate a local_train call over these clients' models would return."""
+    weights = nn.ModelParams(
+        tuple(np.stack(layer) for layer in zip(*(m.weights for m in models))),
+        tuple(np.stack(layer) for layer in zip(*(m.biases for m in models))),
+    )
+    return federation.StackUpdate(tuple(client_ids), weights, np.zeros(len(models)))
+
+
+def random_models(count, rng, dims=(3, 4, 2)):
+    return [nn.init_params(dims, rng) for _ in range(count)]
+
+
+def naive_fed_avg(models: dict, retained) -> nn.ModelParams:
+    """The oracle: each retained client's 2-D parameters added in ascending id, then scaled."""
+    ids = sorted(retained)
+    sums = [np.zeros_like(p) for p in models[ids[0]].weights + models[ids[0]].biases]
+    for cid in ids:
+        for acc, p in zip(sums, models[cid].weights + models[cid].biases):
+            acc += p
+    layers = len(models[ids[0]].weights)
+    inv = 1.0 / len(ids)
+    return nn.ModelParams(tuple(p * inv for p in sums[:layers]), tuple(p * inv for p in sums[layers:]))
+
+
+def assert_same_params(got: nn.ModelParams, want: nn.ModelParams):
+    got_arrays, want_arrays = got.weights + got.biases, want.weights + want.biases
+    assert [a.shape for a in got_arrays] == [a.shape for a in want_arrays]
+    for a, b in zip(got_arrays, want_arrays):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_fed_avg_matches_naive_mean():
-    rng = np.random.default_rng(0)
-    updates = [random_update(i, rng) for i in range(7)]
-    avg = federation.fed_avg(updates)
+    models = random_models(7, np.random.default_rng(0))
+    avg = federation.fed_avg([stack_update(range(3), models[:3]), stack_update(range(3, 7), models[3:])], range(7))
     for k in range(len(avg.weights)):
-        naive = sum(u.weights.weights[k] for u in updates) / 7
+        naive = sum(m.weights[k] for m in models) / 7
         np.testing.assert_allclose(avg.weights[k], naive, atol=1e-12, rtol=0)
-        naive_b = sum(u.weights.biases[k] for u in updates) / 7
+        naive_b = sum(m.biases[k] for m in models) / 7
         np.testing.assert_allclose(avg.biases[k], naive_b, atol=1e-12, rtol=0)
 
 
 def test_fed_avg_order_invariant_bitwise():
-    rng = np.random.default_rng(5)
-    updates = [random_update(i, rng) for i in range(5)]
-    a = federation.fed_avg(updates)
-    b = federation.fed_avg(list(reversed(updates)))
-    for wa, wb in zip(a.weights, b.weights):
-        assert wa.tobytes() == wb.tobytes()
+    models = random_models(5, np.random.default_rng(5))
+    a = federation.fed_avg([stack_update(range(5), models)], range(5))
+    # The same clients, stacked differently and listed in another order.
+    b = federation.fed_avg(
+        [stack_update((4, 1), [models[4], models[1]]), stack_update((3, 0, 2), [models[3], models[0], models[2]])],
+        (4, 3, 2, 1, 0),
+    )
+    assert_same_params(a, b)
 
 
 def test_fed_avg_single_update_is_identity():
-    rng = np.random.default_rng(2)
-    update = random_update(0, rng)
-    avg = federation.fed_avg([update])
-    for wa, wb in zip(avg.weights, update.weights.weights):
+    models = random_models(3, np.random.default_rng(2))
+    avg = federation.fed_avg([stack_update((0, 1, 2), models)], {1})
+    for wa, wb in zip(avg.weights, models[1].weights):
         np.testing.assert_array_equal(wa, wb)
 
 
 def test_fed_avg_rejects_empty_and_mismatched():
-    with pytest.raises(ValueError):
-        federation.fed_avg([])
     rng = np.random.default_rng(0)
+    update = stack_update((0,), random_models(1, rng))
     with pytest.raises(ValueError):
-        federation.fed_avg([random_update(0, rng), random_update(1, rng, dims=(3, 5, 2))])
+        federation.fed_avg([], {0})
+    with pytest.raises(ValueError):
+        federation.fed_avg([update], set())
+    with pytest.raises(ValueError, match=re.escape("retained clients [3] are in no update")):
+        federation.fed_avg([update], {0, 3})
+    with pytest.raises(ValueError):
+        federation.fed_avg([update, stack_update((1,), random_models(1, rng, dims=(3, 5, 2)))], {0, 1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seven_samples=st.lists(st.booleans(), min_size=1, max_size=16),
+    models_per_stack=st.integers(1, 5),
+    data=st.data(),
+)
+def test_fed_avg_matches_ascending_id_loop_bit_for_bit(seven_samples, models_per_stack, data):
+    """Clients with shards of 7 and 6 samples train in separate groups, each cut
+    into stacks as global_round cuts them, so the stacks interleave in id order."""
+    n = len(seven_samples)
+    retained = data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="retained")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    models = dict(enumerate(random_models(n, rng)))
+    groups = [[cid for cid in range(n) if seven_samples[cid] == size] for size in (True, False)]
+    stacks = [
+        ids[start : start + models_per_stack] for ids in groups for start in range(0, len(ids), models_per_stack)
+    ]
+    updates = [stack_update(ids, [models[cid] for cid in ids]) for ids in stacks]
+    assert_same_params(federation.fed_avg(updates, retained), naive_fed_avg(models, retained))
 
 
 # --- local_train --------------------------------------------------------------
@@ -113,9 +169,10 @@ def test_local_train_zero_epochs_returns_global_weights():
     rng = np.random.default_rng(0)
     shard = make_shard(rng)
     model = nn.init_params((4, 3), rng)
-    [update] = federation.local_train(model, [shard], 0, 0.5, 4, LdpConfig(), [np.random.default_rng(1)])
+    update = federation.local_train(model, [shard], 0, 0.5, 4, LdpConfig(), [np.random.default_rng(1)])
+    assert update.client_ids == (0,)
     for wa, wb in zip(update.weights.weights, model.weights):
-        np.testing.assert_array_equal(wa, wb)
+        np.testing.assert_array_equal(wa[0], wb)
 
 
 def test_local_train_reports_loss_of_incoming_model():
@@ -125,10 +182,11 @@ def test_local_train_reports_loss_of_incoming_model():
     shard = make_shard(rng)
     model = nn.init_params((4, 3), rng)
     incoming, _ = nn.softmax_cross_entropy(nn.forward(model, shard.data.features), shard.data.labels)
-    [update] = federation.local_train(model, [shard], 3, 0.5, 4, LdpConfig(), [np.random.default_rng(7)])
-    assert update.noisy_loss == pytest.approx(incoming, abs=1e-2)
+    update = federation.local_train(model, [shard], 3, 0.5, 4, LdpConfig(), [np.random.default_rng(7)])
+    [noisy_loss] = update.noisy_losses
+    assert noisy_loss == pytest.approx(incoming, abs=1e-2)
     trained, _ = nn.softmax_cross_entropy(
-        nn.forward(update.weights, shard.data.features), shard.data.labels
+        nn.forward(update.weights, shard.data.features[None]), shard.data.labels[None]
     )
     assert trained < incoming  # training actually reduced the local loss
 
@@ -152,18 +210,18 @@ def reference_local_train(global_model, shard, client_epochs, lr, batch_size, ld
             idx = perm[start : start + batch_size]
             grads, _ = nn.backward(model, features[idx], labels[idx])
             model = nn.sgd_step(model, grads, lr)
-    return federation.ClientUpdate(shard.client_id, model, perturb_loss(raw_loss, ldp, rng))
+    return model, raw_loss + laplace_sample(laplace_scale(ldp), rng)
 
 
-def assert_same_update(got, want):
-    assert got.client_id == want.client_id
-    got_arrays = got.weights.weights + got.weights.biases
-    want_arrays = want.weights.weights + want.weights.biases
-    assert [a.shape for a in got_arrays] == [a.shape for a in want_arrays]
-    for a, b in zip(got_arrays, want_arrays):
-        assert a.tobytes() == b.tobytes(), got.client_id
-    assert type(got.noisy_loss) is float
-    assert np.float64(got.noisy_loss).tobytes() == np.float64(want.noisy_loss).tobytes()
+def assert_same_update(got: federation.StackUpdate, i: int, want):
+    """Client i of the stack got has the weights and noisy loss of the oracle's want."""
+    want_model, want_loss = want
+    assert_same_params(
+        nn.ModelParams(tuple(w[i] for w in got.weights.weights), tuple(b[i] for b in got.weights.biases)),
+        want_model,
+    )
+    assert got.noisy_losses.dtype == np.float64
+    assert got.noisy_losses[i].tobytes() == np.float64(want_loss).tobytes()
 
 
 def test_local_train_matches_per_client_loop_bit_for_bit():
@@ -176,10 +234,10 @@ def test_local_train_matches_per_client_loop_bit_for_bit():
     got = federation.local_train(
         model, shards, 3, 0.4, 5, ldp, [np.random.default_rng([7, s.client_id]) for s in shards]
     )
-    for update, shard in zip(got, shards):
+    assert got.client_ids == (3, 1, 8, 5)
+    for i, shard in enumerate(shards):
         assert_same_update(
-            update,
-            reference_local_train(model, shard, 3, 0.4, 5, ldp, np.random.default_rng([7, shard.client_id])),
+            got, i, reference_local_train(model, shard, 3, 0.4, 5, ldp, np.random.default_rng([7, shard.client_id]))
         )
 
 
@@ -216,9 +274,9 @@ def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_pe
     train_group, eliminate = federation.local_train, federation.run_eliminator
 
     def recording_local_train(global_model, shards, *args):
-        updates = train_group(global_model, shards, *args)
-        calls.append(([s.client_id for s in shards], updates))
-        return updates
+        update = train_group(global_model, shards, *args)
+        calls.append(([s.client_id for s in shards], update))
+        return update
 
     def recording_eliminator(reports, config):
         reported.extend(reports)
@@ -235,13 +293,14 @@ def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_pe
     assert all(len({len(state.shards[cid].data) for cid in ids}) == 1 for ids in groups)
     expected_sizes = [2, 3, 3] if models_per_stack else [2, 6]
     assert sorted(len(ids) for ids in groups) == expected_sizes
-    for ids, updates in calls:
-        for cid, update in zip(ids, updates):
+    for ids, update in calls:
+        assert list(update.client_ids) == ids
+        for i, cid in enumerate(ids):
             want = reference_local_train(
                 model_before, state.shards[cid], cfg.client_epochs, cfg.client_lr,
                 cfg.batch_size, cfg.ldp, federation._rng(state, federation._STREAM_CLIENT, 0, cid),
             )
-            assert_same_update(update, want)
+            assert_same_update(update, i, want)
 
 
 # --- experiment loop ---------------------------------------------------------
@@ -293,6 +352,7 @@ def test_eliminated_clients_do_not_influence_aggregate():
     model_before = state.model
     record = federation.global_round(state, epoch=0)
     assert len(record.eliminated) == 1  # round(0.25 * 4)
+    retained = set(record.selected) - set(record.eliminated)
     updates = [
         federation.local_train(
             model_before,
@@ -302,11 +362,10 @@ def test_eliminated_clients_do_not_influence_aggregate():
             cfg.batch_size,
             cfg.ldp,
             [np.random.default_rng([cfg.seed, 0, 4, 0, cid])],
-        )[0]
-        for cid in record.selected
-        if cid not in record.eliminated
+        )
+        for cid in retained
     ]
-    expected = federation.fed_avg(updates)
+    expected = federation.fed_avg(updates, retained)
     for wa, wb in zip(state.model.weights, expected.weights):
         assert wa.tobytes() == wb.tobytes()
 

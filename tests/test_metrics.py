@@ -13,24 +13,29 @@ def constant_model(scores):
     return nn.ModelParams((np.zeros((k, 2)),), (np.array(scores, dtype=float),))
 
 
-def test_sparse_categorical_accuracy():
-    assert metrics.sparse_categorical_accuracy(np.array([1, 2, 3]), np.array([1, 0, 3])) == pytest.approx(2 / 3)
-    assert metrics.sparse_categorical_accuracy(np.array([1]), np.array([1])) == 1.0
+def predicting_model(predictions, num_classes):
+    """A model and one-hot inputs whose argmax on row i is predictions[i]."""
+    model = nn.ModelParams((np.eye(num_classes),), (np.zeros(num_classes),))
+    return model, np.eye(num_classes)[predictions]
 
 
 def test_accuracy_rejects_mismatch_and_empty():
-    with pytest.raises(ValueError):
-        metrics.sparse_categorical_accuracy(np.array([1, 2]), np.array([1]))
-    with pytest.raises(ValueError):
-        metrics.sparse_categorical_accuracy(np.array([]), np.array([]))
+    model, _ = predicting_model([0], 3)
+    with pytest.raises(ValueError, match="test set is empty"):
+        metrics.evaluate_model(model, Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), 3))
+    with pytest.raises(nn.ShapeMismatchError):
+        metrics.evaluate_model(model, Dataset(np.zeros((2, 4)), np.array([0, 1]), 3))
 
 
 def test_source_class_recall():
-    preds = np.array([5, 3, 5, 1, 5])
-    labels = np.array([5, 5, 5, 1, 2])
-    assert metrics.source_class_recall(preds, labels, 5) == pytest.approx(2 / 3)
-    assert metrics.source_class_recall(preds, labels, 9) == 1.0  # absent class
-    assert metrics.source_class_recall(preds, labels, 1) == 1.0
+    model, features = predicting_model([5, 3, 5, 1, 5], 10)
+    result = metrics.evaluate_model(model, Dataset(features, np.array([5, 5, 5, 1, 2]), 10))
+    assert result.accuracy == pytest.approx(3 / 5)
+    assert result.per_class_recall[5] == pytest.approx(2 / 3)
+    assert result.per_class_recall[1] == 1.0
+    assert result.per_class_recall[2] == 0.0
+    assert result.per_class_recall[9] == 1.0  # absent class
+    assert all(type(r) is float for r in result.per_class_recall)
 
 
 def test_evaluate_model_consistency():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim import privacy
 
@@ -62,17 +64,63 @@ def test_sampler_tail_probability():
 def test_perturb_loss_adds_noise_at_configured_scale():
     cfg = privacy.LdpConfig(epsilon=1.0, sensitivity=0.0001)
     rng = np.random.default_rng(5)
-    noise = np.array([privacy.perturb_loss(1.0, cfg, rng) - 1.0 for _ in range(20000)])
+    noise = privacy.perturb_loss(np.ones(20000), cfg, [rng] * 20000) - 1.0
     assert abs(noise.mean()) < 1e-5
     assert noise.var() == pytest.approx(2 * 1e-8, rel=0.05)
 
 
 def test_perturb_loss_rejects_nonfinite():
     cfg = privacy.LdpConfig()
-    with pytest.raises(ValueError):
-        privacy.perturb_loss(float("nan"), cfg, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        privacy.perturb_loss(float("inf"), cfg, np.random.default_rng(0))
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    with pytest.raises(ValueError, match="loss must be finite, got nan"):
+        privacy.perturb_loss(np.array([0.5, float("nan")]), cfg, rngs)
+    with pytest.raises(ValueError, match="loss must be finite, got inf"):
+        privacy.perturb_loss(np.array([float("inf"), 0.5]), cfg, rngs)
+
+
+def test_perturb_loss_needs_one_generator_per_loss():
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    with pytest.raises(ValueError, match="3 losses and 2 generators"):
+        privacy.perturb_loss(np.array([0.5, 0.5, 0.5]), privacy.LdpConfig(), rngs)
+
+
+class ZeroDraw:
+    """A generator stub whose uniform draw is exactly 0.0, the closed end of [0, 1)."""
+
+    def random(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    losses=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=20),
+    epsilon=st.floats(1e-3, 1e3),
+    sensitivity=st.floats(1e-6, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+    zero_draws=st.sets(st.integers(0, 19)),
+)
+def test_perturb_loss_matches_per_client_laplace_sample_bit_for_bit(losses, epsilon, sensitivity, seed, zero_draws):
+    cfg = privacy.LdpConfig(epsilon=epsilon, sensitivity=sensitivity)
+    b = privacy.laplace_scale(cfg)
+
+    def generators():
+        return [ZeroDraw() if i in zero_draws else np.random.default_rng([seed, i]) for i in range(len(losses))]
+
+    got = privacy.perturb_loss(np.array(losses), cfg, generators())
+    want = [loss + privacy.laplace_sample(b, rng) for loss, rng in zip(losses, generators())]
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array(want).tobytes()
+    assert np.isfinite(got).all()
+
+
+def test_zero_draw_is_nudged_inside_the_open_interval():
+    b = 0.5
+    noise = privacy.laplace_sample(b, ZeroDraw())
+    # u = 0.0 - 0.5 moves to the largest float above -0.5: noise = b * ln(1 - 2|u|), about -36.7 b.
+    assert noise == b * np.log1p(-2.0 * abs(np.nextafter(-0.5, 0.0)))
+    assert -37 * b < noise < -36 * b
+    [reported] = privacy.perturb_loss(np.array([1.0]), privacy.LdpConfig(epsilon=1.0, sensitivity=b), [ZeroDraw()])
+    assert reported == 1.0 + noise
 
 
 def test_epsilon_dp_ratio_bound_empirically():
