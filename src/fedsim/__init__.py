@@ -3,7 +3,17 @@ locally-differentially-private defense against targeted label flipping."""
 
 __version__ = "0.1.0"
 
-from .data import ClientShard, Dataset, PoisonSpec, load_idx, mark_malicious, partition, poison_labels, synthesize
+from .data import (
+    ClientShard,
+    Dataset,
+    IdxData,
+    SyntheticData,
+    load_idx,
+    mark_malicious,
+    partition,
+    poison_labels,
+    synthesize,
+)
 from .defense import (
     DefenseConfig,
     DetectionScore,

@@ -5,47 +5,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .data import Dataset, PoisonSpec, load_idx, synthesize
-from .defense import DefenseConfig
+from .data import Dataset, IdxData, SyntheticData, load_idx, synthesize
 from .federation import MEAN_FIELDS, ExperimentReport, FederationConfig, run_experiment, validate
-from .privacy import LdpConfig
 
-_SYNTHETIC_DEFAULTS = {
-    "type": "synthetic",
-    "num_classes": 10,
-    "per_class": 200,
-    "dim": 64,
-    "separation": 6.0,
-    "noise_std": 1.0,
-    "test_per_class": 50,
-}
-# Every IDX key is required; the empty strings only tell _merge that each value is a string.
-_IDX_KEYS = dict.fromkeys(("type", "train_images", "train_labels", "test_images", "test_labels"), "")
+# The config dataclass of each dataset section, by the section's "type" key.
+_DATASETS = {"synthetic": SyntheticData, "idx": IdxData}
 
-# Accepted JSON value types (and their name in errors), by the type of a key's default.
+# Accepted JSON value types (and their name in errors), by a config field's annotation.
 _JSON_TYPES = {
-    bool: ((bool,), "true or false"),
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-    tuple: ((list,), "a list of integers"),
-    dict: ((dict,), "a JSON object"),
+    "bool": ((bool,), "true or false"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "tuple[int, ...]": ((list,), "a list of integers"),
 }
-
-
-def _config_json(fed: FederationConfig) -> dict:
-    """The config as JSON values, with poison_spec flattened to source_class/target_class."""
-    values = asdict(fed)
-    values.update(values.pop("poison_spec"))
-    return values
-
-
-# Every key the config file accepts besides dataset and sweep, with its default.
-_DEFAULTS = _config_json(FederationConfig())
 
 ROUNDS_COLUMNS = ("repeat", "epoch", "malicious_fraction", "defense", *MEAN_FIELDS, "selected_count")
 SWEEP_COLUMNS = (
@@ -56,24 +33,31 @@ SWEEP_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    dataset: dict
+    dataset: SyntheticData | IdxData
     federation: FederationConfig
     sweep: tuple[float, ...] | None = None
 
 
-def _merge(section: str, given: dict, defaults: dict) -> dict:
-    """The defaults updated by the given values; unknown keys and mistyped values are fatal."""
-    merged = dict(defaults)
+def _build(cls, section: str, given):
+    """A cls from the JSON object given; unknown keys, missing keys and mistyped values are fatal."""
+    if type(given) is not dict:
+        raise ValueError(f"{section} must be a JSON object, got {given!r}")
+    schema = {f.name: f for f in fields(cls)}
+    values = {}
     for key, value in given.items():
-        if key not in defaults:
+        if key not in schema:
             raise ValueError(f"unknown key {key!r} in {section}")
-        types, expected = _JSON_TYPES[type(defaults[key])]
-        if type(value) not in types or (
-            type(value) is list and not all(type(v) is int for v in value)
-        ):
+        default = schema[key].default
+        if is_dataclass(default):  # a nested section: defense or ldp
+            values[key] = _build(type(default), key, value)
+            continue
+        types, expected = _JSON_TYPES[schema[key].type]
+        if type(value) not in types or (type(value) is list and not all(type(v) is int for v in value)):
             raise ValueError(f"{key} in {section} must be {expected}, got {value!r}")
-        merged[key] = _merge(key, value, defaults[key]) if type(value) is dict else value
-    return merged
+        values[key] = tuple(value) if type(value) is list else value
+    if missing := [name for name, f in schema.items() if f.default is MISSING and name not in given]:
+        raise ValueError(f"{section} missing keys: {missing}")
+    return cls(**values)
 
 
 def _sweep_fractions(values) -> tuple[float, ...]:
@@ -95,7 +79,7 @@ def _non_finite(constant: str):
 
 
 def parse_config(path) -> ExperimentSpec:
-    """Load a JSON experiment config, checked against FederationConfig's fields and defaults."""
+    """Load a JSON experiment config; each section is built from its config dataclass."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"), parse_constant=_non_finite)
@@ -105,42 +89,29 @@ def parse_config(path) -> ExperimentSpec:
         raise ValueError(f"{path}: top level must be a JSON object")
 
     dataset = raw.pop("dataset", {"type": "synthetic"})
-    ds_type = dataset.get("type") if isinstance(dataset, dict) else None
-    if ds_type == "synthetic":
-        dataset = _merge("dataset", dataset, _SYNTHETIC_DEFAULTS)
-    elif ds_type == "idx":
-        missing = set(_IDX_KEYS) - set(dataset)
-        dataset = _merge("dataset", dataset, _IDX_KEYS)
-        if missing:
-            raise ValueError(f"dataset missing keys: {sorted(missing)}")
-    else:
+    kind = dataset.get("type") if type(dataset) is dict else None
+    if type(kind) is not str or kind not in _DATASETS:
         raise ValueError(f"dataset must be an object of type 'synthetic' or 'idx', got {dataset!r}")
     sweep = raw.pop("sweep", None)
-    values = _merge("config", raw, _DEFAULTS)
-    federation = FederationConfig(
-        poison_spec=PoisonSpec(values.pop("source_class"), values.pop("target_class")),
-        defense=DefenseConfig(**values.pop("defense")),
-        ldp=LdpConfig(**values.pop("ldp")),
-        hidden_dims=tuple(values.pop("hidden_dims")),
-        **values,
+    return ExperimentSpec(
+        _build(_DATASETS[kind], "dataset", {k: v for k, v in dataset.items() if k != "type"}),
+        _build(FederationConfig, "config", raw),
+        None if sweep is None else _sweep_fractions(sweep),
     )
-    return ExperimentSpec(dataset, federation, None if sweep is None else _sweep_fractions(sweep))
 
 
 def build_datasets(spec: ExperimentSpec) -> tuple[Dataset, Dataset]:
     """Materialize the (train, test) pair named by the spec; validate checks the config fits it."""
     ds = spec.dataset
-    if ds["type"] == "synthetic":
-        if ds["test_per_class"] < 1:
-            raise ValueError(f"test_per_class {ds['test_per_class']} in dataset must be positive")
-        train, test = (
-            synthesize(ds["num_classes"], per_class, ds["dim"], ds["separation"],
-                       seed=[spec.federation.seed, stream], noise_std=ds["noise_std"])
-            for per_class, stream in ((ds["per_class"], 1000), (ds["test_per_class"], 1001))
-        )
+    if isinstance(ds, IdxData):
+        train = load_idx(ds.train_images, ds.train_labels)
+        test = load_idx(ds.test_images, ds.test_labels, num_classes=train.num_classes)
     else:
-        train = load_idx(ds["train_images"], ds["train_labels"])
-        test = load_idx(ds["test_images"], ds["test_labels"], num_classes=train.num_classes)
+        train, test = (
+            synthesize(ds.num_classes, per_class, ds.dim, ds.separation,
+                       seed=[spec.federation.seed, stream], noise_std=ds.noise_std)
+            for per_class, stream in ((ds.per_class, 1000), (ds.test_per_class, 1001))
+        )
     validate(spec.federation, train, test)
     return train, test
 
@@ -175,11 +146,12 @@ def write_reports(spec: ExperimentSpec, report: ExperimentReport, out_dir: Path)
         for repeat, epoch, values, selected in records
     ]
     _write_csv(out_dir / "rounds.csv", [ROUNDS_COLUMNS, *rows])
+    kind = next(name for name, cls in _DATASETS.items() if type(spec.dataset) is cls)
     summary = {
         "final_epoch_means": report.final_means,
         "mean_det_accuracy": report.mean_det_accuracy,
         "mean_det_f1": report.mean_det_f1,
-        "config": {"dataset": spec.dataset, **_config_json(fed), "sweep": spec.sweep},
+        "config": {"dataset": {"type": kind, **asdict(spec.dataset)}, **asdict(fed), "sweep": spec.sweep},
     }
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"

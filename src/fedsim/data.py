@@ -44,15 +44,29 @@ class ClientShard:
 
 
 @dataclass(frozen=True)
-class PoisonSpec:
-    source_class: int
-    target_class: int
+class SyntheticData:
+    """A config's synthetic dataset: train and test blobs drawn by synthesize."""
+
+    num_classes: int = 10
+    per_class: int = 200
+    dim: int = 64
+    separation: float = 6.0
+    noise_std: float = 1.0
+    test_per_class: int = 50
 
     def __post_init__(self):
-        if self.source_class == self.target_class:
-            raise ValueError("source and target class must differ")
-        if self.source_class < 0 or self.target_class < 0:
-            raise ValueError("class indices must be non-negative")
+        if self.test_per_class < 1:
+            raise ValueError(f"test_per_class {self.test_per_class} in dataset must be positive")
+
+
+@dataclass(frozen=True)
+class IdxData:
+    """A config's IDX dataset: the train and test image/label files load_idx reads."""
+
+    train_images: str
+    train_labels: str
+    test_images: str
+    test_labels: str
 
 
 def _read_exact(f, count: int, path: str, what: str) -> bytes:
@@ -304,12 +318,12 @@ def mark_malicious(shards: list[ClientShard], malicious_fraction: float, seed) -
     return [replace(s, is_malicious=(i in flagged)) for i, s in enumerate(shards)]
 
 
-def poison_labels(shard: ClientShard, spec: PoisonSpec) -> ClientShard:
+def poison_labels(shard: ClientShard, source_class: int, target_class: int) -> ClientShard:
     """Flip every source-class label to the target class. Features untouched."""
     if not shard.is_malicious:
         raise ValueError("poison_labels applies only to shards flagged malicious")
-    if spec.source_class >= shard.data.num_classes or spec.target_class >= shard.data.num_classes:
-        raise ValueError("poison spec class out of range for this dataset")
+    if max(source_class, target_class) >= shard.data.num_classes:
+        raise ValueError("poison class out of range for this dataset")
     labels = shard.data.labels.copy()
-    labels[labels == spec.source_class] = spec.target_class
+    labels[labels == source_class] = target_class
     return replace(shard, data=Dataset(shard.data.features, labels, shard.data.num_classes))

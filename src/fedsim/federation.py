@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .data import ClientShard, Dataset, PoisonSpec, mark_malicious, partition, poison_labels
+from .data import ClientShard, Dataset, mark_malicious, partition, poison_labels
 from .defense import DefenseConfig, detection_score, run_eliminator
 from .metrics import evaluate_model
 from .privacy import LdpConfig, perturb_loss
@@ -42,7 +42,8 @@ class FederationConfig:
     client_lr: float = 0.6
     batch_size: int = 12
     malicious_fraction: float = 0.0
-    poison_spec: PoisonSpec = PoisonSpec(5, 3)
+    source_class: int = 5  # the label flip: malicious clients relabel source as target
+    target_class: int = 3
     defense: DefenseConfig = DefenseConfig()
     ldp: LdpConfig = LdpConfig()
     hidden_dims: tuple[int, ...] = (32,)
@@ -61,6 +62,9 @@ class FederationConfig:
             raise ValueError(f"client_lr {self.client_lr} must be positive and finite")
         if not 0.0 <= self.malicious_fraction <= 0.5:
             raise ValueError(f"malicious_fraction {self.malicious_fraction} outside [0, 0.5]")
+        if self.source_class == self.target_class or min(self.source_class, self.target_class) < 0:
+            flip = f"source_class {self.source_class} and target_class {self.target_class}"
+            raise ValueError(f"{flip} must differ and be non-negative")
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} must be non-negative")
         if any(width < 1 for width in self.hidden_dims):
@@ -255,7 +259,7 @@ def global_round(state: FederationState, epoch: int) -> RoundRecord:
         eliminated=tuple(sorted(outcome.eliminated)),
         accuracy=result.accuracy,
         test_loss=result.mean_ce_loss,
-        source_recall=result.per_class_recall[cfg.poison_spec.source_class],
+        source_recall=result.per_class_recall[cfg.source_class],
         det_accuracy=det.accuracy,
         det_precision=det.precision,
         det_recall=det.recall,
@@ -272,9 +276,8 @@ def init_state(
     prefix = (config.seed, repeat)
     shards = partition(train_set, config.total_clients, [*prefix, _STREAM_PARTITION])
     shards = mark_malicious(shards, config.malicious_fraction, [*prefix, _STREAM_MALICIOUS])
-    shards = [
-        poison_labels(s, config.poison_spec) if s.is_malicious else s for s in shards
-    ]
+    flip = (config.source_class, config.target_class)
+    shards = [poison_labels(s, *flip) if s.is_malicious else s for s in shards]
     dims = (train_set.features.shape[1], *config.hidden_dims, train_set.num_classes)
     model = nn.init_params(dims, np.random.default_rng([*prefix, _STREAM_INIT]))
     return FederationState(
@@ -299,15 +302,15 @@ def validate(config: FederationConfig, train_set: Dataset, test_set: Dataset) ->
     """Reject a config and datasets that cannot run together, before any training."""
     dims = (train_set.features.shape[1], test_set.features.shape[1])
     classes = (train_set.num_classes, test_set.num_classes)
-    poison = config.poison_spec
     if len(test_set) == 0:
         raise ValueError("test set is empty")
     if dims[0] != dims[1]:
         raise ValueError(f"train samples have {dims[0]} features, test samples {dims[1]}")
     if classes[0] != classes[1]:
         raise ValueError(f"train set has {classes[0]} classes, test set {classes[1]}")
-    if max(poison.source_class, poison.target_class) >= classes[0]:
-        raise ValueError(f"{poison} names a class beyond the dataset's {classes[0]} classes")
+    if max(config.source_class, config.target_class) >= classes[0]:
+        flip = f"(source_class={config.source_class}, target_class={config.target_class})"
+        raise ValueError(f"label flip {flip} names a class beyond the dataset's {classes[0]} classes")
     if config.total_clients > len(train_set):
         raise ValueError(f"total_clients {config.total_clients} exceeds the {len(train_set)} training samples")
 

@@ -5,6 +5,7 @@ import io
 import json
 import struct
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -65,14 +66,14 @@ def test_parse_config_defaults(tmp_path):
     assert fed.total_clients == 50
     assert fed.clients_per_round == 10
     assert fed.global_epochs == 15
-    assert fed.poison_spec.source_class == 5
-    assert fed.poison_spec.target_class == 3
+    assert fed.source_class == 5
+    assert fed.target_class == 3
     assert fed.ldp.epsilon == 1.0
     assert fed.ldp.sensitivity == 0.0001
     assert fed.defense.kmeans_guard == 3.5
     assert fed.repeats == 3
     assert fed == FederationConfig()  # the CLI keeps no defaults of its own
-    assert spec.dataset["type"] == "synthetic"
+    assert spec.dataset == data.SyntheticData()
 
 
 def test_parse_config_float_fields_accept_integers(tmp_path):
@@ -251,6 +252,10 @@ BAD_INPUTS = {
     "config_sweep_repeats_fraction": ({"sweep": [0.1, 0.1000000000001]}, "sweep"),
     "config_sweep_bool_item": ({"sweep": [False, 0.25]}, "run"),
     "config_sweep_string_item": ({"sweep": [0.0, "0.25"]}, "run"),
+    "poison_spec_key_unknown": ({"poison_spec": {"source_class": 1}}, "run"),
+    "idx_given_synthetic_key": (
+        lambda tmp_path: {"dataset": {**idx_dataset(4, 4)(tmp_path)["dataset"], "num_classes": 3}}, "run"
+    ),
 }
 
 
@@ -288,13 +293,19 @@ FITTING = {
     str: st.sampled_from([*DEFENSE_KINDS, "synthetic", "idx", "other"]),
     tuple: st.lists(st.integers(-1, 8) | st.floats(-0.1, 0.6), max_size=3),
 }
-SCHEMA = {**cli._DEFAULTS, "dataset": cli._SYNTHETIC_DEFAULTS, "sweep": (0.1,)}
+SCHEMA = {**asdict(FederationConfig()), "sweep": (0.1,)}
+# Each dataset section's keys with a value of their JSON type: the defaults, or the IDX key names as paths.
+DATASETS = {
+    "synthetic": {"type": "synthetic", **asdict(data.SyntheticData())},
+    "idx": {"type": "idx", **asdict(data.IdxData(*IDX_PATHS))},
+}
+KEY_NAMES = sorted({*SCHEMA, "dataset", *DATASETS["synthetic"], *DATASETS["idx"]})
 
 
 def fitting_values(default):
-    """Values of the default's JSON type; a section gets its kind and some of its other keys."""
+    """Values of the default's JSON type; a section gets its kind or type and some of its other keys."""
     if type(default) is dict:
-        kinds = {k: fitting_values(v) for k, v in default.items() if type(v) is str}
+        kinds = {k: fitting_values(v) for k, v in default.items() if k in ("kind", "type")}
         others = {k: fitting_values(v) for k, v in default.items() if k not in kinds}
         return st.fixed_dictionaries(kinds, optional=others)
     if type(default) is str:  # the default kind about half the time
@@ -304,15 +315,18 @@ def fitting_values(default):
 
 @st.composite
 def configs(draw):
-    """A config of schema keys, spoiled at most once: any JSON value for the whole
-    config, or for a key of any name in the top level or in a section."""
+    """A config of schema keys, with either dataset section or none, spoiled at most once:
+    any JSON value for the whole config, or for a key of any name in the top level or in a section."""
     config = draw(fitting_values(SCHEMA))
+    kind = draw(st.sampled_from(["none", *sorted(DATASETS)]))
+    if kind != "none":
+        config["dataset"] = draw(fitting_values(DATASETS[kind]))
     spoiler = draw(st.sampled_from(["none", "none", "key", "whole"]))  # half stay unspoiled
     if spoiler == "whole":
         return draw(JSON_VALUES)
     if spoiler == "key":
         section = draw(st.sampled_from([config, *(v for v in config.values() if type(v) is dict)]))
-        section[draw(st.sampled_from(sorted(SCHEMA)) | st.text(max_size=3))] = draw(JSON_VALUES)
+        section[draw(st.sampled_from(KEY_NAMES) | st.text(max_size=3))] = draw(JSON_VALUES)
     return config
 
 
@@ -334,6 +348,21 @@ def test_fuzzed_config_exits_1_or_reaches_training(config):
                 return
     lines = err.getvalue().splitlines()
     assert code == 1 and len(lines) == 1 and lines[0].startswith("error:"), (code, lines)
+
+
+# --- config echo ------------------------------------------------------------------
+
+@pytest.mark.parametrize("overrides", [{"sweep": [0.25]}, idx_dataset(4, 4)], ids=["synthetic", "idx"])
+def test_summary_config_echo_reruns_identically(tmp_path, overrides):
+    """summary.json's config, written back out as a config file, reproduces the run byte for byte."""
+    config = write_config(tmp_path, overrides(tmp_path) if callable(overrides) else overrides)
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "first")]) == 0
+    summary = json.loads((tmp_path / "first" / "summary.json").read_text(encoding="utf-8"))
+    echo = tmp_path / "echo.json"
+    echo.write_text(json.dumps(summary["config"]), encoding="utf-8")
+    assert cli.main(["run", "--config", str(echo), "--out", str(tmp_path / "again")]) == 0
+    for name in ("rounds.csv", "summary.json"):
+        assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "again" / name).read_bytes(), name
 
 
 # --- sweep ------------------------------------------------------------------------

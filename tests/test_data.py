@@ -167,7 +167,7 @@ def test_poison_labels_flips_exactly_the_source_class():
     rng = np.random.default_rng(0)
     labels = rng.integers(0, 10, size=30)
     shard = data.ClientShard(0, data.Dataset(rng.random((30, 4)), labels, 10), is_malicious=True)
-    flipped = data.poison_labels(shard, data.PoisonSpec(5, 3))
+    flipped = data.poison_labels(shard, 5, 3)
     source = labels == 5
     np.testing.assert_array_equal(flipped.data.labels[source], 3)
     np.testing.assert_array_equal(flipped.data.labels[~source], labels[~source])
@@ -179,11 +179,5 @@ def test_poison_labels_flips_exactly_the_source_class():
 def test_poison_labels_requires_malicious_flag():
     shard = data.ClientShard(0, data.Dataset(np.zeros((2, 2)), np.array([5, 1]), 10))
     with pytest.raises(ValueError):
-        data.poison_labels(shard, data.PoisonSpec(5, 3))
+        data.poison_labels(shard, 5, 3)
 
-
-def test_poison_spec_validation():
-    with pytest.raises(ValueError):
-        data.PoisonSpec(3, 3)
-    with pytest.raises(ValueError):
-        data.PoisonSpec(-1, 2)

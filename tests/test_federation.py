@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim import federation, nn
-from fedsim.data import ClientShard, Dataset, PoisonSpec, synthesize
+from fedsim.data import ClientShard, Dataset, synthesize
 from fedsim.defense import DefenseConfig
 from fedsim.federation import FederationConfig
 from fedsim.privacy import LdpConfig, laplace_sample, laplace_scale
@@ -29,7 +29,8 @@ def small_config(**overrides):
         client_epochs=2,
         client_lr=0.5,
         batch_size=8,
-        poison_spec=PoisonSpec(1, 2),
+        source_class=1,
+        target_class=2,
         repeats=2,
     )
     base.update(overrides)
@@ -388,11 +389,11 @@ def test_init_state_poisons_exactly_the_marked_shards():
     flagged = [s for s in state.shards if s.is_malicious]
     assert len(flagged) == 2  # round(0.25 * 8)
     for shard in flagged:
-        assert not np.any(shard.data.labels == cfg.poison_spec.source_class)
+        assert not np.any(shard.data.labels == cfg.source_class)
     honest_labels = np.concatenate(
         [s.data.labels for s in state.shards if not s.is_malicious]
     )
-    assert np.any(honest_labels == cfg.poison_spec.source_class)
+    assert np.any(honest_labels == cfg.source_class)
 
 
 def test_config_validation():
@@ -404,6 +405,13 @@ def test_config_validation():
         small_config(malicious_fraction=0.6)
     with pytest.raises(ValueError):
         small_config(client_epochs=-1)
+
+
+def test_label_flip_classes_validation():
+    with pytest.raises(ValueError, match="source_class 3 and target_class 3 must differ"):
+        small_config(source_class=3, target_class=3)
+    with pytest.raises(ValueError, match="source_class -1 and target_class 2 must differ and be non-negative"):
+        small_config(source_class=-1, target_class=2)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -438,7 +446,7 @@ def keep(train, test):
 # Inputs that run_experiment must reject, and the words its error names the problem with.
 MISFITS = {
     "poison_class_beyond_classes": (
-        {"poison_spec": PoisonSpec(12, 3)}, keep, "source_class=12, target_class=3) names a class beyond"
+        {"source_class": 12, "target_class": 3}, keep, "(source_class=12, target_class=3) names a class beyond"
     ),
     "feature_dims_differ": (
         {}, lambda train, test: (train, Dataset(test.features[:, 1:], test.labels, 4)),
