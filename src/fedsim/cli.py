@@ -78,11 +78,21 @@ def _non_finite(constant: str):
     raise ValueError(f"{constant} in the config: every number must be finite")
 
 
+def _unique_keys(pairs) -> dict:
+    """json.loads hook for every JSON object: a key given twice is fatal, not last-wins."""
+    keys = [key for key, _ in pairs]
+    if repeated := sorted({key for key in keys if keys.count(key) > 1}):
+        raise ValueError(f"config gives key(s) {repeated} more than once")
+    return dict(pairs)
+
+
 def parse_config(path) -> ExperimentSpec:
     """Load a JSON experiment config; each section is built from its config dataclass."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"), parse_constant=_non_finite)
+        raw = json.loads(
+            path.read_text(encoding="utf-8"), parse_constant=_non_finite, object_pairs_hook=_unique_keys
+        )
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
@@ -131,19 +141,14 @@ def write_reports(spec: ExperimentSpec, report: ExperimentReport, out_dir: Path)
     """Write rounds.csv (per-round rows plus repeat=-1 mean rows) and summary.json."""
     out_dir.mkdir(parents=True, exist_ok=True)
     fed = spec.federation
-    # (repeat, epoch, metrics by name, selected count) of every row, mean rows last.
-    records = [
-        (repeat, rec.epoch, {name: getattr(rec, name) for name in MEAN_FIELDS}, len(rec.selected))
+    arm = (fed.malicious_fraction, fed.defense.kind)
+    rows = [
+        (repeat, rec.epoch, *arm, *(getattr(rec, name) for name in MEAN_FIELDS), len(rec.selected))
         for repeat, run in enumerate(report.runs)
         for rec in run
-    ]
-    records += [
-        (-1, epoch, means, fed.clients_per_round) for epoch, means in enumerate(report.epoch_means)
-    ]
-    rows = [
-        (repeat, epoch, fed.malicious_fraction, fed.defense.kind,
-         *(values[name] for name in MEAN_FIELDS), selected)
-        for repeat, epoch, values, selected in records
+    ] + [
+        (-1, epoch, *arm, *(means[name] for name in MEAN_FIELDS), fed.clients_per_round)
+        for epoch, means in enumerate(report.epoch_means)
     ]
     _write_csv(out_dir / "rounds.csv", [ROUNDS_COLUMNS, *rows])
     kind = next(name for name, cls in _DATASETS.items() if type(spec.dataset) is cls)

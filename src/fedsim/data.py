@@ -76,6 +76,14 @@ def _read_exact(f, count: int, path: str, what: str) -> bytes:
     return buf
 
 
+def _read_header(f, path: str, expected_magic: int) -> int:
+    """Read an IDX file's magic number and item count; a wrong magic is fatal."""
+    magic, count = struct.unpack(">II", _read_exact(f, 8, path, "header"))
+    if magic != expected_magic:
+        raise IdxFormatError(f"{path}: bad magic 0x{magic:08x} at offset 0, expected 0x{expected_magic:08x}")
+    return count
+
+
 def load_idx(images_path, labels_path, num_classes: int | None = None) -> Dataset:
     """Read an IDX image/label file pair into a normalized Dataset.
 
@@ -84,19 +92,11 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Datase
     """
     images_path, labels_path = str(images_path), str(labels_path)
     with open(images_path, "rb") as f:
-        magic, n_images = struct.unpack(">II", _read_exact(f, 8, images_path, "header"))
-        if magic != IDX_IMAGES_MAGIC:
-            raise IdxFormatError(
-                f"{images_path}: bad magic 0x{magic:08x} at offset 0, expected 0x{IDX_IMAGES_MAGIC:08x}"
-            )
+        n_images = _read_header(f, images_path, IDX_IMAGES_MAGIC)
         rows, cols = struct.unpack(">II", _read_exact(f, 8, images_path, "dimensions"))
         pixels = _read_exact(f, n_images * rows * cols, images_path, "pixel data")
     with open(labels_path, "rb") as f:
-        magic, n_labels = struct.unpack(">II", _read_exact(f, 8, labels_path, "header"))
-        if magic != IDX_LABELS_MAGIC:
-            raise IdxFormatError(
-                f"{labels_path}: bad magic 0x{magic:08x} at offset 0, expected 0x{IDX_LABELS_MAGIC:08x}"
-            )
+        n_labels = _read_header(f, labels_path, IDX_LABELS_MAGIC)
         label_bytes = _read_exact(f, n_labels, labels_path, "label data")
     if n_images != n_labels:
         raise IdxFormatError(

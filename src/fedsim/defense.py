@@ -130,10 +130,8 @@ def eliminate_kmeans(reports, config: DefenseConfig) -> EliminationOutcome:
     """
     ids, losses = _losses(reports, minimum=2)
     c_low, c_high = float(losses.min()), float(losses.max())
-    diagnostics = {"centroids": (c_low, c_high)}
     if c_high - c_low < 1e-15:
-        diagnostics["pooled_std"] = 0.0
-        diagnostics["guard_passed"] = False
+        diagnostics = {"centroids": (c_low, c_high), "pooled_std": 0.0, "guard_passed": False}
         return _outcome(ids, losses, (), diagnostics)
     in_high = losses - c_low > c_high - losses  # ties join the low cluster
     for _ in range(config.kmeans_max_iters):
@@ -151,9 +149,7 @@ def eliminate_kmeans(reports, config: DefenseConfig) -> EliminationOutcome:
         np.sqrt(np.sum((losses - centers) ** 2) / max(len(losses) - 2, 1))
     )
     guard_passed = (c_high - c_low) > config.kmeans_guard * max(pooled_std, 1e-12)
-    diagnostics.update(
-        centroids=(c_low, c_high), pooled_std=pooled_std, guard_passed=guard_passed
-    )
+    diagnostics = {"centroids": (c_low, c_high), "pooled_std": pooled_std, "guard_passed": guard_passed}
     if not guard_passed:
         return _outcome(ids, losses, (), diagnostics)
     return _outcome(ids, losses, (cid for cid, f in zip(ids, in_high) if f), diagnostics)

@@ -10,7 +10,7 @@ explicit seeded generators, so a config fully determines every round record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,13 +123,12 @@ def select_clients(rng: np.random.Generator, total_clients: int, k: int) -> tupl
 def local_train(
     global_model: nn.ModelParams,
     shards: list[ClientShard],
-    client_epochs: int,
-    lr: float,
-    batch_size: int,
-    ldp: LdpConfig,
+    config: FederationConfig,
     rngs: list[np.random.Generator],
 ) -> StackUpdate:
     """A group of clients' contributions: mini-batch SGD, then noised loss reports.
+
+    The training and noise settings are config's client_epochs, batch_size, client_lr and ldp.
 
     The shards must be of equal size; they train as one stacked model with a
     leading client axis, which computes exactly what training each client
@@ -164,14 +163,14 @@ def local_train(
         nn.forward(model, features.reshape(c, n, -1)), labels.reshape(c, n)
     )
     offsets = np.arange(0, c * n, n)[:, None]
-    for _ in range(client_epochs):
+    for _ in range(config.client_epochs):
         perm = np.stack([rng.permutation(n) for rng in rngs]) + offsets
-        for start in range(0, n, batch_size):
-            idx = perm[:, start : start + batch_size]
+        for start in range(0, n, config.batch_size):
+            idx = perm[:, start : start + config.batch_size]
             grads, _ = nn.backward(model, features[idx], labels[idx])
-            model = nn.sgd_step(model, grads, lr)
+            model = nn.sgd_step(model, grads, config.client_lr)
     return StackUpdate(
-        tuple(shard.client_id for shard in shards), model, perturb_loss(raw_losses, ldp, rngs)
+        tuple(shard.client_id for shard in shards), model, perturb_loss(raw_losses, config.ldp, rngs)
     )
 
 
@@ -207,8 +206,7 @@ class FederationState:
     shards: list
     test_set: Dataset
     model: nn.ModelParams
-    seed_prefix: tuple = ()  # rng namespace, e.g. (master_seed, repeat)
-    history: list = field(default_factory=list)
+    seed_prefix: tuple  # rng namespace: (master_seed, repeat)
 
 
 def _rng(state: FederationState, *tail) -> np.random.Generator:
@@ -230,7 +228,7 @@ def _training_groups(state: FederationState, selected) -> list[tuple[int, ...]]:
 
 
 def global_round(state: FederationState, epoch: int) -> RoundRecord:
-    """Run one global epoch in place and append its record to the history."""
+    """Run one global epoch in place and return its record."""
     cfg = state.config
     selected = select_clients(
         _rng(state, _STREAM_SELECT, epoch), cfg.total_clients, cfg.clients_per_round
@@ -239,10 +237,7 @@ def global_round(state: FederationState, epoch: int) -> RoundRecord:
         local_train(
             state.model,
             [state.shards[cid] for cid in group],
-            cfg.client_epochs,
-            cfg.client_lr,
-            cfg.batch_size,
-            cfg.ldp,
+            cfg,
             [_rng(state, _STREAM_CLIENT, epoch, cid) for cid in group],
         )
         for group in _training_groups(state, selected)
@@ -253,7 +248,7 @@ def global_round(state: FederationState, epoch: int) -> RoundRecord:
     result = evaluate_model(state.model, state.test_set)
     truth = {cid for cid in selected if state.shards[cid].is_malicious}
     det = detection_score(outcome, truth)
-    record = RoundRecord(
+    return RoundRecord(
         epoch=epoch,
         selected=selected,
         eliminated=tuple(sorted(outcome.eliminated)),
@@ -265,8 +260,6 @@ def global_round(state: FederationState, epoch: int) -> RoundRecord:
         det_recall=det.recall,
         det_f1=det.f1,
     )
-    state.history.append(record)
-    return record
 
 
 def init_state(
@@ -323,9 +316,7 @@ def run_experiment(
     runs = []
     for repeat in range(config.repeats):
         state = init_state(config, train_set, test_set, repeat)
-        for epoch in range(config.global_epochs):
-            global_round(state, epoch)
-        runs.append(state.history)
+        runs.append([global_round(state, e) for e in range(config.global_epochs)])
     epoch_means = [
         {
             name: float(np.mean([getattr(run[epoch], name) for run in runs]))

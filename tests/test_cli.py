@@ -97,6 +97,16 @@ def test_parse_config_rejects_unknown_nested_key(tmp_path):
     assert "gaurd" in str(err.value)
 
 
+def test_parse_config_rejects_repeated_key_at_any_depth(tmp_path):
+    path = tmp_path / "repeated.json"
+    path.write_text('{"seed": 1, "defense": {"kind": "kmeans", "kind": "zscore"}, "seed": 2}', encoding="utf-8")
+    with pytest.raises(ValueError, match=r"\['kind'\]"):  # the inner object is read first
+        cli.parse_config(path)
+    path.write_text('{"seed": 1, "repeats": 1, "seed": 2, "repeats": 2}', encoding="utf-8")
+    with pytest.raises(ValueError, match=r"\['repeats', 'seed'\]"):
+        cli.parse_config(path)
+
+
 def test_parse_config_rejects_excess_fraction(tmp_path):
     path = write_config(tmp_path, {"malicious_fraction": 0.7})
     with pytest.raises(ValueError) as err:
@@ -253,6 +263,9 @@ BAD_INPUTS = {
     "config_sweep_bool_item": ({"sweep": [False, 0.25]}, "run"),
     "config_sweep_string_item": ({"sweep": [0.0, "0.25"]}, "run"),
     "poison_spec_key_unknown": ({"poison_spec": {"source_class": 1}}, "run"),
+    # Raw JSON text: json.dumps cannot give a key twice.
+    "key_repeated": ('{"seed": 1, "seed": 2}', "run"),
+    "defense_key_repeated": ('{"defense": {"kind": "kmeans", "kind": "zscore"}}', "run"),
     "idx_given_synthetic_key": (
         lambda tmp_path: {"dataset": {**idx_dataset(4, 4)(tmp_path)["dataset"], "num_classes": 3}}, "run"
     ),
@@ -265,7 +278,11 @@ def test_bad_input_exits_1_before_training(tmp_path, capsys, monkeypatch, overri
         raise AssertionError("training started before the input was rejected")
 
     monkeypatch.setattr(cli, "run_experiment", no_training)
-    config = write_config(tmp_path, overrides(tmp_path) if callable(overrides) else overrides)
+    if type(overrides) is str:
+        config = tmp_path / "config.json"
+        config.write_text(overrides, encoding="utf-8")
+    else:
+        config = write_config(tmp_path, overrides(tmp_path) if callable(overrides) else overrides)
     argv = [*command.split(), "--config", str(config), "--out", str(tmp_path / "o")]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err.splitlines()

@@ -47,6 +47,7 @@ def test_load_idx_swapped_label_magic(tmp_path):
     images, labels = write_idx_pair(tmp_path, [0, 0, 0, 0], [1], label_magic=0x00000803)
     with pytest.raises(data.IdxFormatError) as err:
         data.load_idx(images, labels)
+    assert "0x00000803" in str(err.value) and "offset 0" in str(err.value)
     assert str(labels) in str(err.value)
 
 

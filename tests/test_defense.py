@@ -168,6 +168,7 @@ def test_kmeans_guard_blocks_marginal_split():
     )
     assert out.eliminated == frozenset()
     assert out.diagnostics["guard_passed"] is False
+    assert set(out.diagnostics) == {"centroids", "pooled_std", "guard_passed"}
 
 
 def test_kmeans_guard_zero_always_splits():
@@ -180,6 +181,7 @@ def test_kmeans_guard_zero_always_splits():
 def test_kmeans_all_equal_losses():
     out = defense.eliminate_kmeans(reports(0.3, 0.3, 0.3), DefenseConfig(kind="kmeans"))
     assert out.eliminated == frozenset()
+    assert set(out.diagnostics) == {"centroids", "pooled_std", "guard_passed"}
 
 
 def brute_force_best_split(losses):

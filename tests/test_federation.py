@@ -161,6 +161,11 @@ def test_fed_avg_matches_ascending_id_loop_bit_for_bit(seven_samples, models_per
 
 # --- local_train --------------------------------------------------------------
 
+def train_config(client_epochs, client_lr, batch_size, ldp=LdpConfig()):
+    """A FederationConfig that sets only what local_train reads."""
+    return FederationConfig(client_epochs=client_epochs, client_lr=client_lr, batch_size=batch_size, ldp=ldp)
+
+
 def make_shard(rng, n=12, dim=4, classes=3, cid=0):
     ds = Dataset(rng.random((n, dim)), rng.integers(0, classes, size=n), classes)
     return ClientShard(cid, ds)
@@ -170,7 +175,7 @@ def test_local_train_zero_epochs_returns_global_weights():
     rng = np.random.default_rng(0)
     shard = make_shard(rng)
     model = nn.init_params((4, 3), rng)
-    update = federation.local_train(model, [shard], 0, 0.5, 4, LdpConfig(), [np.random.default_rng(1)])
+    update = federation.local_train(model, [shard], train_config(0, 0.5, 4), [np.random.default_rng(1)])
     assert update.client_ids == (0,)
     for wa, wb in zip(update.weights.weights, model.weights):
         np.testing.assert_array_equal(wa[0], wb)
@@ -183,7 +188,7 @@ def test_local_train_reports_loss_of_incoming_model():
     shard = make_shard(rng)
     model = nn.init_params((4, 3), rng)
     incoming, _ = nn.softmax_cross_entropy(nn.forward(model, shard.data.features), shard.data.labels)
-    update = federation.local_train(model, [shard], 3, 0.5, 4, LdpConfig(), [np.random.default_rng(7)])
+    update = federation.local_train(model, [shard], train_config(3, 0.5, 4), [np.random.default_rng(7)])
     [noisy_loss] = update.noisy_losses
     assert noisy_loss == pytest.approx(incoming, abs=1e-2)
     trained, _ = nn.softmax_cross_entropy(
@@ -196,7 +201,7 @@ def test_local_train_rejects_empty_shard():
     model = nn.init_params((4, 3), np.random.default_rng(0))
     empty = ClientShard(0, Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 3))
     with pytest.raises(ValueError):
-        federation.local_train(model, [empty], 1, 0.5, 4, LdpConfig(), [np.random.default_rng(0)])
+        federation.local_train(model, [empty], train_config(1, 0.5, 4), [np.random.default_rng(0)])
 
 
 def reference_local_train(global_model, shard, client_epochs, lr, batch_size, ldp, rng):
@@ -233,7 +238,7 @@ def test_local_train_matches_per_client_loop_bit_for_bit():
     model = nn.init_params((6, 9, 4), rng)
     ldp = LdpConfig(epsilon=0.5)
     got = federation.local_train(
-        model, shards, 3, 0.4, 5, ldp, [np.random.default_rng([7, s.client_id]) for s in shards]
+        model, shards, train_config(3, 0.4, 5, ldp), [np.random.default_rng([7, s.client_id]) for s in shards]
     )
     assert got.client_ids == (3, 1, 8, 5)
     for i, shard in enumerate(shards):
@@ -248,11 +253,11 @@ def test_local_train_rejects_unequal_shards_and_missing_generators():
     shards = [make_shard(rng, n=12, cid=0), make_shard(rng, n=11, cid=1)]
     rngs = [np.random.default_rng(i) for i in range(2)]
     with pytest.raises(ValueError, match="client 1 has 11 samples"):
-        federation.local_train(model, shards, 1, 0.5, 4, LdpConfig(), rngs)
+        federation.local_train(model, shards, train_config(1, 0.5, 4), rngs)
     with pytest.raises(ValueError):
-        federation.local_train(model, shards[:1], 1, 0.5, 4, LdpConfig(), rngs)
+        federation.local_train(model, shards[:1], train_config(1, 0.5, 4), rngs)
     with pytest.raises(ValueError):
-        federation.local_train(model, [], 1, 0.5, 4, LdpConfig(), [])
+        federation.local_train(model, [], train_config(1, 0.5, 4), [])
 
 
 @pytest.mark.parametrize("models_per_stack", [None, 3], ids=["default_cap", "cap_of_3_models"])
@@ -358,10 +363,7 @@ def test_eliminated_clients_do_not_influence_aggregate():
         federation.local_train(
             model_before,
             [state.shards[cid]],
-            cfg.client_epochs,
-            cfg.client_lr,
-            cfg.batch_size,
-            cfg.ldp,
+            cfg,
             [np.random.default_rng([cfg.seed, 0, 4, 0, cid])],
         )
         for cid in retained
