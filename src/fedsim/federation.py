@@ -6,6 +6,9 @@ delivered in stacks of clients trained together. The configured eliminator
 filters the reports, FedAvg averages the surviving weights, and the new
 model is scored on a held-out honest test set. Everything is driven by
 explicit seeded generators, so a config fully determines every round record.
+Client cid in epoch e of repeat r draws from exactly
+np.random.default_rng([seed, r, 4, e, cid]). fedsim computes, for a whole
+round at once, the words that call's SeedSequence would seed PCG64 with.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import nn
 from .data import ClientShard, Dataset, mark_malicious, partition, poison_labels
@@ -31,6 +35,14 @@ _STREAM_CLIENT = 4
 # Larger stacks dispatch less but hold more memory for each step's gradients
 # and activations; a model above the cap trains one client per call.
 _STACK_BYTES = 256 * 1024
+
+# numpy's SeedSequence constants: the hash constants of the entropy mix and
+# of the output words (each a start and a multiplier), and the two
+# multipliers of the pool mix.
+_MASK32 = 0xFFFFFFFF
+_MIX_HASH = (0x43B0D7E5, 0x931E8875)
+_MIX_MULT = (0xCA01F9DD, 0x4973F715)
+_OUT_HASH = (0x8B51F9DD, 0x58F38DED)
 
 
 @dataclass(frozen=True)
@@ -213,6 +225,76 @@ def _rng(state: FederationState, *tail) -> np.random.Generator:
     return np.random.default_rng([*state.seed_prefix, *tail])
 
 
+def _hash_consts(start: int, mult: int, count: int) -> np.ndarray:
+    """A uint64 column of SeedSequence's running hash constant: start * mult**i mod 2**32."""
+    return np.array([start * pow(mult, i, 1 << 32) & _MASK32 for i in range(count)], dtype=np.uint64)[:, None]
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_MULT[0] * x - _MIX_MULT[1] * y) & _MASK32
+    return r ^ r >> 16
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence that hands PCG64 its four uint64 seeding words, already computed."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self.words) or np.dtype(dtype) != self.words.dtype:
+            raise ValueError(f"have {len(self.words)} {self.words.dtype} words, not {n_words} {dtype}")
+        return self.words
+
+
+def _client_rngs(state: FederationState, epoch: int, ids) -> list[np.random.Generator]:
+    """One generator per client id, each where _rng(state, _STREAM_CLIENT, epoch, cid) starts.
+
+    A client's entropy differs from the others' of the round only in its
+    last word, cid, so SeedSequence's pool is mixed from the rest once, in
+    Python ints. Every client id is folded in, and PCG64's four seeding words
+    hashed out, in one uint64 vector pass; PCG64 takes those words as they
+    are instead of a SeedSequence of its own.
+    """
+    words = []
+    for n in (*state.seed_prefix, _STREAM_CLIENT, epoch):
+        words.append(n & _MASK32)  # little-endian 32-bit words; 0 is one word
+        while n := n >> 32:
+            words.append(n & _MASK32)
+    hash_const = _MIX_HASH[0]
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MIX_HASH[1] & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        pool = [_mix(p, hashmix(w)) for p in pool]
+    # The client id is the last word (ids index shards, so each fits in one):
+    # row d of the (4, clients) arrays folds it into pool[d] with the d-th
+    # of the next 4 hash constants.
+    consts = _hash_consts(hash_const, _MIX_HASH[1], 5)
+    mask, shift = np.uint64(_MASK32), np.uint64(16)
+    folded = (np.array(ids, dtype=np.uint64) ^ consts[:4]) * consts[1:] & mask
+    folded ^= folded >> shift
+    left = np.array([_MIX_MULT[0] * p & _MASK32 for p in pool], dtype=np.uint64)[:, None]
+    mixed = (left - np.uint64(_MIX_MULT[1]) * folded) & mask
+    mixed ^= mixed >> shift
+    out_consts = _hash_consts(*_OUT_HASH, 9)
+    out = (mixed[[0, 1, 2, 3, 0, 1, 2, 3]] ^ out_consts[:8]) * out_consts[1:] & mask
+    out ^= out >> shift
+    # Little-endian pairs of the 8 words: one contiguous row of 4 uint64 per client.
+    seeds = np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in seeds]
+
+
 def _training_groups(state: FederationState, selected) -> list[tuple[int, ...]]:
     """The selected ids cut into local_train calls: equal shard sizes, capped stacks."""
     by_size = {}
@@ -233,12 +315,10 @@ def global_round(state: FederationState, epoch: int) -> RoundRecord:
     selected = select_clients(
         _rng(state, _STREAM_SELECT, epoch), cfg.total_clients, cfg.clients_per_round
     )
+    rngs = dict(zip(selected, _client_rngs(state, epoch, selected)))
     stacks = [
         local_train(
-            state.model,
-            [state.shards[cid] for cid in group],
-            cfg,
-            [_rng(state, _STREAM_CLIENT, epoch, cid) for cid in group],
+            state.model, [state.shards[cid] for cid in group], cfg, [rngs[cid] for cid in group]
         )
         for group in _training_groups(state, selected)
     ]

@@ -7,6 +7,8 @@ trains each round's clients as one stack. The cross-device config has 300
 clients of 4 samples and trains 120 of them a round in 10 stacks, and kmeans
 eliminates clients from several stacks of one round, so the locked numbers
 depend on which slice of which stack every retained client is averaged from.
+A smaller cross-device config at seed 2**64 + 5 locks the path where the seed
+spans three 32-bit entropy words of every generator.
 A change that alters these numbers on purpose rewrites both files (run this
 module) and says why.
 """
@@ -42,6 +44,17 @@ CROSS_DEVICE = FederationConfig(
     defense=DefenseConfig(kind="kmeans", kmeans_guard=3.0),
 )
 
+# Seed 2**64 + 5: three 32-bit words, so every client stream's entropy has seven.
+MULTIWORD_SEED = replace(
+    CROSS_DEVICE,
+    total_clients=60,
+    clients_per_round=30,
+    global_epochs=4,
+    repeats=2,
+    seed=2**64 + 5,
+)
+MULTIWORD_KEY = f"seed={MULTIWORD_SEED.seed}"
+
 
 def synthetic_pair(per_class: int, seed: int):
     """The CLI's default synthetic train and test sets, with per_class training samples."""
@@ -65,12 +78,20 @@ def desk_epoch_means() -> dict:
     }
 
 
-def cross_device_rounds() -> dict:
-    """The cross-device experiment's epoch_means and every round's eliminated ids, per repeat."""
-    report = run_experiment(CROSS_DEVICE, *synthetic_pair(120, CROSS_DEVICE.seed))
+def experiment_rounds(config: FederationConfig, per_class: int) -> dict:
+    """An experiment's epoch_means and every round's eliminated ids, per repeat."""
+    report = run_experiment(config, *synthetic_pair(per_class, config.seed))
     return {
         "epoch_means": report.epoch_means,
         "eliminated": [[list(record.eliminated) for record in run] for run in report.runs],
+    }
+
+
+def cross_device_rounds() -> dict:
+    """The cross-device lock, with the multi-word-seed lock under MULTIWORD_KEY."""
+    return {
+        **experiment_rounds(CROSS_DEVICE, 120),
+        MULTIWORD_KEY: experiment_rounds(MULTIWORD_SEED, 24),
     }
 
 
@@ -89,10 +110,18 @@ def test_desk_epoch_means_match_golden():
 
 
 def test_cross_device_rounds_match_golden():
-    got = cross_device_rounds()
+    got = experiment_rounds(CROSS_DEVICE, 120)
     want = json.loads(CROSS_DEVICE_GOLDEN.read_text(encoding="utf-8"))
     assert got["eliminated"] == want["eliminated"]
     assert_means_match(got["epoch_means"], want["epoch_means"], "cross_device")
+
+
+def test_multiword_seed_rounds_match_golden():
+    got = experiment_rounds(MULTIWORD_SEED, 24)
+    want = json.loads(CROSS_DEVICE_GOLDEN.read_text(encoding="utf-8"))[MULTIWORD_KEY]
+    assert got["eliminated"] == want["eliminated"]
+    assert any(any(run) for run in got["eliminated"]), "the lock should eliminate someone"
+    assert_means_match(got["epoch_means"], want["epoch_means"], MULTIWORD_KEY)
 
 
 def test_cross_device_lock_spans_stacks():

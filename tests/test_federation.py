@@ -309,6 +309,43 @@ def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_pe
             assert_same_update(update, i, want)
 
 
+# --- client generators ---------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.one_of(
+        st.integers(0, 2**96),
+        st.sampled_from([2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 5, 2**96]),
+    ),
+    repeat=st.integers(0, 2**33),
+    epoch=st.integers(0, 500),
+    ids=st.sets(st.integers(0, 100_000), min_size=1, max_size=12).map(sorted),
+    n=st.integers(1, 9),
+)
+def test_client_rngs_match_default_rng(seed, repeat, epoch, ids, n):
+    """Every client generator starts where default_rng([seed, repeat, 4, epoch, cid])
+    does, and drawing from one leaves the next where it started."""
+    state = federation.FederationState(None, [], None, None, seed_prefix=(seed, repeat))
+    rngs = federation._client_rngs(state, epoch, ids)
+    assert len(rngs) == len(ids)
+    for cid, rng in zip(ids, rngs):
+        want = np.random.default_rng([seed, repeat, federation._STREAM_CLIENT, epoch, cid])
+        assert federation._rng(state, federation._STREAM_CLIENT, epoch, cid).bit_generator.state == (
+            want.bit_generator.state
+        )
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(rng.permutation(n), want.permutation(n))
+        assert rng.random() == want.random()
+
+
+def test_seed_words_refuse_another_request():
+    words = federation._SeedWords(np.arange(4, dtype=np.uint64))
+    assert words.generate_state(4, np.uint64) is words.words
+    for request in ((8, np.uint32), (2, np.uint64), (4, np.uint32)):
+        with pytest.raises(ValueError, match="have 4 uint64 words"):
+            words.generate_state(*request)
+
+
 # --- experiment loop ---------------------------------------------------------
 
 def test_run_experiment_deterministic():
