@@ -46,14 +46,14 @@ class DefenseConfig:
             raise ValueError(f"kmeans_max_iters {self.kmeans_max_iters} must be non-negative")
 
 
-def _losses(reports, minimum=1) -> tuple[list, np.ndarray]:
+def _losses(reports) -> tuple[list, np.ndarray]:
     """The reporting client ids in ascending order, and their losses in that order.
 
     The one reader of a {client_id: noisy_loss} map: every verdict and
     diagnostic is computed in id order, so none depends on the map's order.
     """
-    if len(reports) < minimum:
-        raise ValueError(f"need at least {minimum} loss report(s), got {len(reports)}")
+    if not reports:
+        raise ValueError("need at least 1 loss report, got 0")
     ids = sorted(reports)
     losses = np.array([reports[cid] for cid in ids], dtype=np.float64)
     if not np.isfinite(losses).all():
@@ -110,7 +110,7 @@ def eliminate_zscore(reports, config: DefenseConfig) -> EliminationOutcome:
     Uses the population standard deviation. With zscore_one_sided only
     unusually high losses are dropped, never unusually low ones.
     """
-    ids, losses = _losses(reports, minimum=2)
+    ids, losses = _losses(reports)
     mu = float(losses.mean())
     sigma = float(losses.std())
     diagnostics = {"mean": mu, "std": sigma}
@@ -128,7 +128,7 @@ def eliminate_kmeans(reports, config: DefenseConfig) -> EliminationOutcome:
     the centroid gap exceeds kmeans_guard times the pooled within-cluster
     spread; guard 0 recovers the unconditional split-and-drop behavior.
     """
-    ids, losses = _losses(reports, minimum=2)
+    ids, losses = _losses(reports)
     c_low, c_high = float(losses.min()), float(losses.max())
     if c_high - c_low < 1e-15:
         diagnostics = {"centroids": (c_low, c_high), "pooled_std": 0.0, "guard_passed": False}

@@ -7,8 +7,9 @@ filters the reports, FedAvg averages the surviving weights, and the new
 model is scored on a held-out honest test set. Everything is driven by
 explicit seeded generators, so a config fully determines every round record.
 Client cid in epoch e of repeat r draws from exactly
-np.random.default_rng([seed, r, 4, e, cid]). fedsim computes, for a whole
-round at once, the words that call's SeedSequence would seed PCG64 with.
+np.random.default_rng([seed, r, 4, e, cid]). numpy's SeedSequence mixes the
+round's shared prefix [seed, r, 4, e] once; fedsim folds in the client ids
+and hashes out PCG64's seeding words in one vector pass.
 """
 
 from __future__ import annotations
@@ -221,18 +222,9 @@ class FederationState:
     seed_prefix: tuple  # rng namespace: (master_seed, repeat)
 
 
-def _rng(state: FederationState, *tail) -> np.random.Generator:
-    return np.random.default_rng([*state.seed_prefix, *tail])
-
-
 def _hash_consts(start: int, mult: int, count: int) -> np.ndarray:
     """A uint64 column of SeedSequence's running hash constant: start * mult**i mod 2**32."""
     return np.array([start * pow(mult, i, 1 << 32) & _MASK32 for i in range(count)], dtype=np.uint64)[:, None]
-
-
-def _mix(x: int, y: int) -> int:
-    r = (_MIX_MULT[0] * x - _MIX_MULT[1] * y) & _MASK32
-    return r ^ r >> 16
 
 
 class _SeedWords(ISeedSequence):
@@ -247,45 +239,26 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def _client_rngs(state: FederationState, epoch: int, ids) -> list[np.random.Generator]:
-    """One generator per client id, each where _rng(state, _STREAM_CLIENT, epoch, cid) starts.
+def _client_rngs(entropy, ids) -> list[np.random.Generator]:
+    """The generators [np.random.default_rng([*entropy, cid]) for cid in ids] would build.
 
-    A client's entropy differs from the others' of the round only in its
-    last word, cid, so SeedSequence's pool is mixed from the rest once, in
-    Python ints. Every client id is folded in, and PCG64's four seeding words
-    hashed out, in one uint64 vector pass; PCG64 takes those words as they
-    are instead of a SeedSequence of its own.
+    Needs at least four 32-bit words of entropy and every id below 2**32.
+    The entropy is the same for every id, so numpy's SeedSequence mixes its
+    pool once. Every id is then folded into that pool, and PCG64's four
+    seeding words hashed out, in one uint64 vector pass; PCG64 takes those
+    words as they are instead of a SeedSequence of its own.
     """
-    words = []
-    for n in (*state.seed_prefix, _STREAM_CLIENT, epoch):
-        words.append(n & _MASK32)  # little-endian 32-bit words; 0 is one word
-        while n := n >> 32:
-            words.append(n & _MASK32)
-    hash_const = _MIX_HASH[0]
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * _MIX_HASH[1] & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        pool = [_mix(p, hashmix(w)) for p in pool]
-    # The client id is the last word (ids index shards, so each fits in one):
-    # row d of the (4, clients) arrays folds it into pool[d] with the d-th
-    # of the next 4 hash constants.
-    consts = _hash_consts(hash_const, _MIX_HASH[1], 5)
+    pool = np.random.SeedSequence(entropy).pool.astype(np.uint64)[:, None]
+    # Mixing the pool advanced the hash constant 4 times per 32-bit entropy word
+    # (0 is one word): 4 initial hashes, 12 cross-mixes, 4 per word past the fourth.
+    words = sum(max(1, -(-n.bit_length() // 32)) for n in entropy)
+    # Row d of the (4, clients) arrays folds the id into pool[d] with the
+    # d-th of the next 4 hash constants.
+    consts = _hash_consts(_MIX_HASH[0] * pow(_MIX_HASH[1], 4 * words, 1 << 32) & _MASK32, _MIX_HASH[1], 5)
     mask, shift = np.uint64(_MASK32), np.uint64(16)
     folded = (np.array(ids, dtype=np.uint64) ^ consts[:4]) * consts[1:] & mask
     folded ^= folded >> shift
-    left = np.array([_MIX_MULT[0] * p & _MASK32 for p in pool], dtype=np.uint64)[:, None]
-    mixed = (left - np.uint64(_MIX_MULT[1]) * folded) & mask
+    mixed = ((pool * np.uint64(_MIX_MULT[0]) & mask) - np.uint64(_MIX_MULT[1]) * folded) & mask
     mixed ^= mixed >> shift
     out_consts = _hash_consts(*_OUT_HASH, 9)
     out = (mixed[[0, 1, 2, 3, 0, 1, 2, 3]] ^ out_consts[:8]) * out_consts[1:] & mask
@@ -313,9 +286,11 @@ def global_round(state: FederationState, epoch: int) -> RoundRecord:
     """Run one global epoch in place and return its record."""
     cfg = state.config
     selected = select_clients(
-        _rng(state, _STREAM_SELECT, epoch), cfg.total_clients, cfg.clients_per_round
+        np.random.default_rng([*state.seed_prefix, _STREAM_SELECT, epoch]),
+        cfg.total_clients,
+        cfg.clients_per_round,
     )
-    rngs = dict(zip(selected, _client_rngs(state, epoch, selected)))
+    rngs = dict(zip(selected, _client_rngs([*state.seed_prefix, _STREAM_CLIENT, epoch], selected)))
     stacks = [
         local_train(
             state.model, [state.shards[cid] for cid in group], cfg, [rngs[cid] for cid in group]

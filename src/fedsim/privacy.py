@@ -24,6 +24,9 @@ class LdpConfig:
         for name in ("epsilon", "sensitivity"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} {getattr(self, name)} must be positive and finite")
+        if not 0 < laplace_scale(self) < np.inf:
+            pair = f"sensitivity {self.sensitivity} / epsilon {self.epsilon}"
+            raise ValueError(f"noise scale {pair} must be positive and finite")
 
 
 def laplace_scale(config: LdpConfig) -> float:
@@ -36,8 +39,8 @@ def _laplace_noise(b: float, uniform):
 
     Maps each draw to u in [-0.5, 0.5) and returns -b * sign(u) * ln(1 - 2|u|).
     """
-    if b <= 0:
-        raise ValueError("scale b must be positive")
+    if not 0 < b < np.inf:
+        raise ValueError(f"scale b {b} must be positive and finite")
     u = uniform - 0.5
     # rng.random() can return exactly 0.0, which maps u to the closed
     # endpoint -0.5 and the formula to -inf; nudge inside the open interval.

@@ -178,6 +178,15 @@ def test_run_seed_override_changes_results(tmp_path):
     assert summary["config"]["seed"] == 9
 
 
+@pytest.mark.parametrize("kind", ["zscore", "kmeans"])
+def test_run_one_client_per_round_exits_0(tmp_path, kind):
+    """A lone report is retained by the zero-spread branch, as by every other kind."""
+    config = write_config(tmp_path, {"clients_per_round": 1, "defense": {"kind": kind}})
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    _, rows = read_csv(tmp_path / "o" / "rounds.csv")
+    assert {row["eliminated_count"] for row in rows} == {"0"}
+
+
 def test_run_float_format_nine_significant_digits(tmp_path):
     config = write_config(tmp_path)
     out = tmp_path / "out"
@@ -254,6 +263,8 @@ BAD_INPUTS = {
     "client_lr_nan": ({"client_lr": NAN}, "run"),
     "ldp_epsilon_infinite": ({"ldp": {"epsilon": INF}}, "run"),
     "ldp_sensitivity_nan": ({"ldp": {"sensitivity": NAN}}, "run"),
+    "ldp_scale_underflows": ({"ldp": {"epsilon": 1e300, "sensitivity": 1e-300}}, "run"),
+    "ldp_scale_overflows": ({"ldp": {"epsilon": 1e-300, "sensitivity": 1e300}}, "run"),
     "dataset_separation_nan": ({"dataset": {**SMALL_CONFIG["dataset"], "separation": NAN}}, "run"),
     "idx_test_set_empty": (idx_dataset(4, 4, test_count=0), "run"),
     "dataset_classes_beyond_patterns": ({"dataset": {"type": "synthetic", "num_classes": 75, "dim": 6}}, "run"),

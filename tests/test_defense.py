@@ -23,7 +23,7 @@ def fixed(fraction):
 
 
 finite_losses = st.lists(
-    st.floats(-10, 10, allow_nan=False, allow_infinity=False), min_size=2, max_size=12
+    st.floats(-10, 10, allow_nan=False, allow_infinity=False), min_size=1, max_size=12
 )
 
 

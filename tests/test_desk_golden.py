@@ -17,6 +17,7 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedsim import DefenseConfig, FederationConfig, federation, run_experiment, synthesize
@@ -132,7 +133,7 @@ def test_cross_device_lock_spans_stacks():
     stacks_hit = []
     for epoch, eliminated in enumerate(want["eliminated"][0]):
         selected = federation.select_clients(
-            federation._rng(state, federation._STREAM_SELECT, epoch),
+            np.random.default_rng([*state.seed_prefix, federation._STREAM_SELECT, epoch]),
             CROSS_DEVICE.total_clients,
             CROSS_DEVICE.clients_per_round,
         )

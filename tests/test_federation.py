@@ -304,7 +304,8 @@ def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_pe
         for i, cid in enumerate(ids):
             want = reference_local_train(
                 model_before, state.shards[cid], cfg.client_epochs, cfg.client_lr,
-                cfg.batch_size, cfg.ldp, federation._rng(state, federation._STREAM_CLIENT, 0, cid),
+                cfg.batch_size, cfg.ldp,
+                np.random.default_rng([*state.seed_prefix, federation._STREAM_CLIENT, 0, cid]),
             )
             assert_same_update(update, i, want)
 
@@ -318,21 +319,19 @@ def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_pe
         st.sampled_from([2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 5, 2**96]),
     ),
     repeat=st.integers(0, 2**33),
-    epoch=st.integers(0, 500),
+    # Past each 32-bit word boundary, so every prefix field changes the word count.
+    epoch=st.one_of(st.integers(0, 500), st.sampled_from([2**32 - 1, 2**32, 2**64])),
     ids=st.sets(st.integers(0, 100_000), min_size=1, max_size=12).map(sorted),
     n=st.integers(1, 9),
 )
 def test_client_rngs_match_default_rng(seed, repeat, epoch, ids, n):
     """Every client generator starts where default_rng([seed, repeat, 4, epoch, cid])
     does, and drawing from one leaves the next where it started."""
-    state = federation.FederationState(None, [], None, None, seed_prefix=(seed, repeat))
-    rngs = federation._client_rngs(state, epoch, ids)
+    entropy = [seed, repeat, federation._STREAM_CLIENT, epoch]
+    rngs = federation._client_rngs(entropy, ids)
     assert len(rngs) == len(ids)
     for cid, rng in zip(ids, rngs):
-        want = np.random.default_rng([seed, repeat, federation._STREAM_CLIENT, epoch, cid])
-        assert federation._rng(state, federation._STREAM_CLIENT, epoch, cid).bit_generator.state == (
-            want.bit_generator.state
-        )
+        want = np.random.default_rng([*entropy, cid])
         assert rng.bit_generator.state == want.bit_generator.state
         assert np.array_equal(rng.permutation(n), want.permutation(n))
         assert rng.random() == want.random()
@@ -466,6 +465,12 @@ OUT_OF_RANGE = {
     "kmeans_max_iters_negative": (lambda: DefenseConfig(kmeans_max_iters=-5), "kmeans_max_iters -5"),
     "epsilon_infinite": (lambda: LdpConfig(epsilon=INF), "epsilon inf"),
     "sensitivity_nan": (lambda: LdpConfig(sensitivity=NAN), "sensitivity nan"),
+    "ldp_scale_underflows": (
+        lambda: LdpConfig(epsilon=1e300, sensitivity=1e-300), "sensitivity 1e-300 / epsilon 1e+300"
+    ),
+    "ldp_scale_overflows": (
+        lambda: LdpConfig(epsilon=1e-300, sensitivity=1e300), "sensitivity 1e+300 / epsilon 1e-300"
+    ),
     "separation_nan": (lambda: synthesize(4, 5, 8, NAN, seed=0), "separation nan"),
     "noise_std_infinite": (lambda: synthesize(4, 5, 8, 6.0, seed=0, noise_std=INF), "noise_std inf"),
     "noise_std_negative": (lambda: synthesize(4, 5, 8, 6.0, seed=0, noise_std=-1.0), "noise_std -1.0"),

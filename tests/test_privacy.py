@@ -36,8 +36,9 @@ def test_sampler_scalar_and_array_modes():
 
 
 def test_sampler_rejects_nonpositive_scale():
-    with pytest.raises(ValueError):
-        privacy.laplace_sample(0.0, np.random.default_rng(0))
+    for b in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"scale b {b} must be positive"):
+            privacy.laplace_sample(b, np.random.default_rng(0))
 
 
 def test_sampler_finite_across_many_draws():
