@@ -29,8 +29,9 @@ class Dataset:
     def __post_init__(self):
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("feature/label count mismatch")
-        if self.labels.size and int(self.labels.max()) >= self.num_classes:
-            raise ValueError("label out of range")
+        outside = self.labels[(self.labels < 0) | (self.labels >= self.num_classes)]
+        if outside.size:
+            raise ValueError(f"label {outside[0]} outside [0, {self.num_classes})")
 
     def __len__(self) -> int:
         return self.features.shape[0]

@@ -147,7 +147,11 @@ def local_train(
     leading client axis, which computes exactly what training each client
     alone would. Each client draws from its own generator in rngs, in the
     same order as alone: one permutation per epoch, then the Laplace noise.
-    Returns the trained stack and its reports, in shard order.
+    Returns the trained stack and its reports, in shard order. The stack
+    starts as a read-only broadcast of global_model, which is never written.
+    Its first step, through the pure nn.backward and nn.sgd_step, gives it
+    C-contiguous arrays of its own; nn.descend updates those in place,
+    relying on the training-start loss pass to have checked the labels.
 
     The raw loss is the shard's mean loss under the incoming global model,
     monitored at the start of local training; only the noised value leaves
@@ -180,8 +184,11 @@ def local_train(
         perm = np.stack([rng.permutation(n) for rng in rngs]) + offsets
         for start in range(0, n, config.batch_size):
             idx = perm[:, start : start + config.batch_size]
-            grads, _ = nn.backward(model, features[idx], labels[idx])
-            model = nn.sgd_step(model, grads, config.client_lr)
+            if model.weights[0].flags.writeable:
+                nn.descend(model, features[idx], labels[idx], config.client_lr)
+            else:
+                grads, _ = nn.backward(model, features[idx], labels[idx])
+                model = nn.sgd_step(model, grads, config.client_lr)
     return StackUpdate(
         tuple(shard.client_id for shard in shards), model, perturb_loss(raw_losses, config.ldp, rngs)
     )

@@ -1,8 +1,8 @@
 """Minimal dense neural-network engine.
 
 Forward pass, softmax cross-entropy, backpropagation and plain SGD for a
-fully connected ReLU network. Everything is float64 and purely functional:
-no layer objects, no hidden state, just arrays in and arrays out.
+fully connected ReLU network in float64. forward, backward and sgd_step are
+pure; descend writes an SGD step into the arrays of a model its caller owns.
 
 Every function also takes a stack of models with a leading client axis:
 weights of shape (C, out, in), inputs of shape (C, rows, in) and labels of
@@ -80,10 +80,26 @@ def _forward_trace(model: ModelParams, inputs: np.ndarray):
     a = inputs
     last = len(model.weights) - 1
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.swapaxes(-1, -2) + b[..., None, :]
-        a = z if k == last else np.maximum(z, 0.0)
+        # Bias and ReLU in place: the same bits, one full-size array per layer.
+        a = a @ w.swapaxes(-1, -2)
+        a += b[..., None, :]
+        if k != last:
+            np.maximum(a, 0.0, out=a)
         activations.append(a)
     return activations
+
+
+def _softmax_grad(logits: np.ndarray, labels: np.ndarray):
+    """Row-max-shifted logits, their exp-sums, each label's flat position, and
+    d mean loss / d logits = (softmax - one-hot) / rows. Labels unchecked."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    grad = np.exp(shifted, order="C")  # C order, so reshape(-1) below is a view
+    total = grad.sum(axis=-1, keepdims=True)
+    grad /= total
+    picks = np.arange(labels.size) * logits.shape[-1] + labels.ravel()
+    grad.reshape(-1)[picks] -= 1.0
+    grad /= logits.shape[-2]
+    return shifted, total, picks, grad
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float | np.ndarray, np.ndarray]:
@@ -95,35 +111,34 @@ def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float | np.ndarra
     """
     labels = np.asarray(labels)
     num_classes = logits.shape[-1]
-    n = logits.shape[-2]
     if labels.shape != logits.shape[:-1]:
         raise ShapeMismatchError(f"labels {labels.shape} for logits {logits.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError(f"label out of range [0, {num_classes})")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    total = exp.sum(axis=-1, keepdims=True)
-    probs = exp / total
-    log_probs = shifted - np.log(total)
-    # Flat positions of each row's label entry, so one pick serves any leading axes.
-    picks = np.arange(labels.size) * num_classes + labels.ravel()
-    loss = -log_probs.reshape(-1)[picks].reshape(labels.shape).mean(axis=-1)
-    probs.reshape(-1)[picks] -= 1.0
-    return (float(loss) if loss.ndim == 0 else loss), probs / n
+    shifted, total, picks, grad = _softmax_grad(logits, labels)
+    log_probs = shifted.reshape(-1)[picks] - np.log(total.reshape(-1))
+    loss = -log_probs.reshape(labels.shape).mean(axis=-1)
+    return (float(loss) if loss.ndim == 0 else loss), grad
+
+
+def _gradients(model: ModelParams, activations, delta: np.ndarray):
+    """Each layer's (weight, bias) gradients from delta = d loss / d logits,
+    last layer first. A layer's weights have fed the next delta by the time
+    its gradients are yielded, so the caller may then overwrite that layer."""
+    for k in range(len(model.weights) - 1, -1, -1):
+        grad_w = delta.swapaxes(-1, -2) @ activations[k]
+        grad_b = delta.sum(axis=-2)
+        if k > 0:
+            delta = (delta @ model.weights[k]) * (activations[k] > 0)
+        yield grad_w, grad_b
 
 
 def backward(model: ModelParams, inputs: np.ndarray, labels) -> tuple[ModelParams, float | np.ndarray]:
     """Gradients of the mean cross-entropy loss w.r.t. every parameter, and that loss."""
     activations = _forward_trace(model, inputs)
     loss, delta = softmax_cross_entropy(activations[-1], labels)
-    grad_w = [None] * len(model.weights)
-    grad_b = [None] * len(model.biases)
-    for k in range(len(model.weights) - 1, -1, -1):
-        grad_w[k] = delta.swapaxes(-1, -2) @ activations[k]
-        grad_b[k] = delta.sum(axis=-2)
-        if k > 0:
-            delta = (delta @ model.weights[k]) * (activations[k] > 0)
-    return ModelParams(tuple(grad_w), tuple(grad_b)), loss
+    grad_w, grad_b = zip(*reversed(list(_gradients(model, activations, delta))))
+    return ModelParams(grad_w, grad_b), loss
 
 
 def _step(p: np.ndarray, g: np.ndarray, lr: float) -> np.ndarray:
@@ -142,3 +157,20 @@ def sgd_step(model: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
         tuple(_step(w, g, lr) for w, g in zip(model.weights, grads.weights)),
         tuple(_step(b, g, lr) for b, g in zip(model.biases, grads.biases)),
     )
+
+
+def descend(model: ModelParams, inputs: np.ndarray, labels: np.ndarray, lr: float) -> None:
+    """Write sgd_step(model, backward(model, inputs, labels)[0], lr) into model's arrays.
+
+    Same bits, minus the loss, the checks and a new ModelParams. A read-only
+    array (a broadcast view) raises ValueError; nothing is copied.
+    Precondition: inputs fit the model and every label lies in [0, classes),
+    as a softmax_cross_entropy pass over the same rows has checked.
+    """
+    activations = _forward_trace(model, inputs)
+    delta = _softmax_grad(activations[-1], labels)[-1]
+    layers = zip(reversed(model.weights), reversed(model.biases))
+    for (w, b), (grad_w, grad_b) in zip(layers, _gradients(model, activations, delta)):
+        for p, g in ((w, grad_w), (b, grad_b)):
+            g *= lr
+            p -= g

@@ -44,11 +44,16 @@ def run(kind, fraction):
     )
     report = federation.run_experiment(config, train, test)
     final = report.final_means
+    records = [rec for run in report.runs for rec in run]
     return {
         "accuracy": final["accuracy"],
         "recall": final["source_recall"],
         "det_accuracy": report.mean_det_accuracy,
         "det_f1": report.mean_det_f1,
+        "rounds": len(records),
+        "rounds_with_cut": sum(1 for rec in records if rec.eliminated),
+        "reports": sum(len(rec.selected) for rec in records),
+        "cut": sum(rec.eliminated_count for rec in records),
     }
 
 
@@ -304,4 +309,22 @@ def test_a8_eliminator_unit_oracles():
 
     passed = all(checks)
     report_line("A8", passed, f"{sum(checks)}/{len(checks)} eliminator worked examples exact")
+    assert passed
+
+
+def test_a9_honest_client_cost():
+    """The README's figure: with no attacker, kmeans still cuts honest clients.
+
+    Training is deterministic, so the counts are pinned exactly; any change to
+    them is a change to the README's claim.
+    """
+    r = run("kmeans", 0.0)
+    counts = (r["rounds_with_cut"], r["rounds"], r["cut"], r["reports"])
+    passed = counts == (22, 45, 44, 450)
+    report_line(
+        "A9",
+        passed,
+        f"kmeans@0.0 cut honest clients in {counts[0]}/{counts[1]} rounds (22/45), "
+        f"{counts[2]}/{counts[3]} reports (44/450)",
+    )
     assert passed

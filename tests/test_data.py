@@ -1,5 +1,6 @@
 """Tests for IDX parsing, synthesis, partitioning and the label-flip transform."""
 
+import re
 import struct
 
 import numpy as np
@@ -182,3 +183,10 @@ def test_poison_labels_requires_malicious_flag():
     with pytest.raises(ValueError):
         data.poison_labels(shard, 5, 3)
 
+
+@pytest.mark.parametrize(
+    "labels, shown", [([-1, 0, 1, 0], "label -1 outside [0, 2)"), ([0, 1, 2, 0], "label 2 outside [0, 2)")]
+)
+def test_dataset_rejects_label_outside_classes_by_value(labels, shown):
+    with pytest.raises(ValueError, match=re.escape(shown)):
+        data.Dataset(np.zeros((4, 3)), np.array(labels), 2)

@@ -247,6 +247,41 @@ def test_local_train_matches_per_client_loop_bit_for_bit():
         )
 
 
+@pytest.mark.parametrize("clients", [1, 3])
+def test_local_train_owns_contiguous_weights_and_leaves_global_model_alone(clients):
+    """The first step copies the stack out of the read-only broadcast; later steps
+    write only into that copy."""
+    rng = np.random.default_rng(4)
+    shards = [make_shard(rng, n=13, dim=6, classes=4, cid=cid) for cid in range(clients)]
+    model = nn.init_params((6, 9, 4), rng)
+    before = [a.tobytes() for a in model.weights + model.biases]
+    got = federation.local_train(
+        model, shards, train_config(3, 0.4, 5), [np.random.default_rng(cid) for cid in range(clients)]
+    )
+    assert [a.tobytes() for a in model.weights + model.biases] == before
+    for a in got.weights.weights + got.weights.biases:
+        assert a.flags.c_contiguous and a.flags.writeable
+
+
+@pytest.mark.parametrize("label", [3, -1])
+def test_local_train_rejects_out_of_range_label_before_any_step(monkeypatch, label):
+    rng = np.random.default_rng(6)
+    shards = [make_shard(rng, cid=0), make_shard(rng, cid=1)]
+    shards[1].data.labels[5] = label  # past Dataset's check: only local_train's own can catch it
+    model = nn.init_params((4, 3), rng)
+    rngs = [np.random.default_rng(i) for i in range(2)]
+    states = [r.bit_generator.state for r in rngs]
+
+    def no_step(*args):
+        raise AssertionError("a training step ran")
+
+    for name in ("backward", "sgd_step", "descend"):
+        monkeypatch.setattr(nn, name, no_step)
+    with pytest.raises(ValueError, match=re.escape("label out of range [0, 3)")):
+        federation.local_train(model, shards, train_config(2, 0.5, 4), rngs)
+    assert [r.bit_generator.state for r in rngs] == states
+
+
 def test_local_train_rejects_unequal_shards_and_missing_generators():
     rng = np.random.default_rng(0)
     model = nn.init_params((4, 3), rng)

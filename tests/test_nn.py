@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim import nn
 
@@ -78,6 +80,8 @@ def test_loss_gradient_wrt_logits_finite_difference():
     logits = rng.standard_normal((5, 4))
     labels = rng.integers(0, 4, size=5)
     _, grad = nn.softmax_cross_entropy(logits, labels)
+    # Column-major logits hold the same values, so they must give the same gradient.
+    assert nn.softmax_cross_entropy(np.asfortranarray(logits), labels)[1].tobytes() == grad.tobytes()
     eps = 1e-6
     for i in range(5):
         for j in range(4):
@@ -205,6 +209,52 @@ def test_stacked_models_compute_each_slice_bit_for_bit():
             assert a[i].tobytes() == b.tobytes()
         for a, b in zip(arrays(stepped), arrays(nn.sgd_step(model, grad, 0.3))):
             assert a[i].tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    hidden=st.sampled_from([(), (6,), (7, 5)]),
+    clients=st.sampled_from([None, 1, 3]),
+    samples=st.integers(1, 13),
+    batch_size=st.integers(1, 6),
+    lr=st.sampled_from([0.05, 0.3, 0.6, 1.7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_descend_matches_sgd_step_of_backward(hidden, clients, samples, batch_size, lr, seed):
+    """An epoch of in-place steps, short last batch included, ends on the bits
+    of the same epoch of pure steps, for lone and stacked models."""
+    rng = np.random.default_rng(seed)
+    dims = (5, *hidden, 4)
+    lead = () if clients is None else (clients,)
+    pure = nn.ModelParams(
+        tuple(rng.standard_normal((*lead, out, fan_in)) for fan_in, out in zip(dims[:-1], dims[1:])),
+        tuple(rng.standard_normal((*lead, out)) * 0.1 for out in dims[1:]),
+    )
+    owned = nn.ModelParams(tuple(w.copy() for w in pure.weights), tuple(b.copy() for b in pure.biases))
+    x = rng.standard_normal((*lead, samples, dims[0]))
+    y = rng.integers(0, dims[-1], size=(*lead, samples))
+    for start in range(0, samples, batch_size):
+        batch = (x[..., start : start + batch_size, :], y[..., start : start + batch_size])
+        pure = nn.sgd_step(pure, nn.backward(pure, *batch)[0], lr)
+        assert nn.descend(owned, *batch, lr) is None
+        for got, want in zip(arrays(owned), arrays(pure)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_descend_refuses_a_read_only_stack():
+    """A broadcast view is read-only: descend raises rather than copy or write through it."""
+    rng = np.random.default_rng(8)
+    model, dims = random_model(rng)
+    stacked = nn.ModelParams(
+        tuple(np.broadcast_to(w, (3, *w.shape)) for w in model.weights),
+        tuple(np.broadcast_to(b, (3, *b.shape)) for b in model.biases),
+    )
+    before = [a.tobytes() for a in arrays(model)]
+    x = rng.standard_normal((3, 4, dims[0]))
+    y = rng.integers(0, dims[-1], size=(3, 4))
+    with pytest.raises(ValueError, match="read-only"):
+        nn.descend(stacked, x, y, 0.3)
+    assert [a.tobytes() for a in arrays(model)] == before
 
 
 def test_stacked_shapes_are_checked():
