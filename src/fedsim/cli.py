@@ -35,7 +35,6 @@ SWEEP_COLUMNS = (
 class ExperimentSpec:
     dataset: SyntheticData | IdxData
     federation: FederationConfig
-    sweep: tuple[float, ...] | None = None
 
 
 def _build(cls, section: str, given):
@@ -60,16 +59,17 @@ def _build(cls, section: str, given):
     return cls(**values)
 
 
-def _sweep_fractions(values) -> tuple[float, ...]:
-    """A validated sweep list of numbers, from the config or from --fractions."""
-    if type(values) is not list or not values or any(type(f) not in (int, float) for f in values):
-        raise ValueError(f"sweep must be a nonempty list of numbers, got {values!r}")
-    fractions = tuple(float(f) for f in values)
-    for f in fractions:
-        if not 0.0 <= f <= 0.5:
-            raise ValueError(f"sweep fraction {f} outside the supported [0, 0.5]")
-    if len({_fmt(f) for f in fractions}) < len(fractions):
-        raise ValueError(f"sweep fractions {values} repeat a fraction, to 9 significant digits")
+def _sweep_fractions(text: str) -> tuple[float, ...]:
+    """The validated malicious fractions of a --fractions comma string."""
+    try:
+        fractions = tuple(float(f) for f in text.split(","))
+        for f in fractions:
+            if not 0.0 <= f <= 0.5:
+                raise ValueError(f"sweep fraction {f} outside the supported [0, 0.5]")
+        if len({_fmt(f) for f in fractions}) < len(fractions):
+            raise ValueError("sweep fractions repeat a fraction, to 9 significant digits")
+    except ValueError as exc:
+        raise ValueError(f"--fractions {text!r}: {exc}") from None
     return fractions
 
 
@@ -102,11 +102,9 @@ def parse_config(path) -> ExperimentSpec:
     kind = dataset.get("type") if type(dataset) is dict else None
     if type(kind) is not str or kind not in _DATASETS:
         raise ValueError(f"dataset must be an object of type 'synthetic' or 'idx', got {dataset!r}")
-    sweep = raw.pop("sweep", None)
     return ExperimentSpec(
         _build(_DATASETS[kind], "dataset", {k: v for k, v in dataset.items() if k != "type"}),
         _build(FederationConfig, "config", raw),
-        None if sweep is None else _sweep_fractions(sweep),
     )
 
 
@@ -156,7 +154,7 @@ def write_reports(spec: ExperimentSpec, report: ExperimentReport, out_dir: Path)
         "final_epoch_means": report.final_means,
         "mean_det_accuracy": report.mean_det_accuracy,
         "mean_det_f1": report.mean_det_f1,
-        "config": {"dataset": {"type": kind, **asdict(spec.dataset)}, **asdict(fed), "sweep": spec.sweep},
+        "config": {"dataset": {"type": kind, **asdict(spec.dataset)}, **asdict(fed)},
     }
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -173,14 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to a JSON experiment config")
     common.add_argument("--out", default="out", help="output directory")
-    p_run = sub.add_parser("run", parents=[common], help="run a single experiment")
-    p_run.add_argument("--seed", type=int, help="override the config seed")
+    sub.add_parser("run", parents=[common], help="run a single experiment")
     p_sweep = sub.add_parser(
         "sweep", parents=[common], help="sweep malicious fractions with/without defense"
     )
-    p_sweep.add_argument(
-        "--fractions", help="comma-separated malicious fractions (default: the config's sweep list)"
-    )
+    p_sweep.add_argument("--fractions", required=True, help="comma-separated malicious fractions")
     return parser
 
 
@@ -189,24 +184,15 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     try:  # Every input is checked in this phase, before any training.
         spec = parse_config(args.config)
-        if getattr(args, "seed", None) is not None:
-            spec = replace(spec, federation=replace(spec.federation, seed=args.seed))
         experiments = [(spec, out_dir)]  # (spec, report directory) of each experiment
         if args.command == "sweep":
-            fractions = spec.sweep
-            if args.fractions is not None:
-                try:
-                    fractions = _sweep_fractions([float(f) for f in args.fractions.split(",")])
-                except ValueError as exc:
-                    raise ValueError(f"--fractions {args.fractions!r}: {exc}") from None
-            if fractions is None:
-                raise ValueError("sweep requires --fractions or a 'sweep' list in the config")
+            fractions = _sweep_fractions(args.fractions)
             defense = spec.federation.defense
             if defense.kind == "none":
                 raise ValueError("sweep needs a defense kind other than 'none' to compare against")
             # Each fraction with the defense off, then on.
             experiments = [
-                (replace(spec, sweep=None, federation=replace(
+                (replace(spec, federation=replace(
                     spec.federation, malicious_fraction=fraction, defense=arm_defense)),
                  out_dir / f"frac_{_fmt(fraction)}_{label}")
                 for fraction in fractions

@@ -126,9 +126,7 @@ class ExperimentReport:
 
 
 def select_clients(rng: np.random.Generator, total_clients: int, k: int) -> tuple[int, ...]:
-    """Uniform sample of k distinct client ids, returned sorted."""
-    if k > total_clients:
-        raise ValueError(f"cannot select {k} of {total_clients} clients")
+    """Uniform sample of k distinct client ids, returned sorted; numpy rejects k > total_clients."""
     chosen = rng.choice(total_clients, size=k, replace=False)
     return tuple(int(c) for c in np.sort(chosen))
 

@@ -244,11 +244,10 @@ def test_a6_numerical_core():
 
 def test_a7_sweep_determinism(tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(
-        json.dumps({"defense": {"kind": "kmeans"}, "sweep": [0.0, 0.3]}), encoding="utf-8"
-    )
+    config.write_text(json.dumps({"defense": {"kind": "kmeans"}}), encoding="utf-8")
     for out in ("s1", "s2"):
-        code = cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / out)])
+        argv = ["sweep", "--config", str(config), "--fractions", "0.0,0.3", "--out", str(tmp_path / out)]
+        code = cli.main(argv)
         assert code == 0
     identical = (tmp_path / "s1" / "sweep.csv").read_bytes() == (
         tmp_path / "s2" / "sweep.csv"

@@ -130,8 +130,9 @@ def test_parse_config_idx_requires_all_paths(tmp_path):
 
 
 def test_parse_config_rejects_bad_sweep(tmp_path):
-    path = write_config(tmp_path, {"sweep": [0.2, 0.8]})
-    with pytest.raises(ValueError):
+    """The fractions come only from --fractions; a config's sweep list is an unknown key."""
+    path = write_config(tmp_path, {"sweep": [0.2, 0.4]})
+    with pytest.raises(ValueError, match="unknown key 'sweep' in config"):
         cli.parse_config(path)
 
 
@@ -168,9 +169,10 @@ def test_run_writes_rounds_and_summary(tmp_path, capsys):
 
 
 def test_run_seed_override_changes_results(tmp_path):
-    config = write_config(tmp_path)
-    cli.main(["run", "--config", str(config), "--out", str(tmp_path / "a")])
-    cli.main(["run", "--config", str(config), "--out", str(tmp_path / "b"), "--seed", "9"])
+    """The config's seed key, the only route for the seed, changes the results."""
+    for name, seed in (("a", 0), ("b", 9)):
+        config = write_config(tmp_path, {"seed": seed}, name=f"{name}.json")
+        cli.main(["run", "--config", str(config), "--out", str(tmp_path / name)])
     a = (tmp_path / "a" / "rounds.csv").read_bytes()
     b = (tmp_path / "b" / "rounds.csv").read_bytes()
     assert a != b
@@ -250,12 +252,11 @@ BAD_INPUTS = {
     "idx_file_malformed": ({"dataset": {"type": "idx", **dict.fromkeys(IDX_PATHS, __file__)}}, "run"),
     "source_class_beyond_dataset": ({"source_class": 12}, "run"),
     "more_clients_than_samples": ({"total_clients": 5000}, "run"),
-    "config_sweep_not_list": ({"sweep": 0.2}, "run"),
+    "config_gives_sweep": ({"sweep": [0.0, 0.25]}, "sweep --fractions 0.25"),
     "fractions_not_numbers": ({}, "sweep --fractions abc"),
     "fractions_out_of_range": ({}, "sweep --fractions 0.2,0.9"),
     "train_test_feature_dims_differ": (idx_dataset(4, 5), "run"),
     "seed_negative": ({"seed": -1}, "run"),
-    "seed_override_negative": ({}, "run --seed -1"),
     "hidden_dims_zero_width": ({"hidden_dims": [0]}, "run"),
     "kmeans_guard_negative": ({"defense": {"kind": "kmeans", "kmeans_guard": -1.0}}, "run"),
     "zscore_threshold_negative": ({"defense": {"kind": "zscore", "zscore_threshold": -0.5}}, "run"),
@@ -270,9 +271,8 @@ BAD_INPUTS = {
     "dataset_classes_beyond_patterns": ({"dataset": {"type": "synthetic", "num_classes": 75, "dim": 6}}, "run"),
     "dataset_test_per_class_zero": ({"dataset": {"type": "synthetic", "test_per_class": 0}}, "run"),
     "fractions_share_a_directory": ({}, "sweep --fractions 0.25,0.25,0.250"),
-    "config_sweep_repeats_fraction": ({"sweep": [0.1, 0.1000000000001]}, "sweep"),
-    "config_sweep_bool_item": ({"sweep": [False, 0.25]}, "run"),
-    "config_sweep_string_item": ({"sweep": [0.0, "0.25"]}, "run"),
+    "fractions_repeat_to_nine_digits": ({}, "sweep --fractions 0.1,0.1000000000001"),
+    "fractions_nan": ({}, "sweep --fractions nan"),
     "poison_spec_key_unknown": ({"poison_spec": {"source_class": 1}}, "run"),
     # Raw JSON text: json.dumps cannot give a key twice.
     "key_repeated": ('{"seed": 1, "seed": 2}', "run"),
@@ -321,7 +321,7 @@ FITTING = {
     str: st.sampled_from([*DEFENSE_KINDS, "synthetic", "idx", "other"]),
     tuple: st.lists(st.integers(-1, 8) | st.floats(-0.1, 0.6), max_size=3),
 }
-SCHEMA = {**asdict(FederationConfig()), "sweep": (0.1,)}
+SCHEMA = asdict(FederationConfig())
 # Each dataset section's keys with a value of their JSON type: the defaults, or the IDX key names as paths.
 DATASETS = {
     "synthetic": {"type": "synthetic", **asdict(data.SyntheticData())},
@@ -380,7 +380,9 @@ def test_fuzzed_config_exits_1_or_reaches_training(config):
 
 # --- config echo ------------------------------------------------------------------
 
-@pytest.mark.parametrize("overrides", [{"sweep": [0.25]}, idx_dataset(4, 4)], ids=["synthetic", "idx"])
+@pytest.mark.parametrize(
+    "overrides", [{"seed": 9, "ldp": {"epsilon": 2.0}}, idx_dataset(4, 4)], ids=["synthetic", "idx"]
+)
 def test_summary_config_echo_reruns_identically(tmp_path, overrides):
     """summary.json's config, written back out as a config file, reproduces the run byte for byte."""
     config = write_config(tmp_path, overrides(tmp_path) if callable(overrides) else overrides)
@@ -412,18 +414,13 @@ def test_sweep_outputs_and_reruns_identically(tmp_path):
     assert (tmp_path / "s1" / "sweep.csv").read_bytes() == (tmp_path / "s2" / "sweep.csv").read_bytes()
 
 
-def test_sweep_fractions_fall_back_to_config_list(tmp_path):
-    config = write_config(tmp_path, {"sweep": [0.25]})
-    out = tmp_path / "out"
-    assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) == 0
-    _, rows = read_csv(out / "sweep.csv")
-    assert len(rows) == 2
-
-
 def test_sweep_requires_fractions_somewhere(tmp_path, capsys):
+    """A missing --fractions is an argparse usage error, like a missing --config."""
     config = write_config(tmp_path)
-    assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
-    assert "fractions" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--fractions" in capsys.readouterr().err
 
 
 def test_sweep_rejects_defense_none(tmp_path, capsys):
