@@ -252,7 +252,10 @@ BAD_INPUTS = {
     "idx_file_malformed": ({"dataset": {"type": "idx", **dict.fromkeys(IDX_PATHS, __file__)}}, "run"),
     "source_class_beyond_dataset": ({"source_class": 12}, "run"),
     "more_clients_than_samples": ({"total_clients": 5000}, "run"),
-    "config_gives_sweep": ({"sweep": [0.0, 0.25]}, "sweep --fractions 0.25"),
+    # The config no longer has a sweep key: whatever value it gives is rejected.
+    "config_sweep_not_list": ({"sweep": 0.2}, "sweep --fractions 0.25"),
+    "config_sweep_bool_item": ({"sweep": [False, 0.25]}, "run"),
+    "config_sweep_string_item": ({"sweep": [0.0, "0.25"]}, "run"),
     "fractions_not_numbers": ({}, "sweep --fractions abc"),
     "fractions_out_of_range": ({}, "sweep --fractions 0.2,0.9"),
     "train_test_feature_dims_differ": (idx_dataset(4, 5), "run"),
