@@ -34,6 +34,7 @@ from .federation import (
     global_round,
     init_state,
     local_train,
+    report_losses,
     run_experiment,
     select_clients,
     validate,

@@ -1,10 +1,14 @@
-"""The federated training loop: select, train locally, report, defend, average.
+"""The federated training loop: select, report, defend, train locally, average.
 
-Each global epoch the server samples a subset of clients, ships them the
-current model, and gets back one (weights, noisy loss) pair per client,
-delivered in stacks of clients trained together. The configured eliminator
-filters the reports, FedAvg averages the surviving weights, and the new
-model is scored on a held-out honest test set. Everything is driven by
+Each global epoch the server samples a subset of clients and ships them the
+current model. Every selected client first reports one noisy loss: its loss
+under the incoming model, noised. The configured eliminator filters the
+reports; only the clients it retains then train locally, delivered in stacks
+of clients trained together. FedAvg averages their weights, and the new
+model is scored on a held-out honest test set. A report depends on no
+trained weight, and an eliminated client's weights would never reach the
+average, so training only the retained clients gives the bytes that
+training every selected client would. Everything is driven by
 explicit seeded generators, so a config fully determines every round record.
 Client cid in epoch e of repeat r draws from exactly
 np.random.default_rng([seed, r, 4, e, cid]). numpy's SeedSequence mixes the
@@ -87,12 +91,11 @@ class FederationConfig:
 @dataclass(frozen=True)
 class StackUpdate:
     """What one local_train call returns: client client_ids[i] trained
-    slice i of weights (a stack with a leading client axis) and reported
-    noisy_losses[i] (float64)."""
+    slice i of weights, a stack with a leading client axis. It carries no
+    loss reports; report_losses forms those before elimination."""
 
     client_ids: tuple[int, ...]
     weights: nn.ModelParams
-    noisy_losses: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -131,65 +134,115 @@ def select_clients(rng: np.random.Generator, total_clients: int, k: int) -> tupl
     return tuple(int(c) for c in np.sort(chosen))
 
 
-def local_train(
-    global_model: nn.ModelParams,
-    shards: list[ClientShard],
-    config: FederationConfig,
-    rngs: list[np.random.Generator],
-) -> StackUpdate:
-    """A group of clients' contributions: mini-batch SGD, then noised loss reports.
+def _stack_inputs(model: nn.ModelParams, shards: list[ClientShard]) -> tuple[np.ndarray, np.ndarray, int]:
+    """The rows of equal-size, non-empty shards, client after client, and the shard size.
 
-    The training and noise settings are config's client_epochs, batch_size, client_lr and ldp.
-
-    The shards must be of equal size; they train as one stacked model with a
-    leading client axis, which computes exactly what training each client
-    alone would. Each client draws from its own generator in rngs, in the
-    same order as alone: one permutation per epoch, then the Laplace noise.
-    Returns the trained stack and its reports, in shard order. The stack
-    starts as a read-only broadcast of global_model, which is never written.
-    Its first step, through the pure nn.backward and nn.sgd_step, gives it
-    C-contiguous arrays of its own; nn.descend updates those in place,
-    relying on the training-start loss pass to have checked the labels.
-
-    The raw loss is the shard's mean loss under the incoming global model,
-    monitored at the start of local training; only the noised value leaves
-    the client. The training-start loss reflects how well the shared model
-    matches the client's labels, which is what separates honest from
-    poisoned shards; by the end of local training the client has fit its
-    own labels, flipped or not, and the signal is gone.
+    Client i owns rows i*n .. i*n+n-1. Every label must lie in [0, classes)
+    of model, since nn.descend does not check its labels.
     """
-    if len(shards) != len(rngs) or not shards:
-        raise ValueError(f"{len(shards)} shards and {len(rngs)} generators; need one each, at least one")
+    if not shards:
+        raise ValueError("need at least one shard")
     n = len(shards[0].data)
     for shard in shards:
         if len(shard.data) == 0:
             raise ValueError(f"client {shard.client_id} has an empty shard")
         if len(shard.data) != n:
             raise ValueError(f"client {shard.client_id} has {len(shard.data)} samples, not {n}")
-    c = len(shards)
-    # Rows of every client's shard, client after client: client i owns rows i*n .. i*n+n-1.
     features = np.concatenate([s.data.features for s in shards])
     labels = np.concatenate([s.data.labels for s in shards])
-    model = nn.ModelParams(
-        tuple(np.broadcast_to(w, (c, *w.shape)) for w in global_model.weights),
-        tuple(np.broadcast_to(b, (c, *b.shape)) for b in global_model.biases),
+    classes = model.dims[-1]
+    if labels.min() < 0 or labels.max() >= classes:
+        bad = next(s for s in shards if s.data.labels.min() < 0 or s.data.labels.max() >= classes)
+        raise ValueError(f"client {bad.client_id} has a label out of range [0, {classes})")
+    return features, labels, n
+
+
+def _broadcast(model: nn.ModelParams, c: int) -> nn.ModelParams:
+    """A read-only stack of c copies of model that shares its arrays."""
+    return nn.ModelParams(
+        tuple(np.broadcast_to(w, (c, *w.shape)) for w in model.weights),
+        tuple(np.broadcast_to(b, (c, *b.shape)) for b in model.biases),
     )
+
+
+def report_losses(
+    global_model: nn.ModelParams,
+    shards: list[ClientShard],
+    config: FederationConfig,
+    rngs: list[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """A group of clients' noisy loss reports, and the batch orders their training draws.
+
+    The shards must be of equal size n; their losses come from one stacked
+    forward pass over a read-only broadcast of global_model. Each client
+    draws from its own generator in rngs, in the order training alone would:
+    one rng.permutation(n) per epoch of config's client_epochs, then the
+    Laplace noise of config's ldp. Returns (noisy_losses, orders) in shard
+    order: a float64 array of C reports and an integer array of shape
+    (C, client_epochs, n) whose [i, e] is client i's batch order in epoch e,
+    as local_train takes it.
+
+    The raw loss is the shard's mean loss under the incoming global model,
+    monitored at the start of local training; only the noised value leaves
+    the client. The training-start loss reflects how well the shared model
+    matches the client's labels, which is what separates honest from
+    poisoned shards; by the end of local training the client has fit its
+    own labels, flipped or not, and the signal is gone. Since the report
+    depends on no trained weight, a client can report before it trains.
+    """
+    if len(shards) != len(rngs):
+        raise ValueError(f"{len(shards)} shards and {len(rngs)} generators; need one each")
+    features, labels, n = _stack_inputs(global_model, shards)
+    c = len(shards)
     raw_losses, _ = nn.softmax_cross_entropy(
-        nn.forward(model, features.reshape(c, n, -1)), labels.reshape(c, n)
+        nn.forward(_broadcast(global_model, c), features.reshape(c, n, -1)), labels.reshape(c, n)
     )
-    offsets = np.arange(0, c * n, n)[:, None]
-    for _ in range(config.client_epochs):
-        perm = np.stack([rng.permutation(n) for rng in rngs]) + offsets
+    epochs = config.client_epochs
+    orders = np.array([rng.permutation(n) for rng in rngs for _ in range(epochs)], dtype=np.intp)
+    return perturb_loss(raw_losses, config.ldp, rngs), orders.reshape(c, epochs, n)
+
+
+def local_train(
+    global_model: nn.ModelParams,
+    shards: list[ClientShard],
+    config: FederationConfig,
+    orders: np.ndarray,
+) -> StackUpdate:
+    """A group of clients' trained weights: mini-batch SGD in the given batch orders.
+
+    The training settings are config's client_epochs, batch_size and client_lr.
+
+    The shards must be of equal size n; they train as one stacked model with
+    a leading client axis, which computes exactly what training each client
+    alone would. orders has shape (C, client_epochs, n): orders[i, e] is a
+    permutation of range(n), client i's batch order in epoch e, as
+    report_losses draws it; local_train itself draws from no generator.
+    global_round calls it after the eliminator, for retained clients only;
+    their reports, drawn before, do not depend on what it computes.
+
+    Returns the trained stack, in shard order. The stack starts as a
+    read-only broadcast of global_model, which is never written. Its first
+    step, through the pure nn.backward and nn.sgd_step, gives it
+    C-contiguous arrays of its own; nn.descend updates those in place.
+    """
+    features, labels, n = _stack_inputs(global_model, shards)
+    c = len(shards)
+    orders = np.asarray(orders)
+    shape = (c, config.client_epochs, n)
+    if orders.shape != shape or (orders.size and not 0 <= orders.min() <= orders.max() < n):
+        raise ValueError(f"orders of shape {orders.shape} must have shape {shape} and index range({n})")
+    model = _broadcast(global_model, c)
+    # Client i's orders index rows i*n .. i*n+n-1 of features.
+    rows = orders + np.arange(0, c * n, n)[:, None, None]
+    for epoch in range(config.client_epochs):
         for start in range(0, n, config.batch_size):
-            idx = perm[:, start : start + config.batch_size]
+            idx = rows[:, epoch, start : start + config.batch_size]
             if model.weights[0].flags.writeable:
                 nn.descend(model, features[idx], labels[idx], config.client_lr)
             else:
                 grads, _ = nn.backward(model, features[idx], labels[idx])
                 model = nn.sgd_step(model, grads, config.client_lr)
-    return StackUpdate(
-        tuple(shard.client_id for shard in shards), model, perturb_loss(raw_losses, config.ldp, rngs)
-    )
+    return StackUpdate(tuple(shard.client_id for shard in shards), model)
 
 
 def fed_avg(updates, retained) -> nn.ModelParams:
@@ -273,22 +326,37 @@ def _client_rngs(entropy, ids) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in seeds]
 
 
-def _training_groups(state: FederationState, selected) -> list[tuple[int, ...]]:
-    """The selected ids cut into local_train calls: equal shard sizes, capped stacks."""
+def _size_groups(state: FederationState, ids) -> list[list[int]]:
+    """ids cut into groups of equal shard size, each group in the order of ids."""
     by_size = {}
-    for cid in selected:
+    for cid in ids:
         by_size.setdefault(len(state.shards[cid].data), []).append(cid)
+    return list(by_size.values())
+
+
+def _training_groups(state: FederationState, ids) -> list[tuple[int, ...]]:
+    """ids cut into local_train calls: equal shard sizes, capped stacks."""
     model_bytes = sum(p.nbytes for p in state.model.weights + state.model.biases)
     chunk = max(1, _STACK_BYTES // model_bytes)
     return [
-        tuple(ids[start : start + chunk])
-        for ids in by_size.values()
-        for start in range(0, len(ids), chunk)
+        tuple(group[start : start + chunk])
+        for group in _size_groups(state, ids)
+        for start in range(0, len(group), chunk)
     ]
 
 
 def global_round(state: FederationState, epoch: int) -> RoundRecord:
-    """Run one global epoch in place and return its record."""
+    """Run one global epoch in place and return its record.
+
+    The round selects clients, gathers every selected client's report (one
+    report_losses call per shard size), runs the eliminator on the reports,
+    trains only the retained clients (local_train, in stacks), averages them
+    with fed_avg and evaluates the new model. A report is the training-start
+    loss, so it does not depend on the client's trained weights, and an
+    eliminated client's weights never reach the average: skipping its
+    training changes no output byte. Each client's generator still draws its
+    batch orders, then its noise, exactly as training it would.
+    """
     cfg = state.config
     selected = select_clients(
         np.random.default_rng([*state.seed_prefix, _STREAM_SELECT, epoch]),
@@ -296,14 +364,21 @@ def global_round(state: FederationState, epoch: int) -> RoundRecord:
         cfg.clients_per_round,
     )
     rngs = dict(zip(selected, _client_rngs([*state.seed_prefix, _STREAM_CLIENT, epoch], selected)))
-    stacks = [
-        local_train(
+    noisy, orders = {}, {}
+    for group in _size_groups(state, selected):
+        losses, drawn = report_losses(
             state.model, [state.shards[cid] for cid in group], cfg, [rngs[cid] for cid in group]
         )
-        for group in _training_groups(state, selected)
-    ]
-    noisy = {cid: loss for u in stacks for cid, loss in zip(u.client_ids, u.noisy_losses.tolist())}
+        noisy.update(zip(group, losses.tolist()))
+        orders.update(zip(group, drawn))
     outcome = run_eliminator({cid: noisy[cid] for cid in selected}, cfg.defense)
+    retained = [cid for cid in selected if cid in outcome.retained]
+    stacks = [
+        local_train(
+            state.model, [state.shards[cid] for cid in group], cfg, np.stack([orders[cid] for cid in group])
+        )
+        for group in _training_groups(state, retained)
+    ]
     state.model = fed_avg(stacks, outcome.retained)
     result = evaluate_model(state.model, state.test_set)
     truth = {cid for cid in selected if state.shards[cid].is_malicious}

@@ -200,7 +200,6 @@ def test_a6_numerical_core():
                 tuple(np.stack(layer) for layer in zip(*(models[i].weights for i in ids))),
                 tuple(np.stack(layer) for layer in zip(*(models[i].biases for i in ids))),
             ),
-            np.zeros(len(ids)),
         )
         for ids in (range(5), range(5, 9))
     ]

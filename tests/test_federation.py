@@ -71,7 +71,7 @@ def stack_update(client_ids, models):
         tuple(np.stack(layer) for layer in zip(*(m.weights for m in models))),
         tuple(np.stack(layer) for layer in zip(*(m.biases for m in models))),
     )
-    return federation.StackUpdate(tuple(client_ids), weights, np.zeros(len(models)))
+    return federation.StackUpdate(tuple(client_ids), weights)
 
 
 def random_models(count, rng, dims=(3, 4, 2)):
@@ -159,10 +159,10 @@ def test_fed_avg_matches_ascending_id_loop_bit_for_bit(seven_samples, models_per
     assert_same_params(federation.fed_avg(updates, retained), naive_fed_avg(models, retained))
 
 
-# --- local_train --------------------------------------------------------------
+# --- report_losses and local_train ---------------------------------------------
 
 def train_config(client_epochs, client_lr, batch_size, ldp=LdpConfig()):
-    """A FederationConfig that sets only what local_train reads."""
+    """A FederationConfig that sets only what report_losses and local_train read."""
     return FederationConfig(client_epochs=client_epochs, client_lr=client_lr, batch_size=batch_size, ldp=ldp)
 
 
@@ -171,11 +171,19 @@ def make_shard(rng, n=12, dim=4, classes=3, cid=0):
     return ClientShard(cid, ds)
 
 
+def report_and_train(model, shards, config, rngs):
+    """Both steps over the same clients, as a round that retains them all runs them."""
+    noisy_losses, orders = federation.report_losses(model, shards, config, rngs)
+    return noisy_losses, federation.local_train(model, shards, config, orders)
+
+
 def test_local_train_zero_epochs_returns_global_weights():
     rng = np.random.default_rng(0)
     shard = make_shard(rng)
     model = nn.init_params((4, 3), rng)
-    update = federation.local_train(model, [shard], train_config(0, 0.5, 4), [np.random.default_rng(1)])
+    _, orders = federation.report_losses(model, [shard], train_config(0, 0.5, 4), [np.random.default_rng(1)])
+    assert orders.shape == (1, 0, 12)
+    update = federation.local_train(model, [shard], train_config(0, 0.5, 4), orders)
     assert update.client_ids == (0,)
     for wa, wb in zip(update.weights.weights, model.weights):
         np.testing.assert_array_equal(wa[0], wb)
@@ -188,8 +196,7 @@ def test_local_train_reports_loss_of_incoming_model():
     shard = make_shard(rng)
     model = nn.init_params((4, 3), rng)
     incoming, _ = nn.softmax_cross_entropy(nn.forward(model, shard.data.features), shard.data.labels)
-    update = federation.local_train(model, [shard], train_config(3, 0.5, 4), [np.random.default_rng(7)])
-    [noisy_loss] = update.noisy_losses
+    [noisy_loss], update = report_and_train(model, [shard], train_config(3, 0.5, 4), [np.random.default_rng(7)])
     assert noisy_loss == pytest.approx(incoming, abs=1e-2)
     trained, _ = nn.softmax_cross_entropy(
         nn.forward(update.weights, shard.data.features[None]), shard.data.labels[None]
@@ -200,8 +207,10 @@ def test_local_train_reports_loss_of_incoming_model():
 def test_local_train_rejects_empty_shard():
     model = nn.init_params((4, 3), np.random.default_rng(0))
     empty = ClientShard(0, Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 3))
-    with pytest.raises(ValueError):
-        federation.local_train(model, [empty], train_config(1, 0.5, 4), [np.random.default_rng(0)])
+    with pytest.raises(ValueError, match="client 0 has an empty shard"):
+        federation.report_losses(model, [empty], train_config(1, 0.5, 4), [np.random.default_rng(0)])
+    with pytest.raises(ValueError, match="client 0 has an empty shard"):
+        federation.local_train(model, [empty], train_config(1, 0.5, 4), np.zeros((1, 1, 0), dtype=np.intp))
 
 
 def reference_local_train(global_model, shard, client_epochs, lr, batch_size, ldp, rng):
@@ -219,15 +228,17 @@ def reference_local_train(global_model, shard, client_epochs, lr, batch_size, ld
     return model, raw_loss + laplace_sample(laplace_scale(ldp), rng)
 
 
-def assert_same_update(got: federation.StackUpdate, i: int, want):
-    """Client i of the stack got has the weights and noisy loss of the oracle's want."""
-    want_model, want_loss = want
+def assert_same_weights(got: federation.StackUpdate, i: int, want_model):
+    """Client i of the stack got has the oracle's weights, bit for bit."""
     assert_same_params(
         nn.ModelParams(tuple(w[i] for w in got.weights.weights), tuple(b[i] for b in got.weights.biases)),
         want_model,
     )
-    assert got.noisy_losses.dtype == np.float64
-    assert got.noisy_losses[i].tobytes() == np.float64(want_loss).tobytes()
+
+
+def assert_same_report(got, want_loss):
+    """A reported noisy loss is the oracle's float64, bit for bit."""
+    assert np.float64(got).tobytes() == np.float64(want_loss).tobytes()
 
 
 def test_local_train_matches_per_client_loop_bit_for_bit():
@@ -237,14 +248,17 @@ def test_local_train_matches_per_client_loop_bit_for_bit():
     shards = [make_shard(rng, n=13, dim=6, classes=4, cid=cid) for cid in (3, 1, 8, 5)]
     model = nn.init_params((6, 9, 4), rng)
     ldp = LdpConfig(epsilon=0.5)
-    got = federation.local_train(
+    noisy_losses, got = report_and_train(
         model, shards, train_config(3, 0.4, 5, ldp), [np.random.default_rng([7, s.client_id]) for s in shards]
     )
+    assert noisy_losses.dtype == np.float64
     assert got.client_ids == (3, 1, 8, 5)
     for i, shard in enumerate(shards):
-        assert_same_update(
-            got, i, reference_local_train(model, shard, 3, 0.4, 5, ldp, np.random.default_rng([7, shard.client_id]))
+        want_model, want_loss = reference_local_train(
+            model, shard, 3, 0.4, 5, ldp, np.random.default_rng([7, shard.client_id])
         )
+        assert_same_report(noisy_losses[i], want_loss)
+        assert_same_weights(got, i, want_model)
 
 
 @pytest.mark.parametrize("clients", [1, 3])
@@ -255,7 +269,7 @@ def test_local_train_owns_contiguous_weights_and_leaves_global_model_alone(clien
     shards = [make_shard(rng, n=13, dim=6, classes=4, cid=cid) for cid in range(clients)]
     model = nn.init_params((6, 9, 4), rng)
     before = [a.tobytes() for a in model.weights + model.biases]
-    got = federation.local_train(
+    _, got = report_and_train(
         model, shards, train_config(3, 0.4, 5), [np.random.default_rng(cid) for cid in range(clients)]
     )
     assert [a.tobytes() for a in model.weights + model.biases] == before
@@ -267,7 +281,7 @@ def test_local_train_owns_contiguous_weights_and_leaves_global_model_alone(clien
 def test_local_train_rejects_out_of_range_label_before_any_step(monkeypatch, label):
     rng = np.random.default_rng(6)
     shards = [make_shard(rng, cid=0), make_shard(rng, cid=1)]
-    shards[1].data.labels[5] = label  # past Dataset's check: only local_train's own can catch it
+    shards[1].data.labels[5] = label  # past Dataset's check: only the federation's own can catch it
     model = nn.init_params((4, 3), rng)
     rngs = [np.random.default_rng(i) for i in range(2)]
     states = [r.bit_generator.state for r in rngs]
@@ -277,9 +291,14 @@ def test_local_train_rejects_out_of_range_label_before_any_step(monkeypatch, lab
 
     for name in ("backward", "sgd_step", "descend"):
         monkeypatch.setattr(nn, name, no_step)
-    with pytest.raises(ValueError, match=re.escape("label out of range [0, 3)")):
-        federation.local_train(model, shards, train_config(2, 0.5, 4), rngs)
+    problem = re.escape("client 1 has a label out of range [0, 3)")
+    with pytest.raises(ValueError, match=problem):
+        federation.report_losses(model, shards, train_config(2, 0.5, 4), rngs)
     assert [r.bit_generator.state for r in rngs] == states
+    # The training step checks too: nn.descend reads labels unchecked.
+    orders = np.broadcast_to(np.arange(12), (2, 2, 12))
+    with pytest.raises(ValueError, match=problem):
+        federation.local_train(model, shards, train_config(2, 0.5, 4), orders)
 
 
 def test_local_train_rejects_unequal_shards_and_missing_generators():
@@ -287,21 +306,42 @@ def test_local_train_rejects_unequal_shards_and_missing_generators():
     model = nn.init_params((4, 3), rng)
     shards = [make_shard(rng, n=12, cid=0), make_shard(rng, n=11, cid=1)]
     rngs = [np.random.default_rng(i) for i in range(2)]
+    cfg = train_config(1, 0.5, 4)
     with pytest.raises(ValueError, match="client 1 has 11 samples"):
-        federation.local_train(model, shards, train_config(1, 0.5, 4), rngs)
+        federation.report_losses(model, shards, cfg, rngs)
+    with pytest.raises(ValueError, match="client 1 has 11 samples"):
+        federation.local_train(model, shards, cfg, np.zeros((2, 1, 12), dtype=np.intp))
     with pytest.raises(ValueError):
-        federation.local_train(model, shards[:1], train_config(1, 0.5, 4), rngs)
+        federation.report_losses(model, shards[:1], cfg, rngs)
     with pytest.raises(ValueError):
-        federation.local_train(model, [], train_config(1, 0.5, 4), [])
+        federation.report_losses(model, [], cfg, [])
+    with pytest.raises(ValueError):
+        federation.local_train(model, [], cfg, np.zeros((0, 1, 12), dtype=np.intp))
+    # Batch orders that are missing, for another epoch count, or reach past the shard.
+    _, orders = federation.report_losses(model, shards[:1], cfg, rngs[:1])
+    for bad in (orders[:0], np.concatenate([orders, orders], axis=1), orders + 1, orders - 1):
+        with pytest.raises(ValueError, match="orders of shape"):
+            federation.local_train(model, shards[:1], cfg, bad)
 
 
-@pytest.mark.parametrize("models_per_stack", [None, 3], ids=["default_cap", "cap_of_3_models"])
-def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_per_stack):
-    """50 samples over 8 clients give shards of 7 and 6 samples, so one round trains
-    two groups; a cap of 3 models also cuts the group of 6 into two stacks."""
+NO_DEFENSE = DefenseConfig()
+CUT_TWO = DefenseConfig(kind="fixed_fraction", fixed_fraction=0.25)
+
+
+@pytest.mark.parametrize(
+    "models_per_stack, defense, expected_sizes",
+    [(None, NO_DEFENSE, [2, 6]), (3, NO_DEFENSE, [2, 3, 3]), (3, CUT_TWO, [1, 2, 3])],
+    ids=["default_cap", "cap_of_3_models", "cap_of_3_models_fixed_fraction_cuts_2"],
+)
+def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_per_stack, defense, expected_sizes):
+    """50 samples over 8 clients give shards of 7 and 6 samples, so one round reports
+    and trains two groups; a cap of 3 models also cuts the group of 6 into stacks.
+    Every selected client reports; only the retained ones train."""
     train = synthesize(5, 10, 8, 6.0, seed=[0, 1000])
     test = synthesize(5, 4, 8, 6.0, seed=[0, 1001])
-    cfg = small_config(total_clients=8, clients_per_round=8, batch_size=4, malicious_fraction=0.25)
+    cfg = small_config(
+        total_clients=8, clients_per_round=8, batch_size=4, malicious_fraction=0.25, defense=defense
+    )
     state = federation.init_state(cfg, train, test)
     # Hand the two 7-sample shards (clients 0 and 1) to clients 1 and 4, so the
     # groups interleave in id order and the round must restore selected order.
@@ -311,7 +351,7 @@ def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_pe
     if models_per_stack:
         model_bytes = sum(p.nbytes for p in state.model.weights + state.model.biases)
         monkeypatch.setattr(federation, "_STACK_BYTES", models_per_stack * model_bytes)
-    calls, reported = [], []
+    calls, reported = [], {}
     train_group, eliminate = federation.local_train, federation.run_eliminator
 
     def recording_local_train(global_model, shards, *args):
@@ -320,7 +360,7 @@ def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_pe
         return update
 
     def recording_eliminator(reports, config):
-        reported.extend(reports)
+        reported.update(reports)
         return eliminate(reports, config)
 
     monkeypatch.setattr(federation, "local_train", recording_local_train)
@@ -328,21 +368,25 @@ def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_pe
     model_before = state.model
     record = federation.global_round(state, epoch=0)
 
-    assert reported == list(record.selected) == list(range(8))  # updates come back in selected order
+    assert list(reported) == list(record.selected) == list(range(8))  # reports come back in selected order
+    assert len(record.eliminated) == (2 if defense is CUT_TWO else 0)  # round(0.25 * 8)
+    want = {
+        cid: reference_local_train(
+            model_before, state.shards[cid], cfg.client_epochs, cfg.client_lr, cfg.batch_size, cfg.ldp,
+            np.random.default_rng([*state.seed_prefix, federation._STREAM_CLIENT, 0, cid]),
+        )
+        for cid in record.selected
+    }
+    for cid, loss in reported.items():
+        assert_same_report(loss, want[cid][1])
     groups = [ids for ids, _ in calls]
-    assert sorted(cid for ids in groups for cid in ids) == list(range(8))
+    assert sorted(cid for ids in groups for cid in ids) == sorted(set(record.selected) - set(record.eliminated))
     assert all(len({len(state.shards[cid].data) for cid in ids}) == 1 for ids in groups)
-    expected_sizes = [2, 3, 3] if models_per_stack else [2, 6]
     assert sorted(len(ids) for ids in groups) == expected_sizes
     for ids, update in calls:
         assert list(update.client_ids) == ids
         for i, cid in enumerate(ids):
-            want = reference_local_train(
-                model_before, state.shards[cid], cfg.client_epochs, cfg.client_lr,
-                cfg.batch_size, cfg.ldp,
-                np.random.default_rng([*state.seed_prefix, federation._STREAM_CLIENT, 0, cid]),
-            )
-            assert_same_update(update, i, want)
+            assert_same_weights(update, i, want[cid][0])
 
 
 # --- client generators ---------------------------------------------------------
@@ -431,12 +475,7 @@ def test_eliminated_clients_do_not_influence_aggregate():
     assert len(record.eliminated) == 1  # round(0.25 * 4)
     retained = set(record.selected) - set(record.eliminated)
     updates = [
-        federation.local_train(
-            model_before,
-            [state.shards[cid]],
-            cfg,
-            [np.random.default_rng([cfg.seed, 0, 4, 0, cid])],
-        )
+        report_and_train(model_before, [state.shards[cid]], cfg, [np.random.default_rng([cfg.seed, 0, 4, 0, cid])])[1]
         for cid in retained
     ]
     expected = federation.fed_avg(updates, retained)
