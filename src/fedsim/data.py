@@ -39,9 +39,32 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ClientShard:
+    """One client's data: rows of a shared training set, with labels of its own.
+
+    source is held by reference and never copied; rows are the indices of
+    the client's samples in it, and labels[i] is the label of
+    source.features[rows[i]]. The labels are the shard's own array, so
+    poison_labels can flip them without touching source; the federation
+    checks them against the model's classes before it trains on them.
+    """
+
     client_id: int
-    data: Dataset
+    source: Dataset
+    rows: np.ndarray  # (n,) integer indices into source, sorted by partition
+    labels: np.ndarray  # (n,) integer class indices
     is_malicious: bool = False
+
+    def __post_init__(self):
+        if self.rows.shape != self.labels.shape or self.rows.ndim != 1:
+            raise ValueError(
+                f"client {self.client_id} needs rows and labels of one shape (n,), "
+                f"got {self.rows.shape} and {self.labels.shape}"
+            )
+        if self.rows.size and (self.rows.min() < 0 or self.rows.max() >= len(self.source)):
+            raise ValueError(f"client {self.client_id} has rows outside its {len(self.source)}-row source")
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
 
 
 @dataclass(frozen=True)
@@ -103,7 +126,8 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Datase
         raise IdxFormatError(
             f"{images_path} has {n_images} items but {labels_path} has {n_labels}"
         )
-    features = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64) / 255.0
+    features = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64)
+    features /= 255.0  # in place: one float64 image array, whatever numpy elides
     features = features.reshape(n_images, rows * cols)
     labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
     if num_classes is None:
@@ -288,7 +312,10 @@ def synthesize(
 
 
 def partition(dataset: Dataset, num_clients: int, seed) -> list[ClientShard]:
-    """Seeded shuffle split into near-equal disjoint shards covering the data."""
+    """Seeded shuffle split into near-equal disjoint shards covering the data.
+
+    Every shard indexes dataset by its sorted rows and copies only their labels.
+    """
     n = len(dataset)
     if num_clients < 1 or num_clients > n:
         raise ValueError(f"num_clients={num_clients} must be in [1, {n}]")
@@ -296,12 +323,7 @@ def partition(dataset: Dataset, num_clients: int, seed) -> list[ClientShard]:
     shards = []
     for cid, idx in enumerate(np.array_split(perm, num_clients)):
         idx = np.sort(idx)
-        shards.append(
-            ClientShard(
-                client_id=cid,
-                data=Dataset(dataset.features[idx], dataset.labels[idx], dataset.num_classes),
-            )
-        )
+        shards.append(ClientShard(cid, dataset, idx, dataset.labels[idx]))
     return shards
 
 
@@ -316,15 +338,22 @@ def mark_malicious(shards: list[ClientShard], malicious_fraction: float, seed) -
     count = round_half_up(malicious_fraction * len(shards))
     rng = np.random.default_rng(seed)
     flagged = set(rng.choice(len(shards), size=count, replace=False).tolist())
-    return [replace(s, is_malicious=(i in flagged)) for i, s in enumerate(shards)]
+    # A shard whose flag is already right is passed on as it is, not rebuilt.
+    return [
+        replace(s, is_malicious=i in flagged) if s.is_malicious != (i in flagged) else s
+        for i, s in enumerate(shards)
+    ]
 
 
 def poison_labels(shard: ClientShard, source_class: int, target_class: int) -> ClientShard:
-    """Flip every source-class label to the target class. Features untouched."""
+    """Flip every source-class label to the target class in a copy of the shard's labels.
+
+    The features stay in the shared source, untouched.
+    """
     if not shard.is_malicious:
         raise ValueError("poison_labels applies only to shards flagged malicious")
-    if max(source_class, target_class) >= shard.data.num_classes:
+    if max(source_class, target_class) >= shard.source.num_classes:
         raise ValueError("poison class out of range for this dataset")
-    labels = shard.data.labels.copy()
+    labels = shard.labels.copy()
     labels[labels == source_class] = target_class
-    return replace(shard, data=Dataset(shard.data.features, labels, shard.data.num_classes))
+    return replace(shard, labels=labels)

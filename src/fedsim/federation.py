@@ -137,22 +137,28 @@ def select_clients(rng: np.random.Generator, total_clients: int, k: int) -> tupl
 def _stack_inputs(model: nn.ModelParams, shards: list[ClientShard]) -> tuple[np.ndarray, np.ndarray, int]:
     """The rows of equal-size, non-empty shards, client after client, and the shard size.
 
-    Client i owns rows i*n .. i*n+n-1. Every label must lie in [0, classes)
-    of model, since nn.descend does not check its labels.
+    The shards must index one source; client i owns rows i*n .. i*n+n-1,
+    gathered from it in one fancy index. Every label must lie in
+    [0, classes) of model, since nn.descend does not check its labels.
     """
     if not shards:
         raise ValueError("need at least one shard")
-    n = len(shards[0].data)
+    first = shards[0]
+    n = len(first)
     for shard in shards:
-        if len(shard.data) == 0:
+        if shard.source is not first.source:
+            raise ValueError(
+                f"client {shard.client_id} indexes another training set than client {first.client_id}"
+            )
+        if len(shard) == 0:
             raise ValueError(f"client {shard.client_id} has an empty shard")
-        if len(shard.data) != n:
-            raise ValueError(f"client {shard.client_id} has {len(shard.data)} samples, not {n}")
-    features = np.concatenate([s.data.features for s in shards])
-    labels = np.concatenate([s.data.labels for s in shards])
+        if len(shard) != n:
+            raise ValueError(f"client {shard.client_id} has {len(shard)} samples, not {n}")
+    features = first.source.features[np.concatenate([s.rows for s in shards])]
+    labels = np.concatenate([s.labels for s in shards])
     classes = model.dims[-1]
     if labels.min() < 0 or labels.max() >= classes:
-        bad = next(s for s in shards if s.data.labels.min() < 0 or s.data.labels.max() >= classes)
+        bad = next(s for s in shards if s.labels.min() < 0 or s.labels.max() >= classes)
         raise ValueError(f"client {bad.client_id} has a label out of range [0, {classes})")
     return features, labels, n
 
@@ -330,7 +336,7 @@ def _size_groups(state: FederationState, ids) -> list[list[int]]:
     """ids cut into groups of equal shard size, each group in the order of ids."""
     by_size = {}
     for cid in ids:
-        by_size.setdefault(len(state.shards[cid].data), []).append(cid)
+        by_size.setdefault(len(state.shards[cid]), []).append(cid)
     return list(by_size.values())
 
 

@@ -29,8 +29,8 @@ def test_load_idx_two_tiny_images(tmp_path):
     images, labels = write_idx_pair(tmp_path, pixels, [3, 7])
     ds = data.load_idx(images, labels)
     assert ds.features.shape == (2, 4)
-    np.testing.assert_allclose(ds.features[0], np.array([0, 255, 128, 64]) / 255.0)
-    np.testing.assert_allclose(ds.features[1], np.array([10, 20, 30, 40]) / 255.0)
+    # Every pixel is the float64 of byte / 255.0, bit for bit.
+    assert ds.features.tobytes() == (np.array(pixels, dtype=np.float64).reshape(2, 4) / 255.0).tobytes()
     np.testing.assert_array_equal(ds.labels, [3, 7])
     assert ds.num_classes == 8
 
@@ -125,11 +125,16 @@ def test_partition_covers_disjointly(n, k, seed):
     ds = data.Dataset(rng.random((n, 3)), rng.integers(0, 4, size=n), 4)
     shards = data.partition(ds, k, seed)
     assert [s.client_id for s in shards] == list(range(k))
-    sizes = [len(s.data) for s in shards]
+    sizes = [len(s) for s in shards]
     assert sum(sizes) == n
     assert max(sizes) - min(sizes) <= 1
-    rows = np.concatenate([s.data.features for s in shards])
-    assert sorted(map(tuple, rows)) == sorted(map(tuple, ds.features))
+    rows = np.concatenate([s.rows for s in shards])
+    assert len(set(rows.tolist())) == n  # disjoint ...
+    assert sorted(rows.tolist()) == list(range(n))  # ... and covering
+    for s in shards:
+        assert s.source is ds  # indexed, not copied
+        assert np.all(np.diff(s.rows) > 0)
+        np.testing.assert_array_equal(s.labels, ds.labels[s.rows])
     assert all(not s.is_malicious for s in shards)
 
 
@@ -154,6 +159,9 @@ def test_mark_malicious_count_is_rounded_fraction(frac, n, seed):
     shards = data.partition(ds, n, seed=0)
     marked = data.mark_malicious(shards, frac, seed)
     assert sum(s.is_malicious for s in marked) == data.round_half_up(frac * n)
+    # Marking marked shards again moves the flags as marking fresh ones would.
+    again, fresh = (data.mark_malicious(s, frac, seed + 1) for s in (marked, shards))
+    assert [s.is_malicious for s in again] == [s.is_malicious for s in fresh]
 
 
 def test_mark_malicious_rejects_out_of_range():
@@ -165,23 +173,51 @@ def test_mark_malicious_rejects_out_of_range():
         data.mark_malicious(shards, -0.1, seed=0)
 
 
+def index_shard(source, rows, cid=0, is_malicious=False):
+    """A client shard over the shared source holding these rows and their labels."""
+    rows = np.asarray(rows, dtype=np.intp)
+    return data.ClientShard(cid, source, rows, source.labels[rows], is_malicious)
+
+
 def test_poison_labels_flips_exactly_the_source_class():
     rng = np.random.default_rng(0)
-    labels = rng.integers(0, 10, size=30)
-    shard = data.ClientShard(0, data.Dataset(rng.random((30, 4)), labels, 10), is_malicious=True)
+    source = data.Dataset(rng.random((50, 4)), rng.integers(0, 10, size=50), 10)
+    before = source.labels.copy()
+    shard = index_shard(source, np.sort(rng.choice(50, size=30, replace=False)), is_malicious=True)
+    labels = shard.labels.copy()
     flipped = data.poison_labels(shard, 5, 3)
-    source = labels == 5
-    np.testing.assert_array_equal(flipped.data.labels[source], 3)
-    np.testing.assert_array_equal(flipped.data.labels[~source], labels[~source])
-    np.testing.assert_array_equal(flipped.data.features, shard.data.features)
-    # Original shard untouched.
-    np.testing.assert_array_equal(shard.data.labels, labels)
+    source_rows = labels == 5
+    assert source_rows.any()
+    np.testing.assert_array_equal(flipped.labels[source_rows], 3)
+    np.testing.assert_array_equal(flipped.labels[~source_rows], labels[~source_rows])
+    # The features stay the shared source's, at the same rows.
+    assert flipped.source is source
+    np.testing.assert_array_equal(flipped.rows, shard.rows)
+    # Original shard and the shared source untouched.
+    np.testing.assert_array_equal(shard.labels, labels)
+    np.testing.assert_array_equal(source.labels, before)
 
 
 def test_poison_labels_requires_malicious_flag():
-    shard = data.ClientShard(0, data.Dataset(np.zeros((2, 2)), np.array([5, 1]), 10))
+    shard = index_shard(data.Dataset(np.zeros((2, 2)), np.array([5, 1]), 10), [0, 1])
     with pytest.raises(ValueError):
         data.poison_labels(shard, 5, 3)
+
+
+@pytest.mark.parametrize(
+    "rows, labels, shown",
+    [
+        ([0, 1, 2], [0, 1], "client 7 needs rows and labels of one shape (n,), got (3,) and (2,)"),
+        ([[0, 1]], [[0, 1]], "client 7 needs rows and labels of one shape (n,), got (1, 2) and (1, 2)"),
+        ([0, 4], [0, 1], "client 7 has rows outside its 4-row source"),
+        ([-1, 2], [0, 1], "client 7 has rows outside its 4-row source"),
+    ],
+    ids=["lengths_differ", "not_one_dimensional", "row_past_end", "row_negative"],
+)
+def test_client_shard_rejects_rows_that_do_not_fit(rows, labels, shown):
+    source = data.Dataset(np.zeros((4, 3)), np.zeros(4, dtype=int), 2)
+    with pytest.raises(ValueError, match=re.escape(shown)):
+        data.ClientShard(7, source, np.array(rows), np.array(labels))
 
 
 @pytest.mark.parametrize(

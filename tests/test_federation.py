@@ -1,6 +1,7 @@
 """Tests for the federated loop: selection, local training, FedAvg, rounds."""
 
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -166,9 +167,22 @@ def train_config(client_epochs, client_lr, batch_size, ldp=LdpConfig()):
     return FederationConfig(client_epochs=client_epochs, client_lr=client_lr, batch_size=batch_size, ldp=ldp)
 
 
-def make_shard(rng, n=12, dim=4, classes=3, cid=0):
-    ds = Dataset(rng.random((n, dim)), rng.integers(0, classes, size=n), classes)
-    return ClientShard(cid, ds)
+def make_shards(rng, sizes, dim=4, classes=3, cids=None):
+    """Client shards of the given sizes over one shared training set: client
+    cids[i] holds sizes[i] sorted rows, drawn at random so they interleave."""
+    total = sum(sizes) + 3  # 3 rows that no client holds
+    source = Dataset(rng.random((total, dim)), rng.integers(0, classes, size=total), classes)
+    cuts = np.split(rng.permutation(total)[: sum(sizes)], np.cumsum(sizes)[:-1])
+    shards = []
+    for cid, rows in zip(cids or range(len(sizes)), cuts):
+        rows = np.sort(rows)
+        shards.append(ClientShard(cid, source, rows, source.labels[rows]))
+    return shards
+
+
+def shard_features(shard):
+    """The feature rows a shard indexes, in its row order."""
+    return shard.source.features[shard.rows]
 
 
 def report_and_train(model, shards, config, rngs):
@@ -179,7 +193,7 @@ def report_and_train(model, shards, config, rngs):
 
 def test_local_train_zero_epochs_returns_global_weights():
     rng = np.random.default_rng(0)
-    shard = make_shard(rng)
+    [shard] = make_shards(rng, [12])
     model = nn.init_params((4, 3), rng)
     _, orders = federation.report_losses(model, [shard], train_config(0, 0.5, 4), [np.random.default_rng(1)])
     assert orders.shape == (1, 0, 12)
@@ -193,20 +207,21 @@ def test_local_train_reports_loss_of_incoming_model():
     # The reported loss describes the global model before local fitting;
     # noise at the default scale (1e-4) is far below the check tolerance.
     rng = np.random.default_rng(3)
-    shard = make_shard(rng)
+    [shard] = make_shards(rng, [12])
     model = nn.init_params((4, 3), rng)
-    incoming, _ = nn.softmax_cross_entropy(nn.forward(model, shard.data.features), shard.data.labels)
+    incoming, _ = nn.softmax_cross_entropy(nn.forward(model, shard_features(shard)), shard.labels)
     [noisy_loss], update = report_and_train(model, [shard], train_config(3, 0.5, 4), [np.random.default_rng(7)])
     assert noisy_loss == pytest.approx(incoming, abs=1e-2)
     trained, _ = nn.softmax_cross_entropy(
-        nn.forward(update.weights, shard.data.features[None]), shard.data.labels[None]
+        nn.forward(update.weights, shard_features(shard)[None]), shard.labels[None]
     )
     assert trained < incoming  # training actually reduced the local loss
 
 
 def test_local_train_rejects_empty_shard():
     model = nn.init_params((4, 3), np.random.default_rng(0))
-    empty = ClientShard(0, Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 3))
+    source = Dataset(np.zeros((2, 4)), np.zeros(2, dtype=int), 3)
+    empty = ClientShard(0, source, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=int))
     with pytest.raises(ValueError, match="client 0 has an empty shard"):
         federation.report_losses(model, [empty], train_config(1, 0.5, 4), [np.random.default_rng(0)])
     with pytest.raises(ValueError, match="client 0 has an empty shard"):
@@ -215,8 +230,8 @@ def test_local_train_rejects_empty_shard():
 
 def reference_local_train(global_model, shard, client_epochs, lr, batch_size, ldp, rng):
     """One client trained alone on 2-D parameters: the oracle for the stacked trainer."""
-    n = len(shard.data)
-    features, labels = shard.data.features, shard.data.labels
+    n = len(shard)
+    features, labels = shard_features(shard), shard.labels
     model = global_model
     raw_loss, _ = nn.softmax_cross_entropy(nn.forward(model, features), labels)
     for _ in range(client_epochs):
@@ -245,7 +260,7 @@ def test_local_train_matches_per_client_loop_bit_for_bit():
     rng = np.random.default_rng(21)
     # 13 samples in batches of 5 leave a short last batch; 13 rows of loss exceed
     # the 8-way unrolled summation of numpy, so a changed reduction order would show.
-    shards = [make_shard(rng, n=13, dim=6, classes=4, cid=cid) for cid in (3, 1, 8, 5)]
+    shards = make_shards(rng, [13] * 4, dim=6, classes=4, cids=(3, 1, 8, 5))
     model = nn.init_params((6, 9, 4), rng)
     ldp = LdpConfig(epsilon=0.5)
     noisy_losses, got = report_and_train(
@@ -266,7 +281,7 @@ def test_local_train_owns_contiguous_weights_and_leaves_global_model_alone(clien
     """The first step copies the stack out of the read-only broadcast; later steps
     write only into that copy."""
     rng = np.random.default_rng(4)
-    shards = [make_shard(rng, n=13, dim=6, classes=4, cid=cid) for cid in range(clients)]
+    shards = make_shards(rng, [13] * clients, dim=6, classes=4)
     model = nn.init_params((6, 9, 4), rng)
     before = [a.tobytes() for a in model.weights + model.biases]
     _, got = report_and_train(
@@ -280,8 +295,10 @@ def test_local_train_owns_contiguous_weights_and_leaves_global_model_alone(clien
 @pytest.mark.parametrize("label", [3, -1])
 def test_local_train_rejects_out_of_range_label_before_any_step(monkeypatch, label):
     rng = np.random.default_rng(6)
-    shards = [make_shard(rng, cid=0), make_shard(rng, cid=1)]
-    shards[1].data.labels[5] = label  # past Dataset's check: only the federation's own can catch it
+    shards = make_shards(rng, [12, 12])
+    bad = shards[1].labels.copy()
+    bad[5] = label
+    shards[1] = replace(shards[1], labels=bad)  # ClientShard checks no label: only the federation can
     model = nn.init_params((4, 3), rng)
     rngs = [np.random.default_rng(i) for i in range(2)]
     states = [r.bit_generator.state for r in rngs]
@@ -304,7 +321,7 @@ def test_local_train_rejects_out_of_range_label_before_any_step(monkeypatch, lab
 def test_local_train_rejects_unequal_shards_and_missing_generators():
     rng = np.random.default_rng(0)
     model = nn.init_params((4, 3), rng)
-    shards = [make_shard(rng, n=12, cid=0), make_shard(rng, n=11, cid=1)]
+    shards = make_shards(rng, [12, 11])
     rngs = [np.random.default_rng(i) for i in range(2)]
     cfg = train_config(1, 0.5, 4)
     with pytest.raises(ValueError, match="client 1 has 11 samples"):
@@ -322,6 +339,20 @@ def test_local_train_rejects_unequal_shards_and_missing_generators():
     for bad in (orders[:0], np.concatenate([orders, orders], axis=1), orders + 1, orders - 1):
         with pytest.raises(ValueError, match="orders of shape"):
             federation.local_train(model, shards[:1], cfg, bad)
+
+
+def test_report_and_train_reject_shards_of_two_sources():
+    rng = np.random.default_rng(2)
+    model = nn.init_params((4, 3), rng)
+    [first] = make_shards(rng, [12], cids=(4,))
+    [second] = make_shards(rng, [12], cids=(9,))
+    assert second.source is not first.source
+    shards, cfg = [first, second], train_config(1, 0.5, 4)
+    problem = re.escape("client 9 indexes another training set than client 4")
+    with pytest.raises(ValueError, match=problem):
+        federation.report_losses(model, shards, cfg, [np.random.default_rng(i) for i in range(2)])
+    with pytest.raises(ValueError, match=problem):
+        federation.local_train(model, shards, cfg, np.zeros((2, 1, 12), dtype=np.intp))
 
 
 NO_DEFENSE = DefenseConfig()
@@ -347,7 +378,7 @@ def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_pe
     # groups interleave in id order and the round must restore selected order.
     order = (2, 0, 3, 4, 1, 5, 6, 7)
     state.shards = [replace(state.shards[old], client_id=new) for new, old in enumerate(order)]
-    assert [len(s.data) for s in state.shards] == [6, 7, 6, 6, 7, 6, 6, 6]
+    assert [len(s) for s in state.shards] == [6, 7, 6, 6, 7, 6, 6, 6]
     if models_per_stack:
         model_bytes = sum(p.nbytes for p in state.model.weights + state.model.biases)
         monkeypatch.setattr(federation, "_STACK_BYTES", models_per_stack * model_bytes)
@@ -381,7 +412,7 @@ def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_pe
         assert_same_report(loss, want[cid][1])
     groups = [ids for ids, _ in calls]
     assert sorted(cid for ids in groups for cid in ids) == sorted(set(record.selected) - set(record.eliminated))
-    assert all(len({len(state.shards[cid].data) for cid in ids}) == 1 for ids in groups)
+    assert all(len({len(state.shards[cid]) for cid in ids}) == 1 for ids in groups)
     assert sorted(len(ids) for ids in groups) == expected_sizes
     for ids, update in calls:
         assert list(update.client_ids) == ids
@@ -501,11 +532,32 @@ def test_init_state_poisons_exactly_the_marked_shards():
     flagged = [s for s in state.shards if s.is_malicious]
     assert len(flagged) == 2  # round(0.25 * 8)
     for shard in flagged:
-        assert not np.any(shard.data.labels == cfg.source_class)
-    honest_labels = np.concatenate(
-        [s.data.labels for s in state.shards if not s.is_malicious]
-    )
-    assert np.any(honest_labels == cfg.source_class)
+        assert not np.any(shard.labels == cfg.source_class)
+        # Only the labels were flipped: the rows hold source-class samples.
+        assert np.any(train.labels[shard.rows] == cfg.source_class)
+    honest = [s for s in state.shards if not s.is_malicious]
+    for shard in honest:
+        np.testing.assert_array_equal(shard.labels, train.labels[shard.rows])
+    assert np.any(np.concatenate([s.labels for s in honest]) == cfg.source_class)
+
+
+def test_init_state_indexes_the_training_set_without_copying_it():
+    """Every shard holds the training set by reference: building a repeat's
+    shards allocates well under 5% of its feature bytes."""
+    rng = np.random.default_rng(8)
+    train, test = (Dataset(rng.random((n, 256)), rng.integers(0, 4, size=n), 4) for n in (5000, 8))
+    assert train.features.nbytes >= 10**7
+    cfg = small_config(total_clients=50, clients_per_round=10, malicious_fraction=0.4, hidden_dims=(4,))
+    tracemalloc.start()
+    try:
+        state = federation.init_state(cfg, train, test, repeat=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * train.features.nbytes
+    assert len(state.shards) == 50
+    assert all(shard.source is train for shard in state.shards)
+    assert sum(shard.is_malicious for shard in state.shards) == 20
 
 
 def test_config_validation():
