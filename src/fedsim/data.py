@@ -20,7 +20,7 @@ class IdxFormatError(ValueError):
     """Malformed IDX file (bad magic, truncation, count mismatch)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     features: np.ndarray  # (n, d) float64 in [0, 1]
     labels: np.ndarray  # (n,) integer class indices
@@ -37,7 +37,7 @@ class Dataset:
         return self.features.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClientShard:
     """One client's data: rows of a shared training set, with labels of its own.
 
@@ -46,6 +46,7 @@ class ClientShard:
     source.features[rows[i]]. The labels are the shard's own array, so
     poison_labels can flip them without touching source; the federation
     checks them against the model's classes before it trains on them.
+    Shards, like Datasets, compare and hash by identity.
     """
 
     client_id: int

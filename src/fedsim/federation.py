@@ -3,12 +3,12 @@
 Each global epoch the server samples a subset of clients and ships them the
 current model. Every selected client first reports one noisy loss: its loss
 under the incoming model, noised. The configured eliminator filters the
-reports; only the clients it retains then train locally, delivered in stacks
-of clients trained together. FedAvg averages their weights, and the new
-model is scored on a held-out honest test set. A report depends on no
-trained weight, and an eliminated client's weights would never reach the
-average, so training only the retained clients gives the bytes that
-training every selected client would. Everything is driven by
+reports; only the clients it retains then train locally, in stacks of
+clients trained together, and FedAvg averages their weights as each stack
+arrives. The new model is scored on a held-out honest test set. A report
+depends on no trained weight, and an eliminated client's weights would never
+reach the average, so training only the retained clients gives the bytes
+that training every selected client would. Everything is driven by
 explicit seeded generators, so a config fully determines every round record.
 Client cid in epoch e of repeat r draws from exactly
 np.random.default_rng([seed, r, 4, e, cid]). numpy's SeedSequence mixes the
@@ -18,6 +18,7 @@ and hashes out PCG64's seeding words in one vector pass.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +92,7 @@ class FederationConfig:
 @dataclass(frozen=True)
 class StackUpdate:
     """What one local_train call returns: client client_ids[i] trained
-    slice i of weights, a stack with a leading client axis. It carries no
-    loss reports; report_losses forms those before elimination."""
+    slice i of weights, a stack with a leading client axis."""
 
     client_ids: tuple[int, ...]
     weights: nn.ModelParams
@@ -193,8 +193,7 @@ def report_losses(
     the client. The training-start loss reflects how well the shared model
     matches the client's labels, which is what separates honest from
     poisoned shards; by the end of local training the client has fit its
-    own labels, flipped or not, and the signal is gone. Since the report
-    depends on no trained weight, a client can report before it trains.
+    own labels, flipped or not, and the signal is gone.
     """
     if len(shards) != len(rngs):
         raise ValueError(f"{len(shards)} shards and {len(rngs)} generators; need one each")
@@ -223,8 +222,6 @@ def local_train(
     alone would. orders has shape (C, client_epochs, n): orders[i, e] is a
     permutation of range(n), client i's batch order in epoch e, as
     report_losses draws it; local_train itself draws from no generator.
-    global_round calls it after the eliminator, for retained clients only;
-    their reports, drawn before, do not depend on what it computes.
 
     Returns the trained stack, in shard order. The stack starts as a
     read-only broadcast of global_model, which is never written. Its first
@@ -251,28 +248,30 @@ def local_train(
     return StackUpdate(tuple(shard.client_id for shard in shards), model)
 
 
-def fed_avg(updates, retained) -> nn.ModelParams:
-    """Unweighted element-wise mean of the retained clients' parameters.
+def fed_avg(updates) -> nn.ModelParams:
+    """Unweighted element-wise mean of every client slice in updates.
 
-    updates are StackUpdates. Each retained client's slice is added, as a
-    view, in ascending client id across all stacks, so the result is
-    bit-reproducible however the clients were stacked.
+    updates is any iterable of StackUpdates whose client ids strictly ascend
+    across the whole sequence; an id that repeats or comes out of order is
+    rejected by id. Each slice is added, as a view, as its stack arrives, so
+    the result is bit-reproducible however the clients were stacked.
     """
-    if not updates or not retained:
-        raise ValueError("fed_avg needs at least one update and one retained client")
-    dims = updates[0].weights.dims
-    if any(u.weights.dims != dims for u in updates):
-        raise ValueError("updates disagree on model dims")
-    params = [u.weights.weights + u.weights.biases for u in updates]
-    slices = {cid: (p, i) for u, p in zip(updates, params) for i, cid in enumerate(u.client_ids)}
-    if missing := set(retained) - slices.keys():
-        raise ValueError(f"retained clients {sorted(missing)} are in no update")
-    sums = [np.zeros(p.shape[1:]) for p in params[0]]
-    for cid in sorted(retained):
-        stack, i = slices[cid]
-        for acc, p in zip(sums, stack):
-            acc += p[i]
-    inv = 1.0 / len(retained)
+    sums, last, count = None, None, 0
+    for update in updates:
+        params = update.weights.weights + update.weights.biases
+        if sums is None:
+            dims, sums = update.weights.dims, [np.zeros(p.shape[1:]) for p in params]
+        elif update.weights.dims != dims:
+            raise ValueError("updates disagree on model dims")
+        for i, cid in enumerate(update.client_ids):
+            if last is not None and cid <= last:
+                raise ValueError(f"client ids must strictly ascend, but client {cid} follows client {last}")
+            for acc, p in zip(sums, params):
+                acc += p[i]
+            last, count = cid, count + 1
+    if not count:
+        raise ValueError("fed_avg needs at least one client")
+    inv = 1.0 / count
     layers = len(dims) - 1
     return nn.ModelParams(tuple(w * inv for w in sums[:layers]), tuple(b * inv for b in sums[layers:]))
 
@@ -333,11 +332,8 @@ def _client_rngs(entropy, ids) -> list[np.random.Generator]:
 
 
 def _size_groups(state: FederationState, ids) -> list[list[int]]:
-    """ids cut into groups of equal shard size, each group in the order of ids."""
-    by_size = {}
-    for cid in ids:
-        by_size.setdefault(len(state.shards[cid]), []).append(cid)
-    return list(by_size.values())
+    """ids cut into runs of consecutive ids with equal shard size, in the order of ids."""
+    return [list(run) for _, run in itertools.groupby(ids, key=lambda cid: len(state.shards[cid]))]
 
 
 def _training_groups(state: FederationState, ids) -> list[tuple[int, ...]]:
@@ -355,13 +351,9 @@ def global_round(state: FederationState, epoch: int) -> RoundRecord:
     """Run one global epoch in place and return its record.
 
     The round selects clients, gathers every selected client's report (one
-    report_losses call per shard size), runs the eliminator on the reports,
-    trains only the retained clients (local_train, in stacks), averages them
-    with fed_avg and evaluates the new model. A report is the training-start
-    loss, so it does not depend on the client's trained weights, and an
-    eliminated client's weights never reach the average: skipping its
-    training changes no output byte. Each client's generator still draws its
-    batch orders, then its noise, exactly as training it would.
+    report_losses call per run of equal shard sizes), runs the eliminator on
+    the reports, and hands fed_avg the retained clients' local_train stacks
+    one at a time, in ascending client id; it then evaluates the new model.
     """
     cfg = state.config
     selected = select_clients(
@@ -377,15 +369,13 @@ def global_round(state: FederationState, epoch: int) -> RoundRecord:
         )
         noisy.update(zip(group, losses.tolist()))
         orders.update(zip(group, drawn))
-    outcome = run_eliminator({cid: noisy[cid] for cid in selected}, cfg.defense)
-    retained = [cid for cid in selected if cid in outcome.retained]
-    stacks = [
+    outcome = run_eliminator(noisy, cfg.defense)
+    state.model = fed_avg(
         local_train(
             state.model, [state.shards[cid] for cid in group], cfg, np.stack([orders[cid] for cid in group])
         )
-        for group in _training_groups(state, retained)
-    ]
-    state.model = fed_avg(stacks, outcome.retained)
+        for group in _training_groups(state, sorted(outcome.retained))
+    )
     result = evaluate_model(state.model, state.test_set)
     truth = {cid for cid in selected if state.shards[cid].is_malicious}
     det = detection_score(outcome, truth)

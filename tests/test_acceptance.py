@@ -203,7 +203,7 @@ def test_a6_numerical_core():
         )
         for ids in (range(5), range(5, 9))
     ]
-    avg = federation.fed_avg(updates, range(9))
+    avg = federation.fed_avg(updates)
     fed_err = 0.0
     for k in range(len(avg.weights)):
         naive = sum(m.weights[k] for m in models) / len(models)

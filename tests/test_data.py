@@ -144,6 +144,16 @@ def test_partition_rejects_too_many_clients():
         data.partition(ds, 4, seed=0)
 
 
+def test_datasets_and_shards_compare_and_hash_by_identity():
+    """Their array fields have no truth value, so == and hash() go by identity."""
+    ds = data.Dataset(np.arange(12.0).reshape(6, 2), np.array([0, 1, 0, 1, 0, 1]), 2)
+    twin = data.Dataset(ds.features.copy(), ds.labels.copy(), 2)
+    a, b = data.partition(ds, 3, seed=0), data.partition(ds, 3, seed=0)
+    assert a != b and a == a
+    assert ds != twin and ds == ds
+    assert len({*a, *b, ds, twin}) == 8
+
+
 def test_round_half_up():
     assert data.round_half_up(1.25) == 1
     assert data.round_half_up(1.5) == 2

@@ -79,9 +79,9 @@ def random_models(count, rng, dims=(3, 4, 2)):
     return [nn.init_params(dims, rng) for _ in range(count)]
 
 
-def naive_fed_avg(models: dict, retained) -> nn.ModelParams:
-    """The oracle: each retained client's 2-D parameters added in ascending id, then scaled."""
-    ids = sorted(retained)
+def naive_fed_avg(models: dict) -> nn.ModelParams:
+    """The oracle: each client's 2-D parameters added in ascending id, then scaled."""
+    ids = sorted(models)
     sums = [np.zeros_like(p) for p in models[ids[0]].weights + models[ids[0]].biases]
     for cid in ids:
         for acc, p in zip(sums, models[cid].weights + models[cid].biases):
@@ -100,7 +100,7 @@ def assert_same_params(got: nn.ModelParams, want: nn.ModelParams):
 
 def test_fed_avg_matches_naive_mean():
     models = random_models(7, np.random.default_rng(0))
-    avg = federation.fed_avg([stack_update(range(3), models[:3]), stack_update(range(3, 7), models[3:])], range(7))
+    avg = federation.fed_avg([stack_update(range(3), models[:3]), stack_update(range(3, 7), models[3:])])
     for k in range(len(avg.weights)):
         naive = sum(m.weights[k] for m in models) / 7
         np.testing.assert_allclose(avg.weights[k], naive, atol=1e-12, rtol=0)
@@ -110,54 +110,57 @@ def test_fed_avg_matches_naive_mean():
 
 def test_fed_avg_order_invariant_bitwise():
     models = random_models(5, np.random.default_rng(5))
-    a = federation.fed_avg([stack_update(range(5), models)], range(5))
-    # The same clients, stacked differently and listed in another order.
-    b = federation.fed_avg(
-        [stack_update((4, 1), [models[4], models[1]]), stack_update((3, 0, 2), [models[3], models[0], models[2]])],
-        (4, 3, 2, 1, 0),
-    )
+    a = federation.fed_avg([stack_update(range(5), models)])
+    # The same clients, stacked differently and handed over by a generator.
+    b = federation.fed_avg(stack_update(ids, [models[i] for i in ids]) for ids in ((0,), (1, 2), (3, 4)))
     assert_same_params(a, b)
 
 
 def test_fed_avg_single_update_is_identity():
     models = random_models(3, np.random.default_rng(2))
-    avg = federation.fed_avg([stack_update((0, 1, 2), models)], {1})
-    for wa, wb in zip(avg.weights, models[1].weights):
-        np.testing.assert_array_equal(wa, wb)
+    avg = federation.fed_avg([stack_update((1,), models[1:2])])
+    assert_same_params(avg, models[1])
 
 
 def test_fed_avg_rejects_empty_and_mismatched():
     rng = np.random.default_rng(0)
     update = stack_update((0,), random_models(1, rng))
-    with pytest.raises(ValueError):
-        federation.fed_avg([], {0})
-    with pytest.raises(ValueError):
-        federation.fed_avg([update], set())
-    with pytest.raises(ValueError, match=re.escape("retained clients [3] are in no update")):
-        federation.fed_avg([update], {0, 3})
-    with pytest.raises(ValueError):
-        federation.fed_avg([update, stack_update((1,), random_models(1, rng, dims=(3, 5, 2)))], {0, 1})
+    with pytest.raises(ValueError, match="at least one client"):
+        federation.fed_avg([])
+    with pytest.raises(ValueError, match="disagree on model dims"):
+        federation.fed_avg([update, stack_update((1,), random_models(1, rng, dims=(3, 5, 2)))])
+
+
+def test_fed_avg_rejects_a_client_in_two_updates():
+    models = random_models(4, np.random.default_rng(3))
+    updates = [stack_update((0, 1), models[:2]), stack_update((1, 2), models[2:])]
+    with pytest.raises(ValueError, match=re.escape("client 1 follows client 1")):
+        federation.fed_avg(updates)
+
+
+def test_fed_avg_rejects_ids_out_of_order():
+    models = random_models(4, np.random.default_rng(4))
+    with pytest.raises(ValueError, match=re.escape("client 2 follows client 5")):
+        federation.fed_avg([stack_update((3, 5), models[:2]), stack_update((2, 7), models[2:])])
+    with pytest.raises(ValueError, match=re.escape("client 0 follows client 1")):
+        federation.fed_avg([stack_update((1, 0), models[:2])])
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    seven_samples=st.lists(st.booleans(), min_size=1, max_size=16),
-    models_per_stack=st.integers(1, 5),
+    ids=st.sets(st.integers(0, 40), min_size=1, max_size=16).map(sorted),
     data=st.data(),
 )
-def test_fed_avg_matches_ascending_id_loop_bit_for_bit(seven_samples, models_per_stack, data):
-    """Clients with shards of 7 and 6 samples train in separate groups, each cut
-    into stacks as global_round cuts them, so the stacks interleave in id order."""
-    n = len(seven_samples)
-    retained = data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="retained")
+def test_fed_avg_matches_ascending_id_loop_bit_for_bit(ids, data):
+    """An ascending id list cut into random consecutive stacks averages to the
+    bits of adding each client's parameters alone, in ascending id."""
+    cut_after = data.draw(st.lists(st.booleans(), min_size=len(ids) - 1, max_size=len(ids) - 1), label="cuts")
+    bounds = [0, *(i + 1 for i, cut in enumerate(cut_after) if cut), len(ids)]
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    models = dict(enumerate(random_models(n, rng)))
-    groups = [[cid for cid in range(n) if seven_samples[cid] == size] for size in (True, False)]
-    stacks = [
-        ids[start : start + models_per_stack] for ids in groups for start in range(0, len(ids), models_per_stack)
-    ]
-    updates = [stack_update(ids, [models[cid] for cid in ids]) for ids in stacks]
-    assert_same_params(federation.fed_avg(updates, retained), naive_fed_avg(models, retained))
+    models = dict(zip(ids, random_models(len(ids), rng)))
+    stacks = [ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    updates = (stack_update(run, [models[cid] for cid in run]) for run in stacks)
+    assert_same_params(federation.fed_avg(updates), naive_fed_avg(models))
 
 
 # --- report_losses and local_train ---------------------------------------------
@@ -361,24 +364,25 @@ CUT_TWO = DefenseConfig(kind="fixed_fraction", fixed_fraction=0.25)
 
 @pytest.mark.parametrize(
     "models_per_stack, defense, expected_sizes",
-    [(None, NO_DEFENSE, [2, 6]), (3, NO_DEFENSE, [2, 3, 3]), (3, CUT_TWO, [1, 2, 3])],
+    [(None, NO_DEFENSE, [1, 1, 1, 5]), (3, NO_DEFENSE, [1, 1, 1, 2, 3]), (3, CUT_TWO, [1, 1, 1, 3])],
     ids=["default_cap", "cap_of_3_models", "cap_of_3_models_fixed_fraction_cuts_2"],
 )
 def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_per_stack, defense, expected_sizes):
-    """50 samples over 8 clients give shards of 7 and 6 samples, so one round reports
-    and trains two groups; a cap of 3 models also cuts the group of 6 into stacks.
-    Every selected client reports; only the retained ones train."""
+    """50 samples over 8 clients give shards of 7 and 6 samples; a cap of 3 models
+    also cuts a run of equal sizes into stacks. Every selected client reports;
+    only the retained ones train."""
     train = synthesize(5, 10, 8, 6.0, seed=[0, 1000])
     test = synthesize(5, 4, 8, 6.0, seed=[0, 1001])
     cfg = small_config(
         total_clients=8, clients_per_round=8, batch_size=4, malicious_fraction=0.25, defense=defense
     )
     state = federation.init_state(cfg, train, test)
-    # Hand the two 7-sample shards (clients 0 and 1) to clients 1 and 4, so the
-    # groups interleave in id order and the round must restore selected order.
-    order = (2, 0, 3, 4, 1, 5, 6, 7)
+    # Hand the two 7-sample shards (clients 0 and 1) to clients 1 and 7, so the
+    # shard sizes interleave in id order and the round reports and trains runs
+    # of consecutive ids: [0], [1], [2..6], [7].
+    order = (3, 0, 6, 2, 4, 5, 7, 1)
     state.shards = [replace(state.shards[old], client_id=new) for new, old in enumerate(order)]
-    assert [len(s) for s in state.shards] == [6, 7, 6, 6, 7, 6, 6, 6]
+    assert [len(s) for s in state.shards] == [6, 7, 6, 6, 6, 6, 6, 7]
     if models_per_stack:
         model_bytes = sum(p.nbytes for p in state.model.weights + state.model.biases)
         monkeypatch.setattr(federation, "_STACK_BYTES", models_per_stack * model_bytes)
@@ -504,12 +508,12 @@ def test_eliminated_clients_do_not_influence_aggregate():
     model_before = state.model
     record = federation.global_round(state, epoch=0)
     assert len(record.eliminated) == 1  # round(0.25 * 4)
-    retained = set(record.selected) - set(record.eliminated)
+    retained = sorted(set(record.selected) - set(record.eliminated))
     updates = [
         report_and_train(model_before, [state.shards[cid]], cfg, [np.random.default_rng([cfg.seed, 0, 4, 0, cid])])[1]
         for cid in retained
     ]
-    expected = federation.fed_avg(updates, retained)
+    expected = federation.fed_avg(updates)
     for wa, wb in zip(state.model.weights, expected.weights):
         assert wa.tobytes() == wb.tobytes()
 
