@@ -29,7 +29,6 @@ from .federation import (
     ExperimentReport,
     FederationConfig,
     RoundRecord,
-    StackUpdate,
     fed_avg,
     global_round,
     init_state,

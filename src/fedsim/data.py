@@ -27,6 +27,11 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self):
+        if self.features.ndim != 2 or self.labels.ndim != 1:
+            shapes = f"{self.features.shape} and {self.labels.shape}"
+            raise ValueError(f"need features of shape (n, d) and labels of shape (n,), got {shapes}")
+        if self.labels.dtype.kind not in "iu":
+            raise ValueError(f"labels must be integers, got dtype {self.labels.dtype}")
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("feature/label count mismatch")
         outside = self.labels[(self.labels < 0) | (self.labels >= self.num_classes)]
@@ -61,6 +66,9 @@ class ClientShard:
                 f"client {self.client_id} needs rows and labels of one shape (n,), "
                 f"got {self.rows.shape} and {self.labels.shape}"
             )
+        if self.rows.dtype.kind not in "iu" or self.labels.dtype.kind not in "iu":
+            kinds = f"{self.rows.dtype} and {self.labels.dtype}"
+            raise ValueError(f"client {self.client_id} needs integer rows and labels, got {kinds}")
         if self.rows.size and (self.rows.min() < 0 or self.rows.max() >= len(self.source)):
             raise ValueError(f"client {self.client_id} has rows outside its {len(self.source)}-row source")
 

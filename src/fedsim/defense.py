@@ -54,6 +54,9 @@ def _losses(reports) -> tuple[list, np.ndarray]:
     """
     if not reports:
         raise ValueError("need at least 1 loss report, got 0")
+    for cid in reports:
+        if isinstance(cid, bool) or not isinstance(cid, (int, np.integer)):
+            raise ValueError(f"client ids must be integers, got {cid!r}")
     ids = sorted(reports)
     losses = np.array([reports[cid] for cid in ids], dtype=np.float64)
     if not np.isfinite(losses).all():

@@ -90,15 +90,6 @@ class FederationConfig:
 
 
 @dataclass(frozen=True)
-class StackUpdate:
-    """What one local_train call returns: client client_ids[i] trained
-    slice i of weights, a stack with a leading client axis."""
-
-    client_ids: tuple[int, ...]
-    weights: nn.ModelParams
-
-
-@dataclass(frozen=True)
 class RoundRecord:
     epoch: int
     selected: tuple[int, ...]
@@ -212,28 +203,32 @@ def local_train(
     shards: list[ClientShard],
     config: FederationConfig,
     orders: np.ndarray,
-) -> StackUpdate:
+) -> nn.ModelParams:
     """A group of clients' trained weights: mini-batch SGD in the given batch orders.
 
     The training settings are config's client_epochs, batch_size and client_lr.
 
     The shards must be of equal size n; they train as one stacked model with
     a leading client axis, which computes exactly what training each client
-    alone would. orders has shape (C, client_epochs, n): orders[i, e] is a
-    permutation of range(n), client i's batch order in epoch e, as
-    report_losses draws it; local_train itself draws from no generator.
+    alone would. orders is an integer array of shape (C, client_epochs, n):
+    orders[i, e] is a permutation of range(n), client i's batch order in
+    epoch e, as report_losses draws it; local_train itself draws from no
+    generator.
 
-    Returns the trained stack, in shard order. The stack starts as a
-    read-only broadcast of global_model, which is never written. Its first
-    step, through the pure nn.backward and nn.sgd_step, gives it
-    C-contiguous arrays of its own; nn.descend updates those in place.
+    Returns the trained stack, in shard order: slice i is client i's model.
+    The stack starts as a read-only broadcast of global_model, which is never
+    written. Its first step, through the pure nn.backward and nn.sgd_step,
+    gives it C-contiguous arrays of its own; nn.descend updates those in place.
     """
     features, labels, n = _stack_inputs(global_model, shards)
     c = len(shards)
     orders = np.asarray(orders)
     shape = (c, config.client_epochs, n)
-    if orders.shape != shape or (orders.size and not 0 <= orders.min() <= orders.max() < n):
-        raise ValueError(f"orders of shape {orders.shape} must have shape {shape} and index range({n})")
+    if orders.shape != shape or orders.dtype.kind not in "iu" or (np.sort(orders) != np.arange(n)).any():
+        raise ValueError(
+            f"orders of shape {orders.shape} and dtype {orders.dtype} must be integer permutations "
+            f"of range({n}), of shape {shape}"
+        )
     model = _broadcast(global_model, c)
     # Client i's orders index rows i*n .. i*n+n-1 of features.
     rows = orders + np.arange(0, c * n, n)[:, None, None]
@@ -245,30 +240,31 @@ def local_train(
             else:
                 grads, _ = nn.backward(model, features[idx], labels[idx])
                 model = nn.sgd_step(model, grads, config.client_lr)
-    return StackUpdate(tuple(shard.client_id for shard in shards), model)
+    return model
 
 
-def fed_avg(updates) -> nn.ModelParams:
-    """Unweighted element-wise mean of every client slice in updates.
+def fed_avg(stacks) -> nn.ModelParams:
+    """Unweighted element-wise mean of every client slice in stacks.
 
-    updates is any iterable of StackUpdates whose client ids strictly ascend
-    across the whole sequence; an id that repeats or comes out of order is
-    rejected by id. Each slice is added, as a view, as its stack arrives, so
-    the result is bit-reproducible however the clients were stacked.
+    stacks is any iterable of model stacks with a leading client axis, as
+    local_train returns them. Each slice is added, as a view, in the order
+    given, as its stack arrives: the caller's order fixes the bits, however
+    the clients were stacked. A stack given twice counts twice.
     """
-    sums, last, count = None, None, 0
-    for update in updates:
-        params = update.weights.weights + update.weights.biases
+    sums, count = None, 0
+    for stack in stacks:
+        if stack.weights[0].ndim != 3:
+            raise ValueError(f"a stack needs a leading client axis, got weights of shape {stack.weights[0].shape}")
+        params = stack.weights + stack.biases
         if sums is None:
-            dims, sums = update.weights.dims, [np.zeros(p.shape[1:]) for p in params]
-        elif update.weights.dims != dims:
-            raise ValueError("updates disagree on model dims")
-        for i, cid in enumerate(update.client_ids):
-            if last is not None and cid <= last:
-                raise ValueError(f"client ids must strictly ascend, but client {cid} follows client {last}")
+            dims, sums = stack.dims, [np.zeros(p.shape[1:]) for p in params]
+        elif stack.dims != dims:
+            raise ValueError("stacks disagree on model dims")
+        clients = len(params[0])
+        for i in range(clients):
             for acc, p in zip(sums, params):
                 acc += p[i]
-            last, count = cid, count + 1
+        count += clients
     if not count:
         raise ValueError("fed_avg needs at least one client")
     inv = 1.0 / count

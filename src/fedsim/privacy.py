@@ -60,6 +60,8 @@ def perturb_loss(losses: np.ndarray, config: LdpConfig, rngs) -> np.ndarray:
     Client i draws one uniform from rngs[i], so its noise is what
     laplace_sample(laplace_scale(config), rngs[i]) would return.
     """
+    if np.ndim(losses) != 1:
+        raise ValueError(f"losses must be 1-D, one per client, got shape {np.shape(losses)}")
     if len(losses) != len(rngs):
         raise ValueError(f"{len(losses)} losses and {len(rngs)} generators; need one each")
     if not np.isfinite(losses).all():

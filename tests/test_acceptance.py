@@ -193,17 +193,14 @@ def test_a6_numerical_core():
 
     models = [nn.init_params((4, 5, 3), rng) for _ in range(9)]
     # Two stacks with a leading client axis, as two local_train calls return them.
-    updates = [
-        federation.StackUpdate(
-            tuple(ids),
-            nn.ModelParams(
-                tuple(np.stack(layer) for layer in zip(*(models[i].weights for i in ids))),
-                tuple(np.stack(layer) for layer in zip(*(models[i].biases for i in ids))),
-            ),
+    stacks = [
+        nn.ModelParams(
+            tuple(np.stack(layer) for layer in zip(*(m.weights for m in models[lo:hi]))),
+            tuple(np.stack(layer) for layer in zip(*(m.biases for m in models[lo:hi]))),
         )
-        for ids in (range(5), range(5, 9))
+        for lo, hi in ((0, 5), (5, 9))
     ]
-    avg = federation.fed_avg(updates)
+    avg = federation.fed_avg(stacks)
     fed_err = 0.0
     for k in range(len(avg.weights)):
         naive = sum(m.weights[k] for m in models) / len(models)

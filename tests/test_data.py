@@ -221,8 +221,10 @@ def test_poison_labels_requires_malicious_flag():
         ([[0, 1]], [[0, 1]], "client 7 needs rows and labels of one shape (n,), got (1, 2) and (1, 2)"),
         ([0, 4], [0, 1], "client 7 has rows outside its 4-row source"),
         ([-1, 2], [0, 1], "client 7 has rows outside its 4-row source"),
+        ([0.0, 1.0], [0, 1], "client 7 needs integer rows and labels, got float64 and int64"),
+        ([0, 1], [0.0, 1.0], "client 7 needs integer rows and labels, got int64 and float64"),
     ],
-    ids=["lengths_differ", "not_one_dimensional", "row_past_end", "row_negative"],
+    ids=["lengths_differ", "not_one_dimensional", "row_past_end", "row_negative", "float_rows", "float_labels"],
 )
 def test_client_shard_rejects_rows_that_do_not_fit(rows, labels, shown):
     source = data.Dataset(np.zeros((4, 3)), np.zeros(4, dtype=int), 2)
@@ -236,3 +238,17 @@ def test_client_shard_rejects_rows_that_do_not_fit(rows, labels, shown):
 def test_dataset_rejects_label_outside_classes_by_value(labels, shown):
     with pytest.raises(ValueError, match=re.escape(shown)):
         data.Dataset(np.zeros((4, 3)), np.array(labels), 2)
+
+
+@pytest.mark.parametrize(
+    "features, labels, shown",
+    [
+        (np.zeros((4, 3)), np.zeros((4, 1), dtype=int), "labels of shape (n,), got (4, 3) and (4, 1)"),
+        (np.zeros(4), np.zeros(4, dtype=int), "features of shape (n, d) and labels of shape (n,), got (4,)"),
+        (np.zeros((4, 3)), np.zeros(4), "labels must be integers, got dtype float64"),
+    ],
+    ids=["column_labels", "one_dimensional_features", "float_labels"],
+)
+def test_dataset_rejects_arrays_of_the_wrong_shape_or_type(features, labels, shown):
+    with pytest.raises(ValueError, match=re.escape(shown)):
+        data.Dataset(features, labels, 2)

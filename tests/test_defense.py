@@ -316,6 +316,13 @@ def test_loss_report_rejects_nonfinite():
                 defense.run_eliminator({0: 0.5, 1: bad, 2: 0.7}, cfg)
 
 
+@pytest.mark.parametrize("bad_id, shown", [(True, "True"), (1.5, "1.5")], ids=["bool", "float"])
+def test_loss_report_rejects_an_id_that_is_not_an_integer(bad_id, shown):
+    for cfg in ALL_CONFIGS:
+        with pytest.raises(ValueError, match=f"client ids must be integers, got {shown}"):
+            defense.run_eliminator({bad_id: 0.1, 2: 0.3}, cfg)
+
+
 # --- detection scoring ------------------------------------------------------
 
 def outcome(eliminated, retained):

@@ -1,5 +1,7 @@
 """Tests for the federated loop: selection, local training, FedAvg, rounds."""
 
+import itertools
+import math
 import re
 import tracemalloc
 from dataclasses import replace
@@ -66,13 +68,12 @@ def test_selection_is_roughly_uniform():
 
 # --- fed_avg ----------------------------------------------------------------
 
-def stack_update(client_ids, models):
-    """The StackUpdate a local_train call over these clients' models would return."""
-    weights = nn.ModelParams(
+def stack_models(models):
+    """The stack a local_train call over these clients' models would return."""
+    return nn.ModelParams(
         tuple(np.stack(layer) for layer in zip(*(m.weights for m in models))),
         tuple(np.stack(layer) for layer in zip(*(m.biases for m in models))),
     )
-    return federation.StackUpdate(tuple(client_ids), weights)
 
 
 def random_models(count, rng, dims=(3, 4, 2)):
@@ -100,7 +101,7 @@ def assert_same_params(got: nn.ModelParams, want: nn.ModelParams):
 
 def test_fed_avg_matches_naive_mean():
     models = random_models(7, np.random.default_rng(0))
-    avg = federation.fed_avg([stack_update(range(3), models[:3]), stack_update(range(3, 7), models[3:])])
+    avg = federation.fed_avg([stack_models(models[:3]), stack_models(models[3:])])
     for k in range(len(avg.weights)):
         naive = sum(m.weights[k] for m in models) / 7
         np.testing.assert_allclose(avg.weights[k], naive, atol=1e-12, rtol=0)
@@ -110,40 +111,43 @@ def test_fed_avg_matches_naive_mean():
 
 def test_fed_avg_order_invariant_bitwise():
     models = random_models(5, np.random.default_rng(5))
-    a = federation.fed_avg([stack_update(range(5), models)])
-    # The same clients, stacked differently and handed over by a generator.
-    b = federation.fed_avg(stack_update(ids, [models[i] for i in ids]) for ids in ((0,), (1, 2), (3, 4)))
+    a = federation.fed_avg([stack_models(models)])
+    # The same clients in the same order, stacked differently and handed over by a generator.
+    b = federation.fed_avg(stack_models(models[lo:hi]) for lo, hi in ((0, 1), (1, 3), (3, 5)))
     assert_same_params(a, b)
 
 
 def test_fed_avg_single_update_is_identity():
     models = random_models(3, np.random.default_rng(2))
-    avg = federation.fed_avg([stack_update((1,), models[1:2])])
+    avg = federation.fed_avg([stack_models(models[1:2])])
     assert_same_params(avg, models[1])
 
 
 def test_fed_avg_rejects_empty_and_mismatched():
     rng = np.random.default_rng(0)
-    update = stack_update((0,), random_models(1, rng))
+    stack = stack_models(random_models(1, rng))
     with pytest.raises(ValueError, match="at least one client"):
         federation.fed_avg([])
+    no_clients = nn.ModelParams(tuple(w[:0] for w in stack.weights), tuple(b[:0] for b in stack.biases))
+    with pytest.raises(ValueError, match="at least one client"):
+        federation.fed_avg([no_clients])
     with pytest.raises(ValueError, match="disagree on model dims"):
-        federation.fed_avg([update, stack_update((1,), random_models(1, rng, dims=(3, 5, 2)))])
+        federation.fed_avg([stack, stack_models(random_models(1, rng, dims=(3, 5, 2)))])
 
 
-def test_fed_avg_rejects_a_client_in_two_updates():
-    models = random_models(4, np.random.default_rng(3))
-    updates = [stack_update((0, 1), models[:2]), stack_update((1, 2), models[2:])]
-    with pytest.raises(ValueError, match=re.escape("client 1 follows client 1")):
-        federation.fed_avg(updates)
+def test_fed_avg_rejects_a_lone_model():
+    """A 2-D model has no client axis to average over."""
+    [model] = random_models(1, np.random.default_rng(3))
+    problem = re.escape("a stack needs a leading client axis, got weights of shape (4, 3)")
+    with pytest.raises(ValueError, match=problem):
+        federation.fed_avg([model])
 
 
-def test_fed_avg_rejects_ids_out_of_order():
-    models = random_models(4, np.random.default_rng(4))
-    with pytest.raises(ValueError, match=re.escape("client 2 follows client 5")):
-        federation.fed_avg([stack_update((3, 5), models[:2]), stack_update((2, 7), models[2:])])
-    with pytest.raises(ValueError, match=re.escape("client 0 follows client 1")):
-        federation.fed_avg([stack_update((1, 0), models[:2])])
+def test_fed_avg_counts_a_stack_given_twice_twice():
+    models = random_models(3, np.random.default_rng(4))
+    pair = stack_models(models[:2])
+    got = federation.fed_avg([pair, pair, stack_models(models[2:])])
+    assert_same_params(got, naive_fed_avg(dict(enumerate(models[:2] + models[:2] + models[2:]))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,8 +163,8 @@ def test_fed_avg_matches_ascending_id_loop_bit_for_bit(ids, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     models = dict(zip(ids, random_models(len(ids), rng)))
     stacks = [ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    updates = (stack_update(run, [models[cid] for cid in run]) for run in stacks)
-    assert_same_params(federation.fed_avg(updates), naive_fed_avg(models))
+    trained = (stack_models([models[cid] for cid in run]) for run in stacks)
+    assert_same_params(federation.fed_avg(trained), naive_fed_avg(models))
 
 
 # --- report_losses and local_train ---------------------------------------------
@@ -200,9 +204,9 @@ def test_local_train_zero_epochs_returns_global_weights():
     model = nn.init_params((4, 3), rng)
     _, orders = federation.report_losses(model, [shard], train_config(0, 0.5, 4), [np.random.default_rng(1)])
     assert orders.shape == (1, 0, 12)
-    update = federation.local_train(model, [shard], train_config(0, 0.5, 4), orders)
-    assert update.client_ids == (0,)
-    for wa, wb in zip(update.weights.weights, model.weights):
+    trained = federation.local_train(model, [shard], train_config(0, 0.5, 4), orders)
+    assert [w.shape for w in trained.weights] == [(1, *w.shape) for w in model.weights]
+    for wa, wb in zip(trained.weights, model.weights):
         np.testing.assert_array_equal(wa[0], wb)
 
 
@@ -213,11 +217,9 @@ def test_local_train_reports_loss_of_incoming_model():
     [shard] = make_shards(rng, [12])
     model = nn.init_params((4, 3), rng)
     incoming, _ = nn.softmax_cross_entropy(nn.forward(model, shard_features(shard)), shard.labels)
-    [noisy_loss], update = report_and_train(model, [shard], train_config(3, 0.5, 4), [np.random.default_rng(7)])
+    [noisy_loss], stack = report_and_train(model, [shard], train_config(3, 0.5, 4), [np.random.default_rng(7)])
     assert noisy_loss == pytest.approx(incoming, abs=1e-2)
-    trained, _ = nn.softmax_cross_entropy(
-        nn.forward(update.weights, shard_features(shard)[None]), shard.labels[None]
-    )
+    trained, _ = nn.softmax_cross_entropy(nn.forward(stack, shard_features(shard)[None]), shard.labels[None])
     assert trained < incoming  # training actually reduced the local loss
 
 
@@ -246,12 +248,10 @@ def reference_local_train(global_model, shard, client_epochs, lr, batch_size, ld
     return model, raw_loss + laplace_sample(laplace_scale(ldp), rng)
 
 
-def assert_same_weights(got: federation.StackUpdate, i: int, want_model):
+def assert_same_weights(got: nn.ModelParams, i: int, want_model):
     """Client i of the stack got has the oracle's weights, bit for bit."""
-    assert_same_params(
-        nn.ModelParams(tuple(w[i] for w in got.weights.weights), tuple(b[i] for b in got.weights.biases)),
-        want_model,
-    )
+    slice_i = nn.ModelParams(tuple(w[i] for w in got.weights), tuple(b[i] for b in got.biases))
+    assert_same_params(slice_i, want_model)
 
 
 def assert_same_report(got, want_loss):
@@ -270,7 +270,7 @@ def test_local_train_matches_per_client_loop_bit_for_bit():
         model, shards, train_config(3, 0.4, 5, ldp), [np.random.default_rng([7, s.client_id]) for s in shards]
     )
     assert noisy_losses.dtype == np.float64
-    assert got.client_ids == (3, 1, 8, 5)
+    assert len(got.weights[0]) == len(shards)
     for i, shard in enumerate(shards):
         want_model, want_loss = reference_local_train(
             model, shard, 3, 0.4, 5, ldp, np.random.default_rng([7, shard.client_id])
@@ -291,7 +291,7 @@ def test_local_train_owns_contiguous_weights_and_leaves_global_model_alone(clien
         model, shards, train_config(3, 0.4, 5), [np.random.default_rng(cid) for cid in range(clients)]
     )
     assert [a.tobytes() for a in model.weights + model.biases] == before
-    for a in got.weights.weights + got.weights.biases:
+    for a in got.weights + got.biases:
         assert a.flags.c_contiguous and a.flags.writeable
 
 
@@ -337,9 +337,14 @@ def test_local_train_rejects_unequal_shards_and_missing_generators():
         federation.report_losses(model, [], cfg, [])
     with pytest.raises(ValueError):
         federation.local_train(model, [], cfg, np.zeros((0, 1, 12), dtype=np.intp))
-    # Batch orders that are missing, for another epoch count, or reach past the shard.
+    # Batch orders that are missing, for another epoch count, reach past the shard,
+    # are not integers, or repeat a row.
     _, orders = federation.report_losses(model, shards[:1], cfg, rngs[:1])
-    for bad in (orders[:0], np.concatenate([orders, orders], axis=1), orders + 1, orders - 1):
+    bad_orders = (
+        orders[:0], np.concatenate([orders, orders], axis=1), orders + 1, orders - 1,
+        orders.astype(np.float64), np.zeros_like(orders),
+    )
+    for bad in bad_orders:
         with pytest.raises(ValueError, match="orders of shape"):
             federation.local_train(model, shards[:1], cfg, bad)
 
@@ -390,9 +395,9 @@ def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_pe
     train_group, eliminate = federation.local_train, federation.run_eliminator
 
     def recording_local_train(global_model, shards, *args):
-        update = train_group(global_model, shards, *args)
-        calls.append(([s.client_id for s in shards], update))
-        return update
+        stack = train_group(global_model, shards, *args)
+        calls.append(([s.client_id for s in shards], stack))
+        return stack
 
     def recording_eliminator(reports, config):
         reported.update(reports)
@@ -418,10 +423,84 @@ def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_pe
     assert sorted(cid for ids in groups for cid in ids) == sorted(set(record.selected) - set(record.eliminated))
     assert all(len({len(state.shards[cid]) for cid in ids}) == 1 for ids in groups)
     assert sorted(len(ids) for ids in groups) == expected_sizes
-    for ids, update in calls:
-        assert list(update.client_ids) == ids
+    for ids, stack in calls:
+        # Slice i of a stack is the model of the i-th shard that local_train was handed.
+        assert len(stack.weights[0]) == len(ids)
         for i, cid in enumerate(ids):
-            assert_same_weights(update, i, want[cid][0])
+            assert_same_weights(stack, i, want[cid][0])
+
+
+# (config, training samples per class) of the README desk experiment, and of a
+# cross-device shape: 300 clients, the first 10 of 5 samples and the rest of 4,
+# 120 a round, of which fixed_fraction cuts 24; the rest train in about ten
+# stacks of 13 models.
+WORK_SHAPES = {
+    "desk": (FederationConfig(malicious_fraction=0.4, defense=DefenseConfig(kind="kmeans")), 200),
+    "cross_device": (
+        FederationConfig(
+            total_clients=300, clients_per_round=120, client_epochs=1, malicious_fraction=0.2,
+            defense=DefenseConfig(kind="fixed_fraction", fixed_fraction=0.2),
+        ),
+        121,
+    ),
+}
+
+
+def equal_size_runs(state, ids) -> list[int]:
+    """The lengths of the runs of consecutive ids in ids with equal shard size."""
+    return [len(list(run)) for _, run in itertools.groupby(ids, key=lambda cid: len(state.shards[cid]))]
+
+
+@pytest.mark.parametrize("shape", list(WORK_SHAPES))
+def test_round_work_structure(monkeypatch, shape):
+    """Counted calls pin a round's work: every selected client reports, in one
+    report_losses call per run of equal shard sizes; only the retained clients
+    train, in one local_train call per capped stack; the client generators are
+    built once and the new model is evaluated once."""
+    cfg, per_class = WORK_SHAPES[shape]
+    train, test = (
+        synthesize(10, count, 64, 6.0, seed=[cfg.seed, stream]) for count, stream in ((per_class, 1000), (50, 1001))
+    )
+    state = federation.init_state(cfg, train, test)
+    model_bytes = sum(p.nbytes for p in state.model.weights + state.model.biases)
+    cap = max(1, federation._STACK_BYTES // model_bytes)
+    names = ("report_losses", "local_train", "evaluate_model", "_client_rngs", "run_eliminator")
+    calls = {name: [] for name in names}
+
+    def recording(name):
+        inner = getattr(federation, name)
+
+        def wrapper(*args):
+            result = inner(*args)
+            calls[name].append((args, result))
+            return result
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(federation, name, recording(name))
+    cut, runs, stacks = 0, [], []
+    for epoch in range(4):
+        for made in calls.values():
+            made.clear()
+        record = federation.global_round(state, epoch)
+        [(_, outcome)] = calls["run_eliminator"]
+        retained = sorted(outcome.retained)
+        trained = [shard.client_id for (_, shards, *_), _ in calls["local_train"] for shard in shards]
+        assert trained == retained
+        reported = [shard.client_id for (_, shards, *_), _ in calls["report_losses"] for shard in shards]
+        assert reported == list(record.selected)
+        assert len(calls["report_losses"]) == len(equal_size_runs(state, record.selected))
+        want_stacks = sum(math.ceil(run / cap) for run in equal_size_runs(state, retained))
+        assert len(calls["local_train"]) == want_stacks
+        assert len(calls["_client_rngs"]) == len(calls["evaluate_model"]) == 1
+        cut += len(outcome.eliminated)
+        runs.append(len(calls["report_losses"]))
+        stacks.append(len(calls["local_train"]))
+    # The premises: some round eliminates someone, and the cross-device rounds
+    # report in two runs and train in many stacks.
+    assert cut > 0
+    assert shape == "desk" or (min(runs) == 2 and min(stacks) >= 3), (runs, stacks)
 
 
 # --- client generators ---------------------------------------------------------
@@ -509,11 +588,11 @@ def test_eliminated_clients_do_not_influence_aggregate():
     record = federation.global_round(state, epoch=0)
     assert len(record.eliminated) == 1  # round(0.25 * 4)
     retained = sorted(set(record.selected) - set(record.eliminated))
-    updates = [
+    stacks = [
         report_and_train(model_before, [state.shards[cid]], cfg, [np.random.default_rng([cfg.seed, 0, 4, 0, cid])])[1]
         for cid in retained
     ]
-    expected = federation.fed_avg(updates)
+    expected = federation.fed_avg(stacks)
     for wa, wb in zip(state.model.weights, expected.weights):
         assert wa.tobytes() == wb.tobytes()
 

@@ -1,5 +1,7 @@
 """Tests for the Laplace mechanism: scale, sampler shape, and privacy bound."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,12 @@ def test_perturb_loss_needs_one_generator_per_loss():
     rngs = [np.random.default_rng(0), np.random.default_rng(1)]
     with pytest.raises(ValueError, match="3 losses and 2 generators"):
         privacy.perturb_loss(np.array([0.5, 0.5, 0.5]), privacy.LdpConfig(), rngs)
+
+
+def test_perturb_loss_rejects_losses_that_are_not_one_dimensional():
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    with pytest.raises(ValueError, match=re.escape("losses must be 1-D, one per client, got shape (2, 2)")):
+        privacy.perturb_loss(np.full((2, 2), 0.5), privacy.LdpConfig(), rngs)
 
 
 class ZeroDraw:
