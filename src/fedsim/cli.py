@@ -15,15 +15,6 @@ from .federation import MEAN_FIELDS, ExperimentReport, FederationConfig, run_exp
 # The config dataclass of each dataset section, by the section's "type" key.
 _DATASETS = {"synthetic": SyntheticData, "idx": IdxData}
 
-# Accepted JSON value types (and their name in errors), by a config field's annotation.
-_JSON_TYPES = {
-    "bool": ((bool,), "true or false"),
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-    "str": ((str,), "a string"),
-    "tuple[int, ...]": ((list,), "a list of integers"),
-}
-
 ROUNDS_COLUMNS = ("repeat", "epoch", "malicious_fraction", "defense", *MEAN_FIELDS, "selected_count")
 SWEEP_COLUMNS = (
     "malicious_fraction", "defense_on", "final_accuracy", "final_source_recall",
@@ -38,7 +29,8 @@ class ExperimentSpec:
 
 
 def _build(cls, section: str, given):
-    """A cls from the JSON object given; unknown keys, missing keys and mistyped values are fatal."""
+    """A cls from the JSON object given; unknown and missing keys are fatal, and cls rejects
+    a value of the wrong kind."""
     if type(given) is not dict:
         raise ValueError(f"{section} must be a JSON object, got {given!r}")
     schema = {f.name: f for f in fields(cls)}
@@ -48,29 +40,30 @@ def _build(cls, section: str, given):
             raise ValueError(f"unknown key {key!r} in {section}")
         default = schema[key].default
         if is_dataclass(default):  # a nested section: defense or ldp
-            values[key] = _build(type(default), key, value)
-            continue
-        types, expected = _JSON_TYPES[schema[key].type]
-        if type(value) not in types or (type(value) is list and not all(type(v) is int for v in value)):
-            raise ValueError(f"{key} in {section} must be {expected}, got {value!r}")
+            value = _build(type(default), key, value)
         values[key] = tuple(value) if type(value) is list else value
     if missing := [name for name, f in schema.items() if f.default is MISSING and name not in given]:
         raise ValueError(f"{section} missing keys: {missing}")
     return cls(**values)
 
 
-def _sweep_fractions(text: str) -> tuple[float, ...]:
-    """The validated malicious fractions of a --fractions comma string."""
+def _sweep_arms(text: str, spec: ExperimentSpec, out_dir: Path) -> list[tuple[ExperimentSpec, Path]]:
+    """The (spec, report directory) of each arm of a --fractions comma string's sweep:
+    each fraction with spec's defense off, then on. FederationConfig checks each fraction."""
+    defense = spec.federation.defense
     try:
-        fractions = tuple(float(f) for f in text.split(","))
-        for f in fractions:
-            if not 0.0 <= f <= 0.5:
-                raise ValueError(f"sweep fraction {f} outside the supported [0, 0.5]")
+        fractions = [float(f) for f in text.split(",")]
         if len({_fmt(f) for f in fractions}) < len(fractions):
             raise ValueError("sweep fractions repeat a fraction, to 9 significant digits")
+        return [
+            (replace(spec, federation=replace(
+                spec.federation, malicious_fraction=fraction, defense=arm_defense)),
+             out_dir / f"frac_{_fmt(fraction)}_{label}")
+            for fraction in fractions
+            for label, arm_defense in (("off", replace(defense, kind="none")), ("on", defense))
+        ]
     except ValueError as exc:
         raise ValueError(f"--fractions {text!r}: {exc}") from None
-    return fractions
 
 
 def _non_finite(constant: str):
@@ -186,18 +179,9 @@ def main(argv=None) -> int:
         spec = parse_config(args.config)
         experiments = [(spec, out_dir)]  # (spec, report directory) of each experiment
         if args.command == "sweep":
-            fractions = _sweep_fractions(args.fractions)
-            defense = spec.federation.defense
-            if defense.kind == "none":
+            experiments = _sweep_arms(args.fractions, spec, out_dir)
+            if spec.federation.defense.kind == "none":
                 raise ValueError("sweep needs a defense kind other than 'none' to compare against")
-            # Each fraction with the defense off, then on.
-            experiments = [
-                (replace(spec, federation=replace(
-                    spec.federation, malicious_fraction=fraction, defense=arm_defense)),
-                 out_dir / f"frac_{_fmt(fraction)}_{label}")
-                for fraction in fractions
-                for label, arm_defense in (("off", replace(defense, kind="none")), ("on", defense))
-            ]
         train, test = build_datasets(spec)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

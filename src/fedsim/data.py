@@ -7,8 +7,9 @@ seeds, so every operation here is a pure function of its arguments.
 
 from __future__ import annotations
 
+import numbers
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -76,6 +77,35 @@ class ClientShard:
         return self.rows.shape[0]
 
 
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# What a config field accepts, by its annotation, and its name in errors. A bool is an
+# integer to Python, but fits a bool field only.
+_FIELD_KINDS = {
+    "bool": (lambda v: isinstance(v, (bool, np.bool_)), "true or false"),
+    "int": (_integer, "an integer"),
+    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[int, ...]": (lambda v: isinstance(v, (list, tuple)) and all(map(_integer, v)), "a list of integers"),
+}
+
+
+def check_field_kinds(config) -> None:
+    """Reject a field of a config dataclass whose value is of the wrong kind, by name; a
+    nested section must be of its default's class."""
+    for f in fields(config):
+        value, section = getattr(config, f.name), type(f.default)
+        if is_dataclass(section):
+            fits, expected = isinstance(value, section), f"a {section.__name__}"
+        else:
+            accepts, expected = _FIELD_KINDS[f.type]
+            fits = accepts(value)
+        if not fits:
+            raise ValueError(f"{f.name} must be {expected}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SyntheticData:
     """A config's synthetic dataset: train and test blobs drawn by synthesize."""
@@ -88,6 +118,7 @@ class SyntheticData:
     test_per_class: int = 50
 
     def __post_init__(self):
+        check_field_kinds(self)
         if self.test_per_class < 1:
             raise ValueError(f"test_per_class {self.test_per_class} in dataset must be positive")
 
@@ -100,6 +131,9 @@ class IdxData:
     train_labels: str
     test_images: str
     test_labels: str
+
+    def __post_init__(self):
+        check_field_kinds(self)
 
 
 def _read_exact(f, count: int, path: str, what: str) -> bytes:
@@ -246,8 +280,6 @@ def _glyph_pattern(c: int, dim: int) -> np.ndarray:
     """+-1 sign pattern for class c, resampled from its 8x8 glyph to dim."""
     cells = (np.frombuffer(_DIGIT_GLYPHS[c].ljust(64, ".").encode(), dtype="S1") == b"#")
     profile = np.where(cells, 1.0, -1.0)
-    if dim == 64:
-        return profile
     return np.interp(np.linspace(0.0, 63.0, dim), np.arange(64.0), profile)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import round_half_up
+from .data import check_field_kinds, round_half_up
 
 
 @dataclass
@@ -35,6 +35,7 @@ class DefenseConfig:
     kmeans_max_iters: int = 100
 
     def __post_init__(self):
+        check_field_kinds(self)
         if self.kind not in DEFENSE_KINDS:
             raise ValueError(f"unknown defense kind {self.kind!r}, expected one of {DEFENSE_KINDS}")
         if not 0.0 <= self.fixed_fraction < 1.0:

@@ -18,6 +18,7 @@ and hashes out PCG64's seeding words in one vector pass.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import nn
-from .data import ClientShard, Dataset, mark_malicious, partition, poison_labels
+from .data import ClientShard, Dataset, check_field_kinds, mark_malicious, partition, poison_labels
 from .defense import DefenseConfig, detection_score, run_eliminator
 from .metrics import evaluate_model
 from .privacy import LdpConfig, perturb_loss
@@ -69,6 +70,7 @@ class FederationConfig:
     repeats: int = 3
 
     def __post_init__(self):
+        check_field_kinds(self)
         if self.clients_per_round > self.total_clients:
             raise ValueError("clients_per_round exceeds total_clients")
         for name in ("total_clients", "clients_per_round", "global_epochs", "batch_size", "repeats"):
@@ -107,16 +109,44 @@ class RoundRecord:
         return len(self.eliminated)
 
 
+# The RoundRecord metrics averaged per epoch, in report column order.
+MEAN_FIELDS = (
+    "accuracy",
+    "test_loss",
+    "source_recall",
+    "det_accuracy",
+    "det_precision",
+    "det_recall",
+    "det_f1",
+    "eliminated_count",
+)
+
+
 @dataclass
 class ExperimentReport:
+    """The round records of every repeat, and the aggregates computed from them."""
+
     runs: list  # runs[repeat][epoch] -> RoundRecord
-    epoch_means: list  # one dict per epoch, metrics averaged across repeats
-    mean_det_accuracy: float
-    mean_det_f1: float
+
+    @functools.cached_property
+    def epoch_means(self) -> list:
+        """One dict per epoch: each MEAN_FIELDS metric averaged across repeats."""
+        return [
+            {name: float(np.mean([getattr(rec, name) for rec in records])) for name in MEAN_FIELDS}
+            for records in zip(*self.runs)
+        ]
 
     @property
     def final_means(self) -> dict:
         return self.epoch_means[-1]
+
+    @property
+    def mean_det_accuracy(self) -> float:
+        return float(np.mean([rec.det_accuracy for run in self.runs for rec in run]))
+
+    @property
+    def mean_det_f1(self) -> float:
+        return float(np.mean([rec.det_f1 for run in self.runs for rec in run]))
 
 
 def select_clients(rng: np.random.Generator, total_clients: int, k: int) -> tuple[int, ...]:
@@ -310,7 +340,7 @@ def _client_rngs(entropy, ids) -> list[np.random.Generator]:
     pool = np.random.SeedSequence(entropy).pool.astype(np.uint64)[:, None]
     # Mixing the pool advanced the hash constant 4 times per 32-bit entropy word
     # (0 is one word): 4 initial hashes, 12 cross-mixes, 4 per word past the fourth.
-    words = sum(max(1, -(-n.bit_length() // 32)) for n in entropy)
+    words = sum(max(1, -(-int(n).bit_length() // 32)) for n in entropy)
     # Row d of the (4, clients) arrays folds the id into pool[d] with the
     # d-th of the next 4 hash constants.
     consts = _hash_consts(_MIX_HASH[0] * pow(_MIX_HASH[1], 4 * words, 1 << 32) & _MASK32, _MIX_HASH[1], 5)
@@ -405,19 +435,6 @@ def init_state(
     )
 
 
-# The RoundRecord metrics averaged per epoch, in report column order.
-MEAN_FIELDS = (
-    "accuracy",
-    "test_loss",
-    "source_recall",
-    "det_accuracy",
-    "det_precision",
-    "det_recall",
-    "det_f1",
-    "eliminated_count",
-)
-
-
 def validate(config: FederationConfig, train_set: Dataset, test_set: Dataset) -> None:
     """Reject a config and datasets that cannot run together, before any training."""
     dims = (train_set.features.shape[1], test_set.features.shape[1])
@@ -444,17 +461,4 @@ def run_experiment(
     for repeat in range(config.repeats):
         state = init_state(config, train_set, test_set, repeat)
         runs.append([global_round(state, e) for e in range(config.global_epochs)])
-    epoch_means = [
-        {
-            name: float(np.mean([getattr(run[epoch], name) for run in runs]))
-            for name in MEAN_FIELDS
-        }
-        for epoch in range(config.global_epochs)
-    ]
-    all_records = [rec for run in runs for rec in run]
-    return ExperimentReport(
-        runs=runs,
-        epoch_means=epoch_means,
-        mean_det_accuracy=float(np.mean([r.det_accuracy for r in all_records])),
-        mean_det_f1=float(np.mean([r.det_f1 for r in all_records])),
-    )
+    return ExperimentReport(runs)

@@ -135,17 +135,11 @@ def _gradients(model: ModelParams, activations, delta: np.ndarray):
 
 def backward(model: ModelParams, inputs: np.ndarray, labels) -> tuple[ModelParams, float | np.ndarray]:
     """Gradients of the mean cross-entropy loss w.r.t. every parameter, and that loss."""
+    _check_inputs(model, inputs)
     activations = _forward_trace(model, inputs)
     loss, delta = softmax_cross_entropy(activations[-1], labels)
     grad_w, grad_b = zip(*reversed(list(_gradients(model, activations, delta))))
     return ModelParams(grad_w, grad_b), loss
-
-
-def _step(p: np.ndarray, g: np.ndarray, lr: float) -> np.ndarray:
-    """p - lr * g with a single allocation (same rounding as the expression)."""
-    out = lr * g
-    np.subtract(p, out, out=out)
-    return out
 
 
 def sgd_step(model: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
@@ -154,8 +148,8 @@ def sgd_step(model: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     if shapes != grad_shapes:
         raise ShapeMismatchError(f"model weights {shapes} != gradient weights {grad_shapes}")
     return ModelParams(
-        tuple(_step(w, g, lr) for w, g in zip(model.weights, grads.weights)),
-        tuple(_step(b, g, lr) for b, g in zip(model.biases, grads.biases)),
+        tuple(w - lr * g for w, g in zip(model.weights, grads.weights)),
+        tuple(b - lr * g for b, g in zip(model.biases, grads.biases)),
     )
 
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_field_kinds
+
 
 @dataclass(frozen=True)
 class LdpConfig:
@@ -21,6 +23,7 @@ class LdpConfig:
     sensitivity: float = 0.0001
 
     def __post_init__(self):
+        check_field_kinds(self)
         for name in ("epsilon", "sensitivity"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} {getattr(self, name)} must be positive and finite")

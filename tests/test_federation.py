@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim import federation, nn
-from fedsim.data import ClientShard, Dataset, synthesize
-from fedsim.defense import DefenseConfig
+from fedsim.data import ClientShard, Dataset, IdxData, SyntheticData, synthesize
+from fedsim.defense import DEFENSE_KINDS, DefenseConfig
 from fedsim.federation import FederationConfig
 from fedsim.privacy import LdpConfig, laplace_sample, laplace_scale
+from reference_sim import reference_epoch_means, reference_runs
 
 
 def small_task(noise_std=1.0, seed=0):
@@ -550,6 +552,57 @@ def test_run_experiment_deterministic():
     assert a.mean_det_accuracy == b.mean_det_accuracy
 
 
+@st.composite
+def small_experiments(draw):
+    """A small config and datasets: 1 to 12 clients whose shards may differ in size,
+    any defense kind, multi-word seeds, and a stack cap of 1 to 3 models."""
+    classes, dim = draw(st.integers(2, 4)), draw(st.integers(5, 8))
+    data_seed = draw(st.integers(0, 99))
+    train = synthesize(classes, draw(st.integers(2, 7)), dim, 6.0, seed=[data_seed, 1000])
+    test = synthesize(classes, 3, dim, 6.0, seed=[data_seed, 1001])
+    total = draw(st.integers(1, min(12, len(train))))
+    source, target = draw(st.permutations(range(classes)))[:2]
+    defense = DefenseConfig(
+        kind=draw(st.sampled_from(DEFENSE_KINDS)),
+        fixed_fraction=draw(st.floats(0.0, 0.6)),
+        zscore_threshold=draw(st.floats(0.0, 2.0)),
+        zscore_one_sided=draw(st.booleans()),
+        kmeans_guard=draw(st.floats(0.0, 5.0)),
+    )
+    config = FederationConfig(
+        total_clients=total,
+        clients_per_round=draw(st.integers(1, total)),
+        global_epochs=draw(st.integers(1, 3)),
+        client_epochs=draw(st.integers(0, 2)),
+        client_lr=draw(st.floats(0.05, 1.0)),
+        batch_size=draw(st.integers(1, 5)),
+        malicious_fraction=draw(st.floats(0.0, 0.5)),
+        source_class=source,
+        target_class=target,
+        defense=defense,
+        ldp=LdpConfig(epsilon=draw(st.floats(0.1, 10.0)), sensitivity=draw(st.floats(1e-4, 1.0))),
+        hidden_dims=tuple(draw(st.lists(st.integers(2, 5), max_size=2))),
+        seed=draw(st.integers(0, 2**96) | st.sampled_from([2**32 - 1, 2**32, 2**64])),
+        repeats=draw(st.integers(1, 2)),
+    )
+    return config, train, test, draw(st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(experiment=small_experiments())
+def test_run_experiment_matches_the_reference_simulator(experiment):
+    """run_experiment's round records and epoch means equal those of a naive
+    simulator that trains and averages one client at a time."""
+    config, train, test, models_per_stack = experiment
+    dims = (train.features.shape[1], *config.hidden_dims, train.num_classes)
+    model_bytes = 8 * sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
+    with mock.patch.object(federation, "_STACK_BYTES", models_per_stack * model_bytes):
+        report = federation.run_experiment(config, train, test)
+    runs = reference_runs(config, train, test)
+    assert report.runs == runs
+    assert report.epoch_means == reference_epoch_means(runs)
+
+
 def test_honest_baseline_improves_and_eliminates_nobody():
     train, test = small_task()
     cfg = small_config(global_epochs=6)
@@ -683,6 +736,29 @@ OUT_OF_RANGE = {
     "separation_nan": (lambda: synthesize(4, 5, 8, NAN, seed=0), "separation nan"),
     "noise_std_infinite": (lambda: synthesize(4, 5, 8, 6.0, seed=0, noise_std=INF), "noise_std inf"),
     "noise_std_negative": (lambda: synthesize(4, 5, 8, 6.0, seed=0, noise_std=-1.0), "noise_std -1.0"),
+    # A value of the wrong kind for its field.
+    "total_clients_fractional": (lambda: small_config(total_clients=10.5), "total_clients must be an integer"),
+    "batch_size_fractional": (lambda: small_config(batch_size=2.5), "batch_size must be an integer"),
+    "client_epochs_fractional": (lambda: small_config(client_epochs=1.5), "client_epochs must be an integer"),
+    "global_epochs_bool": (lambda: small_config(global_epochs=True), "global_epochs must be an integer, got True"),
+    "client_lr_bool": (lambda: small_config(client_lr=True), "client_lr must be a number, got True"),
+    "seed_string": (lambda: small_config(seed="3"), "seed must be an integer, got '3'"),
+    "hidden_dims_float_width": (
+        lambda: small_config(hidden_dims=(8.0,)), "hidden_dims must be a list of integers"
+    ),
+    "defense_a_dict": (lambda: small_config(defense={"kind": "kmeans"}), "defense must be a DefenseConfig"),
+    "kmeans_max_iters_fractional": (
+        lambda: DefenseConfig(kmeans_max_iters=2.5), "kmeans_max_iters must be an integer"
+    ),
+    "zscore_one_sided_string": (
+        lambda: DefenseConfig(kind="zscore", zscore_one_sided="yes"), "zscore_one_sided must be true or false"
+    ),
+    "zscore_one_sided_integer": (
+        lambda: DefenseConfig(zscore_one_sided=1), "zscore_one_sided must be true or false"
+    ),
+    "epsilon_none": (lambda: LdpConfig(epsilon=None), "epsilon must be a number, got None"),
+    "dim_fractional": (lambda: SyntheticData(dim=8.5), "dim must be an integer"),
+    "idx_path_not_a_string": (lambda: IdxData(1, "a", "b", "c"), "train_images must be a string, got 1"),
 }
 
 
@@ -690,6 +766,19 @@ OUT_OF_RANGE = {
 def test_config_rejects_out_of_range_value_by_name(build, shown):
     with pytest.raises(ValueError, match=re.escape(shown)):
         build()
+
+
+def test_config_takes_numpy_scalars_and_numpy_integers_run_as_ints_do():
+    config = small_config(
+        client_lr=np.float32(0.5), malicious_fraction=0, hidden_dims=[np.int32(4)],
+        defense=DefenseConfig(zscore_one_sided=np.bool_(True)),
+    )
+    assert config.hidden_dims == [4] and config.defense.zscore_one_sided
+    ints = small_config(seed=2**40, global_epochs=1)  # a seed of two 32-bit words
+    as_numpy = {name: np.uint64(getattr(ints, name)) for name in ("seed", "total_clients", "batch_size")}
+    train, test = small_task()
+    want = federation.run_experiment(ints, train, test).runs
+    assert federation.run_experiment(replace(ints, **as_numpy), train, test).runs == want
 
 
 def keep(train, test):

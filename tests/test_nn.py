@@ -48,6 +48,8 @@ def test_forward_rejects_bad_input_shape():
         nn.forward(model, np.zeros((3, 99)))
     with pytest.raises(nn.ShapeMismatchError):
         nn.forward(model, np.zeros(5))
+    with pytest.raises(nn.ShapeMismatchError, match="incompatible with model input dim 5"):
+        nn.backward(model, np.zeros((3, 99)), np.zeros(3, dtype=int))  # not numpy's matmul error
 
 
 def test_softmax_cross_entropy_matches_naive():
@@ -264,6 +266,8 @@ def test_stacked_shapes_are_checked():
         nn.forward(stacked, np.zeros((2, 6, 5)))  # two clients' inputs for three models
     with pytest.raises(nn.ShapeMismatchError):
         nn.forward(stacked, np.zeros((6, 5)))  # one model's inputs for a stack
+    with pytest.raises(nn.ShapeMismatchError):
+        nn.backward(stacked, np.zeros((3, 6, 4)), np.zeros((3, 6), dtype=int))  # inputs one too narrow
     with pytest.raises(nn.ShapeMismatchError):
         nn.softmax_cross_entropy(np.zeros((3, 6, 4)), np.zeros((3, 5), dtype=int))
     lone, _ = random_model(rng)
