@@ -38,10 +38,8 @@ def _build(cls, section: str, given):
     for key, value in given.items():
         if key not in schema:
             raise ValueError(f"unknown key {key!r} in {section}")
-        default = schema[key].default
-        if is_dataclass(default):  # a nested section: defense or ldp
-            value = _build(type(default), key, value)
-        values[key] = tuple(value) if type(value) is list else value
+        default = schema[key].default  # a config dataclass for a nested section: defense or ldp
+        values[key] = _build(type(default), key, value) if is_dataclass(default) else value
     if missing := [name for name, f in schema.items() if f.default is MISSING and name not in given]:
         raise ValueError(f"{section} missing keys: {missing}")
     return cls(**values)

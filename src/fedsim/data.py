@@ -94,7 +94,8 @@ _FIELD_KINDS = {
 
 def check_field_kinds(config) -> None:
     """Reject a field of a config dataclass whose value is of the wrong kind, by name; a
-    nested section must be of its default's class."""
+    nested section must be of its default's class. An accepted value is stored as plain
+    Python: a numpy scalar as its .item(), a list of integers as a tuple of ints."""
     for f in fields(config):
         value, section = getattr(config, f.name), type(f.default)
         if is_dataclass(section):
@@ -104,6 +105,10 @@ def check_field_kinds(config) -> None:
             fits = accepts(value)
         if not fits:
             raise ValueError(f"{f.name} must be {expected}, got {value!r}")
+        if isinstance(value, np.generic):
+            object.__setattr__(config, f.name, value.item())
+        elif isinstance(value, (list, tuple)):
+            object.__setattr__(config, f.name, tuple(map(int, value)))
 
 
 @dataclass(frozen=True)

@@ -155,12 +155,13 @@ def select_clients(rng: np.random.Generator, total_clients: int, k: int) -> tupl
     return tuple(int(c) for c in np.sort(chosen))
 
 
-def _stack_inputs(model: nn.ModelParams, shards: list[ClientShard]) -> tuple[np.ndarray, np.ndarray, int]:
-    """The rows of equal-size, non-empty shards, client after client, and the shard size.
+def _stack_group(model: nn.ModelParams, shards: list[ClientShard]) -> tuple[nn.ModelParams, np.ndarray, np.ndarray]:
+    """A group of equal-size, non-empty shards as one stack: C read-only broadcast
+    copies of model, features of shape (C, n, d) and labels of shape (C, n).
 
-    The shards must index one source; client i owns rows i*n .. i*n+n-1,
-    gathered from it in one fancy index. Every label must lie in
-    [0, classes) of model, since nn.descend does not check its labels.
+    The shards must index one source; their rows are gathered from it in one
+    fancy index. Every label must lie in [0, classes) of model, since
+    nn.descend does not check its labels.
     """
     if not shards:
         raise ValueError("need at least one shard")
@@ -175,21 +176,18 @@ def _stack_inputs(model: nn.ModelParams, shards: list[ClientShard]) -> tuple[np.
             raise ValueError(f"client {shard.client_id} has an empty shard")
         if len(shard) != n:
             raise ValueError(f"client {shard.client_id} has {len(shard)} samples, not {n}")
-    features = first.source.features[np.concatenate([s.rows for s in shards])]
-    labels = np.concatenate([s.labels for s in shards])
+    features = first.source.features[np.array([s.rows for s in shards])]
+    labels = np.array([s.labels for s in shards])
     classes = model.dims[-1]
     if labels.min() < 0 or labels.max() >= classes:
         bad = next(s for s in shards if s.labels.min() < 0 or s.labels.max() >= classes)
         raise ValueError(f"client {bad.client_id} has a label out of range [0, {classes})")
-    return features, labels, n
-
-
-def _broadcast(model: nn.ModelParams, c: int) -> nn.ModelParams:
-    """A read-only stack of c copies of model that shares its arrays."""
-    return nn.ModelParams(
+    c = len(shards)
+    stack = nn.ModelParams(
         tuple(np.broadcast_to(w, (c, *w.shape)) for w in model.weights),
         tuple(np.broadcast_to(b, (c, *b.shape)) for b in model.biases),
     )
+    return stack, features, labels
 
 
 def report_losses(
@@ -202,12 +200,11 @@ def report_losses(
 
     The shards must be of equal size n; their losses come from one stacked
     forward pass over a read-only broadcast of global_model. Each client
-    draws from its own generator in rngs, in the order training alone would:
-    one rng.permutation(n) per epoch of config's client_epochs, then the
-    Laplace noise of config's ldp. Returns (noisy_losses, orders) in shard
-    order: a float64 array of C reports and an integer array of shape
-    (C, client_epochs, n) whose [i, e] is client i's batch order in epoch e,
-    as local_train takes it.
+    draws from its own generator in rngs: one rng.permutation(n) per epoch
+    of config's client_epochs, then the Laplace noise of config's ldp.
+    Returns (noisy_losses, orders) in shard order: a float64 array of C
+    reports and an integer array of shape (C, client_epochs, n) whose [i, e]
+    is client i's batch order in epoch e, as local_train takes it.
 
     The raw loss is the shard's mean loss under the incoming global model,
     monitored at the start of local training; only the noised value leaves
@@ -218,11 +215,9 @@ def report_losses(
     """
     if len(shards) != len(rngs):
         raise ValueError(f"{len(shards)} shards and {len(rngs)} generators; need one each")
-    features, labels, n = _stack_inputs(global_model, shards)
-    c = len(shards)
-    raw_losses, _ = nn.softmax_cross_entropy(
-        nn.forward(_broadcast(global_model, c), features.reshape(c, n, -1)), labels.reshape(c, n)
-    )
+    model, features, labels = _stack_group(global_model, shards)
+    raw_losses, _ = nn.softmax_cross_entropy(nn.forward(model, features), labels)
+    c, n = labels.shape
     epochs = config.client_epochs
     orders = np.array([rng.permutation(n) for rng in rngs for _ in range(epochs)], dtype=np.intp)
     return perturb_loss(raw_losses, config.ldp, rngs), orders.reshape(c, epochs, n)
@@ -250,8 +245,8 @@ def local_train(
     written. Its first step, through the pure nn.backward and nn.sgd_step,
     gives it C-contiguous arrays of its own; nn.descend updates those in place.
     """
-    features, labels, n = _stack_inputs(global_model, shards)
-    c = len(shards)
+    model, features, labels = _stack_group(global_model, shards)
+    c, n = labels.shape
     orders = np.asarray(orders)
     shape = (c, config.client_epochs, n)
     if orders.shape != shape or orders.dtype.kind not in "iu" or (np.sort(orders) != np.arange(n)).any():
@@ -259,12 +254,10 @@ def local_train(
             f"orders of shape {orders.shape} and dtype {orders.dtype} must be integer permutations "
             f"of range({n}), of shape {shape}"
         )
-    model = _broadcast(global_model, c)
-    # Client i's orders index rows i*n .. i*n+n-1 of features.
-    rows = orders + np.arange(0, c * n, n)[:, None, None]
+    clients = np.arange(c)[:, None]
     for epoch in range(config.client_epochs):
         for start in range(0, n, config.batch_size):
-            idx = rows[:, epoch, start : start + config.batch_size]
+            idx = clients, orders[:, epoch, start : start + config.batch_size]
             if model.weights[0].flags.writeable:
                 nn.descend(model, features[idx], labels[idx], config.client_lr)
             else:

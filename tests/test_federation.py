@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsim import federation, nn
+from fedsim import cli, federation, nn
 from fedsim.data import ClientShard, Dataset, IdxData, SyntheticData, synthesize
 from fedsim.defense import DEFENSE_KINDS, DefenseConfig
 from fedsim.federation import FederationConfig
-from fedsim.privacy import LdpConfig, laplace_sample, laplace_scale
-from reference_sim import reference_epoch_means, reference_runs
+from fedsim.privacy import LdpConfig
+from reference_sim import client_round, mean_model, reference_epoch_means, reference_runs
 
 
 def small_task(noise_std=1.0, seed=0):
@@ -82,18 +82,6 @@ def random_models(count, rng, dims=(3, 4, 2)):
     return [nn.init_params(dims, rng) for _ in range(count)]
 
 
-def naive_fed_avg(models: dict) -> nn.ModelParams:
-    """The oracle: each client's 2-D parameters added in ascending id, then scaled."""
-    ids = sorted(models)
-    sums = [np.zeros_like(p) for p in models[ids[0]].weights + models[ids[0]].biases]
-    for cid in ids:
-        for acc, p in zip(sums, models[cid].weights + models[cid].biases):
-            acc += p
-    layers = len(models[ids[0]].weights)
-    inv = 1.0 / len(ids)
-    return nn.ModelParams(tuple(p * inv for p in sums[:layers]), tuple(p * inv for p in sums[layers:]))
-
-
 def assert_same_params(got: nn.ModelParams, want: nn.ModelParams):
     got_arrays, want_arrays = got.weights + got.biases, want.weights + want.biases
     assert [a.shape for a in got_arrays] == [a.shape for a in want_arrays]
@@ -149,7 +137,7 @@ def test_fed_avg_counts_a_stack_given_twice_twice():
     models = random_models(3, np.random.default_rng(4))
     pair = stack_models(models[:2])
     got = federation.fed_avg([pair, pair, stack_models(models[2:])])
-    assert_same_params(got, naive_fed_avg(dict(enumerate(models[:2] + models[:2] + models[2:]))))
+    assert_same_params(got, mean_model(dict(enumerate(models[:2] + models[:2] + models[2:]))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,7 +154,7 @@ def test_fed_avg_matches_ascending_id_loop_bit_for_bit(ids, data):
     models = dict(zip(ids, random_models(len(ids), rng)))
     stacks = [ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     trained = (stack_models([models[cid] for cid in run]) for run in stacks)
-    assert_same_params(federation.fed_avg(trained), naive_fed_avg(models))
+    assert_same_params(federation.fed_avg(trained), mean_model(models))
 
 
 # --- report_losses and local_train ---------------------------------------------
@@ -235,21 +223,6 @@ def test_local_train_rejects_empty_shard():
         federation.local_train(model, [empty], train_config(1, 0.5, 4), np.zeros((1, 1, 0), dtype=np.intp))
 
 
-def reference_local_train(global_model, shard, client_epochs, lr, batch_size, ldp, rng):
-    """One client trained alone on 2-D parameters: the oracle for the stacked trainer."""
-    n = len(shard)
-    features, labels = shard_features(shard), shard.labels
-    model = global_model
-    raw_loss, _ = nn.softmax_cross_entropy(nn.forward(model, features), labels)
-    for _ in range(client_epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = perm[start : start + batch_size]
-            grads, _ = nn.backward(model, features[idx], labels[idx])
-            model = nn.sgd_step(model, grads, lr)
-    return model, raw_loss + laplace_sample(laplace_scale(ldp), rng)
-
-
 def assert_same_weights(got: nn.ModelParams, i: int, want_model):
     """Client i of the stack got has the oracle's weights, bit for bit."""
     slice_i = nn.ModelParams(tuple(w[i] for w in got.weights), tuple(b[i] for b in got.biases))
@@ -274,8 +247,8 @@ def test_local_train_matches_per_client_loop_bit_for_bit():
     assert noisy_losses.dtype == np.float64
     assert len(got.weights[0]) == len(shards)
     for i, shard in enumerate(shards):
-        want_model, want_loss = reference_local_train(
-            model, shard, 3, 0.4, 5, ldp, np.random.default_rng([7, shard.client_id])
+        want_loss, want_model = client_round(
+            model, shard, train_config(3, 0.4, 5, ldp), np.random.default_rng([7, shard.client_id])
         )
         assert_same_report(noisy_losses[i], want_loss)
         assert_same_weights(got, i, want_model)
@@ -365,6 +338,131 @@ def test_report_and_train_reject_shards_of_two_sources():
         federation.local_train(model, shards, cfg, np.zeros((2, 1, 12), dtype=np.intp))
 
 
+# The inputs a fuzzed group may spoil, one at a time; "none" spoils nothing.
+GROUP_SPOILERS = (
+    "none", "unequal_size", "second_source", "label_negative", "label_too_high", "empty_shard",
+    "generator_count", "orders_shape", "orders_dtype", "orders_values", "lone_model", "other_dims",
+)
+
+
+@st.composite
+def client_groups(draw, spoiler):
+    """A round's runs of equal-size shards, with the input spoiler names spoiled. Returns a dict:
+    groups, 1 to 3 runs of 1 to 3 shards over one training set, ids ascending, each
+    run of its own size; model and config; generators, the ids whose
+    default_rng([7, id]) each run reports with; spoil_orders, applied to the last
+    run's orders; extra, stacks fed_avg gets after the trained ones; problem, the
+    words that name the spoiled input, or None."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="data seed"))
+    classes, dim = draw(st.integers(2, 4)), draw(st.integers(1, 5))
+    runs = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 6)), min_size=1, max_size=3))
+    shards = iter(make_shards(rng, [n for count, n in runs for _ in range(count)], dim, classes))
+    groups = [[next(shards) for _ in range(count)] for count, _ in runs]
+    model = nn.init_params((dim, *draw(st.lists(st.integers(1, 4), max_size=2)), classes), rng)
+    epochs = draw(st.integers(1 if spoiler.startswith("orders") else 0, 2))
+    config = train_config(
+        epochs, draw(st.floats(0.05, 1.0)), draw(st.integers(1, 4)), LdpConfig(epsilon=draw(st.floats(0.1, 10.0)))
+    )
+    last, new_id = groups[-1], sum(count for count, _ in runs)
+    n, source = len(last[0]), last[0].source
+    case = dict(groups=groups, model=model, config=config, spoil_orders=lambda orders: orders, extra=[], problem=None)
+    if spoiler == "unequal_size":
+        size = draw(st.integers(1, len(source) - 1))
+        size += size >= n  # any size but n
+        rows = np.sort(rng.choice(len(source), size, replace=False))
+        last.append(ClientShard(new_id, source, rows, source.labels[rows]))
+        case["problem"] = f"client {new_id} has {size} samples, not {n}"
+    elif spoiler == "second_source":
+        last.extend(make_shards(rng, [n], dim, classes, cids=(new_id,)))
+        case["problem"] = f"client {new_id} indexes another training set than client {last[0].client_id}"
+    elif spoiler.startswith("label"):
+        victim = draw(st.integers(0, len(last) - 1))
+        labels = last[victim].labels.copy()
+        labels[draw(st.integers(0, n - 1))] = -1 if spoiler == "label_negative" else classes
+        last[victim] = replace(last[victim], labels=labels)
+        case["problem"] = f"client {last[victim].client_id} has a label out of range [0, {classes})"
+    elif spoiler == "empty_shard":
+        empty = ClientShard(new_id, source, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int64))
+        last.insert(draw(st.integers(0, len(last))), empty)
+        case["problem"] = f"client {new_id} has an empty shard"
+    case["generators"] = [[s.client_id for s in g] for g in groups]
+    if spoiler == "generator_count":
+        ids = case["generators"][-1]
+        case["generators"][-1] = ids[:-1] if draw(st.booleans()) else [*ids, new_id]
+        case["problem"] = f"{len(ids)} shards and {len(case['generators'][-1])} generators; need one each"
+    elif spoiler == "orders_shape":
+        axis = draw(st.integers(0, 2))
+        case["spoil_orders"] = lambda orders: np.delete(orders, -1, axis=axis)
+    elif spoiler == "orders_dtype":
+        dtype = draw(st.sampled_from([np.float64, np.bool_]))
+        case["spoil_orders"] = lambda orders: orders.astype(dtype)
+    elif spoiler == "orders_values":
+        client, epoch = draw(st.integers(0, len(last) - 1)), draw(st.integers(0, epochs - 1))
+        value = draw(st.sampled_from([-1, n, "repeat"] if n > 1 else [-1, n]))
+
+        def spoil_orders(orders):
+            bad = orders.copy()
+            bad[client, epoch, 0] = bad[client, epoch, -1] if value == "repeat" else value
+            return bad
+
+        case["spoil_orders"] = spoil_orders
+    elif spoiler == "lone_model":
+        case["extra"] = [model]
+        case["problem"] = f"a stack needs a leading client axis, got weights of shape {model.weights[0].shape}"
+    elif spoiler == "other_dims":
+        case["extra"] = [stack_models([nn.init_params((dim + 1, classes), rng)])]
+        case["problem"] = "stacks disagree on model dims"
+    if spoiler.startswith("orders"):
+        case["problem"] = "orders of shape"
+    return case
+
+
+@pytest.mark.parametrize("spoiler", GROUP_SPOILERS)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_fuzzed_groups_match_the_reference_or_are_rejected_by_name(spoiler, data):
+    """Every draw either reports, trains and averages to the bits of reference_sim's
+    client_round and mean_model, or raises a ValueError that names its spoiled input.
+    report_losses rejects before any generator draws, and local_train rejects a
+    spoiled shard too."""
+    case = data.draw(client_groups(spoiler), label="case")
+    groups, model, config, problem = case["groups"], case["model"], case["config"], case["problem"]
+    noisy, stacks = {}, []
+    try:
+        for group, ids in zip(groups, case["generators"]):
+            rngs = [np.random.default_rng([7, cid]) for cid in ids]
+            states = [r.bit_generator.state for r in rngs]
+            try:
+                losses, orders = federation.report_losses(model, group, config, rngs)
+            except ValueError:
+                assert [r.bit_generator.state for r in rngs] == states
+                raise
+            noisy.update(zip(ids, losses))
+            if group is groups[-1]:
+                orders = case["spoil_orders"](orders)
+            stacks.append(federation.local_train(model, group, config, orders))
+        mean = federation.fed_avg([*stacks, *case["extra"]])
+    except ValueError as exc:
+        assert problem is not None and problem in str(exc), (problem, exc)
+        if problem.startswith("client"):
+            last = groups[-1]
+            orders = np.broadcast_to(np.arange(len(last[0])), (len(last), config.client_epochs, len(last[0])))
+            with pytest.raises(ValueError, match=re.escape(problem)):
+                federation.local_train(model, last, config, orders)
+        return
+    assert problem is None
+    want = {
+        s.client_id: client_round(model, s, config, np.random.default_rng([7, s.client_id]))
+        for group in groups
+        for s in group
+    }
+    for group, stack in zip(groups, stacks):
+        for i, shard in enumerate(group):
+            assert_same_report(noisy[shard.client_id], want[shard.client_id][0])
+            assert_same_weights(stack, i, want[shard.client_id][1])
+    assert_same_params(mean, mean_model({cid: trained for cid, (_, trained) in want.items()}))
+
+
 NO_DEFENSE = DefenseConfig()
 CUT_TWO = DefenseConfig(kind="fixed_fraction", fixed_fraction=0.25)
 
@@ -413,14 +511,14 @@ def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_pe
     assert list(reported) == list(record.selected) == list(range(8))  # reports come back in selected order
     assert len(record.eliminated) == (2 if defense is CUT_TWO else 0)  # round(0.25 * 8)
     want = {
-        cid: reference_local_train(
-            model_before, state.shards[cid], cfg.client_epochs, cfg.client_lr, cfg.batch_size, cfg.ldp,
+        cid: client_round(
+            model_before, state.shards[cid], cfg,
             np.random.default_rng([*state.seed_prefix, federation._STREAM_CLIENT, 0, cid]),
         )
         for cid in record.selected
     }
     for cid, loss in reported.items():
-        assert_same_report(loss, want[cid][1])
+        assert_same_report(loss, want[cid][0])
     groups = [ids for ids, _ in calls]
     assert sorted(cid for ids in groups for cid in ids) == sorted(set(record.selected) - set(record.eliminated))
     assert all(len({len(state.shards[cid]) for cid in ids}) == 1 for ids in groups)
@@ -429,7 +527,7 @@ def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_pe
         # Slice i of a stack is the model of the i-th shard that local_train was handed.
         assert len(stack.weights[0]) == len(ids)
         for i, cid in enumerate(ids):
-            assert_same_weights(stack, i, want[cid][0])
+            assert_same_weights(stack, i, want[cid][1])
 
 
 # (config, training samples per class) of the README desk experiment, and of a
@@ -768,17 +866,35 @@ def test_config_rejects_out_of_range_value_by_name(build, shown):
         build()
 
 
-def test_config_takes_numpy_scalars_and_numpy_integers_run_as_ints_do():
+def test_config_takes_numpy_scalars_and_numpy_integers_run_as_ints_do(tmp_path):
     config = small_config(
         client_lr=np.float32(0.5), malicious_fraction=0, hidden_dims=[np.int32(4)],
         defense=DefenseConfig(zscore_one_sided=np.bool_(True)),
     )
-    assert config.hidden_dims == [4] and config.defense.zscore_one_sided
+    assert config.hidden_dims == (4,) and config.defense.zscore_one_sided
     ints = small_config(seed=2**40, global_epochs=1)  # a seed of two 32-bit words
     as_numpy = {name: np.uint64(getattr(ints, name)) for name in ("seed", "total_clients", "batch_size")}
     train, test = small_task()
     want = federation.run_experiment(ints, train, test).runs
     assert federation.run_experiment(replace(ints, **as_numpy), train, test).runs == want
+    # Stored as plain Python values, a config of numpy scalars and a list is the plain
+    # config: it compares and hashes equal and writes the same reports. An int given
+    # for a float field stays an int, as the CLI's JSON echo shows it.
+    plain = small_config(
+        seed=1, global_epochs=1, client_lr=0.5, malicious_fraction=0, hidden_dims=(4,),
+        defense=DefenseConfig(kind="zscore", zscore_one_sided=True),
+    )
+    numpy = small_config(
+        seed=np.int64(1), global_epochs=np.uint8(1), client_lr=np.float32(0.5), malicious_fraction=np.int64(0),
+        hidden_dims=[np.int32(4)], defense=DefenseConfig(kind="zscore", zscore_one_sided=np.True_),
+    )
+    assert numpy == plain and hash(numpy) == hash(plain)
+    assert type(numpy.malicious_fraction) is type(plain.malicious_fraction) is int
+    for name, cfg in (("plain", plain), ("numpy", numpy)):
+        spec = cli.ExperimentSpec(SyntheticData(4, 30, 8), cfg)
+        cli.write_reports(spec, federation.run_experiment(cfg, train, test), tmp_path / name)
+    for report in ("rounds.csv", "summary.json"):
+        assert (tmp_path / "numpy" / report).read_bytes() == (tmp_path / "plain" / report).read_bytes(), report
 
 
 def keep(train, test):
