@@ -19,10 +19,6 @@ from .defense import (
     DetectionScore,
     EliminationOutcome,
     detection_score,
-    eliminate_fixed_fraction,
-    eliminate_kmeans,
-    eliminate_largest_gap,
-    eliminate_zscore,
     run_eliminator,
 )
 from .federation import (

@@ -50,7 +50,7 @@ def _sweep_arms(text: str, spec: ExperimentSpec, out_dir: Path) -> list[tuple[Ex
     each fraction with spec's defense off, then on. FederationConfig checks each fraction."""
     defense = spec.federation.defense
     try:
-        fractions = [float(f) for f in text.split(",")]
+        fractions = [float(f) + 0.0 for f in text.split(",")]  # + 0.0 makes -0 the fraction 0
         if len({_fmt(f) for f in fractions}) < len(fractions):
             raise ValueError("sweep fractions repeat a fraction, to 9 significant digits")
         return [

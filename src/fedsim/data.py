@@ -28,6 +28,7 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self):
+        check_field_kinds(self)
         if self.features.ndim != 2 or self.labels.ndim != 1:
             shapes = f"{self.features.shape} and {self.labels.shape}"
             raise ValueError(f"need features of shape (n, d) and labels of shape (n,), got {shapes}")
@@ -62,6 +63,7 @@ class ClientShard:
     is_malicious: bool = False
 
     def __post_init__(self):
+        check_field_kinds(self)
         if self.rows.shape != self.labels.shape or self.rows.ndim != 1:
             raise ValueError(
                 f"client {self.client_id} needs rows and labels of one shape (n,), "
@@ -81,21 +83,23 @@ def _integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-# What a config field accepts, by its annotation, and its name in errors. A bool is an
-# integer to Python, but fits a bool field only.
+# What a config or data field accepts, by its annotation, and its name in errors. A bool
+# is an integer to Python, but fits a bool field only.
 _FIELD_KINDS = {
     "bool": (lambda v: isinstance(v, (bool, np.bool_)), "true or false"),
     "int": (_integer, "an integer"),
     "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "tuple[int, ...]": (lambda v: isinstance(v, (list, tuple)) and all(map(_integer, v)), "a list of integers"),
+    "np.ndarray": (lambda v: isinstance(v, np.ndarray), "a numpy array"),
+    "Dataset": (lambda v: isinstance(v, Dataset), "a Dataset"),
 }
 
 
 def check_field_kinds(config) -> None:
-    """Reject a field of a config dataclass whose value is of the wrong kind, by name; a
-    nested section must be of its default's class. An accepted value is stored as plain
-    Python: a numpy scalar as its .item(), a list of integers as a tuple of ints."""
+    """Reject a field of a config or data dataclass whose value is of the wrong kind, by
+    name; a nested section must be of its default's class. An accepted value is stored as
+    plain Python: a numpy scalar as its .item(), a list of integers as a tuple of ints."""
     for f in fields(config):
         value, section = getattr(config, f.name), type(f.default)
         if is_dataclass(section):
@@ -351,7 +355,9 @@ def synthesize(
     labels = np.empty(num_classes * per_class, dtype=np.int64)
     for c in range(num_classes):
         block = slice(c * per_class, (c + 1) * per_class)
-        features[block] = means[c] + noise_std * rng.standard_normal((per_class, dim))
+        # A finite but huge noise_std can overflow to +-inf, never to NaN; the clip maps it into [0, 1].
+        with np.errstate(over="ignore"):
+            features[block] = means[c] + noise_std * rng.standard_normal((per_class, dim))
         labels[block] = c
     np.clip(features, 0.0, 1.0, out=features)
     return Dataset(features, labels, num_classes)

@@ -2,9 +2,10 @@
 
 Four strategies decide which clients are dropped from aggregation: a fixed
 top-fraction cut, the largest gap in the sorted losses, an absolute Z-score
-threshold, and 1-D two-cluster K-means. Each takes the round's reports as a
-{client_id: noisy_loss} map and a DefenseConfig, and reads the map only in
-client-id order, so its verdict and diagnostics are deterministic functions
+threshold, and 1-D two-cluster K-means. run_eliminator is the one entry
+point: it takes the round's reports as a {client_id: noisy_loss} map and a
+DefenseConfig, and hands its kind's kernel the losses as a float64 array in
+client-id order, so the verdict and diagnostics are deterministic functions
 of the reports' contents. Every outcome partitions the round's client set
 into eliminated and retained with retained never empty.
 """
@@ -47,96 +48,52 @@ class DefenseConfig:
             raise ValueError(f"kmeans_max_iters {self.kmeans_max_iters} must be non-negative")
 
 
-def _losses(reports) -> tuple[list, np.ndarray]:
-    """The reporting client ids in ascending order, and their losses in that order.
-
-    The one reader of a {client_id: noisy_loss} map: every verdict and
-    diagnostic is computed in id order, so none depends on the map's order.
-    """
-    if not reports:
-        raise ValueError("need at least 1 loss report, got 0")
-    for cid in reports:
-        if isinstance(cid, bool) or not isinstance(cid, (int, np.integer)):
-            raise ValueError(f"client ids must be integers, got {cid!r}")
-    ids = sorted(reports)
-    losses = np.array([reports[cid] for cid in ids], dtype=np.float64)
-    if not np.isfinite(losses).all():
-        cid = ids[int(np.flatnonzero(~np.isfinite(losses))[0])]
-        raise ValueError(f"client {cid} reported a non-finite loss {reports[cid]}")
-    return ids, losses
-
-
-def _outcome(ids, losses, eliminated_ids, diagnostics):
-    """Close the partition, enforcing that at least one client is retained."""
-    eliminated = set(eliminated_ids)
-    if len(eliminated) == len(ids):
-        # argmin takes the first of equal losses, which is the lowest id.
-        eliminated.discard(ids[int(np.argmin(losses))])
-        diagnostics["retain_one_fallback"] = True
-    return EliminationOutcome(
-        eliminated=frozenset(eliminated),
-        retained=frozenset(ids) - eliminated,
-        diagnostics=diagnostics,
-    )
-
-
-def eliminate_fixed_fraction(reports, config: DefenseConfig) -> EliminationOutcome:
+def _fixed_fraction(losses, config):
     """Drop the top round(fixed_fraction * n) losses; equal losses drop lower ids first."""
-    ids, losses = _losses(reports)
-    count = round_half_up(config.fixed_fraction * len(ids))
-    order = np.argsort(-losses, kind="stable")
-    return _outcome(ids, losses, (ids[i] for i in order[:count]), {"cut_count": count})
+    count = round_half_up(config.fixed_fraction * len(losses))
+    return np.argsort(-losses, kind="stable")[:count], {"cut_count": count}
 
 
-def eliminate_largest_gap(reports, config: DefenseConfig) -> EliminationOutcome:
+def _largest_gap(losses, config):
     """Split the sorted losses at their widest consecutive gap and drop the top."""
-    ids, losses = _losses(reports)
-    if len(ids) < 2:
-        return _outcome(ids, losses, (), {"too_few_reports": True})
+    if len(losses) < 2:
+        return (), {"too_few_reports": True}
     order = np.argsort(losses, kind="stable")
     gaps = np.diff(losses[order])
     widest = float(gaps.max())
     if widest <= 0.0:
-        return _outcome(ids, losses, (), {"gap": 0.0})
+        return (), {"gap": 0.0}
     # Last occurrence of the widest gap: ties eliminate as few clients as possible.
     cut = int(np.flatnonzero(gaps == widest)[-1])
-    return _outcome(
-        ids,
-        losses,
-        (ids[i] for i in order[cut + 1 :]),
-        {"gap": widest, "boundary_loss": float(losses[order[cut]])},
-    )
+    return order[cut + 1 :], {"gap": widest, "boundary_loss": float(losses[order[cut]])}
 
 
-def eliminate_zscore(reports, config: DefenseConfig) -> EliminationOutcome:
+def _zscore(losses, config):
     """Drop reports whose Z-score magnitude exceeds zscore_threshold.
 
     Uses the population standard deviation. With zscore_one_sided only
     unusually high losses are dropped, never unusually low ones.
     """
-    ids, losses = _losses(reports)
     mu = float(losses.mean())
     sigma = float(losses.std())
     diagnostics = {"mean": mu, "std": sigma}
     if sigma < 1e-12:
-        return _outcome(ids, losses, (), diagnostics)
+        return (), diagnostics
     z = (losses - mu) / sigma
     flag = (z if config.zscore_one_sided else np.abs(z)) > config.zscore_threshold
-    return _outcome(ids, losses, (cid for cid, f in zip(ids, flag) if f), diagnostics)
+    return np.flatnonzero(flag), diagnostics
 
 
-def eliminate_kmeans(reports, config: DefenseConfig) -> EliminationOutcome:
+def _kmeans(losses, config):
     """Two-cluster 1-D Lloyd iteration; drop the high-loss cluster if separated.
 
     Centroids start at (min, max). The high cluster is eliminated only when
     the centroid gap exceeds kmeans_guard times the pooled within-cluster
     spread; guard 0 recovers the unconditional split-and-drop behavior.
     """
-    ids, losses = _losses(reports)
     c_low, c_high = float(losses.min()), float(losses.max())
     if c_high - c_low < 1e-15:
-        diagnostics = {"centroids": (c_low, c_high), "pooled_std": 0.0, "guard_passed": False}
-        return _outcome(ids, losses, (), diagnostics)
+        return (), {"centroids": (c_low, c_high), "pooled_std": 0.0, "guard_passed": False}
     in_high = losses - c_low > c_high - losses  # ties join the low cluster
     for _ in range(config.kmeans_max_iters):
         if not in_high.any() or in_high.all():
@@ -154,30 +111,50 @@ def eliminate_kmeans(reports, config: DefenseConfig) -> EliminationOutcome:
     )
     guard_passed = (c_high - c_low) > config.kmeans_guard * max(pooled_std, 1e-12)
     diagnostics = {"centroids": (c_low, c_high), "pooled_std": pooled_std, "guard_passed": guard_passed}
-    if not guard_passed:
-        return _outcome(ids, losses, (), diagnostics)
-    return _outcome(ids, losses, (cid for cid, f in zip(ids, in_high) if f), diagnostics)
+    return (np.flatnonzero(in_high) if guard_passed else ()), diagnostics
 
 
-def _eliminate_none(reports, config: DefenseConfig) -> EliminationOutcome:
-    ids, losses = _losses(reports)
-    return _outcome(ids, losses, (), {})
-
-
-# Each defense kind and the eliminator it runs.
-_ELIMINATORS = {
-    "none": _eliminate_none,
-    "fixed_fraction": eliminate_fixed_fraction,
-    "largest_gap": eliminate_largest_gap,
-    "zscore": eliminate_zscore,
-    "kmeans": eliminate_kmeans,
+# Each defense kind's kernel: (losses in ascending client id, config) -> (the
+# positions in losses to drop, diagnostics).
+_KERNELS = {
+    "none": lambda losses, config: ((), {}),
+    "fixed_fraction": _fixed_fraction,
+    "largest_gap": _largest_gap,
+    "zscore": _zscore,
+    "kmeans": _kmeans,
 }
-DEFENSE_KINDS = tuple(_ELIMINATORS)
+DEFENSE_KINDS = tuple(_KERNELS)
 
 
 def run_eliminator(reports, config: DefenseConfig) -> EliminationOutcome:
-    """Judge a round's {client_id: noisy_loss} reports with the configured defense kind."""
-    return _ELIMINATORS[config.kind](reports, config)
+    """Judge a round's {client_id: noisy_loss} reports with the configured defense kind.
+
+    The kernel sees the losses in ascending client id, so neither the verdict
+    nor its diagnostics depend on the map's order. If the kernel would drop
+    every client, the lowest loss is retained (the lowest id of equal losses).
+    """
+    if not isinstance(config, DefenseConfig):
+        raise ValueError(f"config must be a DefenseConfig, got {config!r}")
+    if not reports:
+        raise ValueError("need at least 1 loss report, got 0")
+    for cid in reports:
+        if isinstance(cid, bool) or not isinstance(cid, (int, np.integer)):
+            raise ValueError(f"client ids must be integers, got {cid!r}")
+    ids = sorted(reports)
+    losses = np.array([reports[cid] for cid in ids], dtype=np.float64)
+    if not np.isfinite(losses).all():
+        cid = ids[int(np.flatnonzero(~np.isfinite(losses))[0])]
+        raise ValueError(f"client {cid} reported a non-finite loss {reports[cid]}")
+    drop, diagnostics = _KERNELS[config.kind](losses, config)
+    eliminated = {ids[i] for i in drop}
+    if len(eliminated) == len(ids):
+        eliminated.discard(ids[int(np.argmin(losses))])
+        diagnostics["retain_one_fallback"] = True
+    return EliminationOutcome(
+        eliminated=frozenset(eliminated),
+        retained=frozenset(ids) - eliminated,
+        diagnostics=diagnostics,
+    )
 
 
 @dataclass(frozen=True)

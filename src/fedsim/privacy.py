@@ -65,6 +65,8 @@ def perturb_loss(losses: np.ndarray, config: LdpConfig, rngs) -> np.ndarray:
     """
     if np.ndim(losses) != 1:
         raise ValueError(f"losses must be 1-D, one per client, got shape {np.shape(losses)}")
+    if isinstance(rngs, np.random.Generator):
+        raise ValueError("rngs must be a list of generators, one per loss, got one Generator")
     if len(losses) != len(rngs):
         raise ValueError(f"{len(losses)} losses and {len(rngs)} generators; need one each")
     if not np.isfinite(losses).all():

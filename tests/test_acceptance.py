@@ -217,7 +217,7 @@ def test_a6_numerical_core():
         spread = float(rng.random() * 0.5 + 0.01)
         gap = 4 * spread * n + float(rng.random())
         losses = np.concatenate([rng.random(n - k) * spread, gap + rng.random(k) * spread])
-        out = defense.eliminate_kmeans(dict(enumerate(losses)), cfg)
+        out = defense.run_eliminator(dict(enumerate(losses)), cfg)
         order = np.sort(losses)
         best, best_sse = None, np.inf
         for cut in range(1, n):
@@ -268,25 +268,25 @@ def test_a8_eliminator_unit_oracles():
     gap = DefenseConfig(kind="largest_gap")
     zscore = DefenseConfig(kind="zscore")
 
-    out = defense.eliminate_fixed_fraction(rpts(*np.random.default_rng(0).random(10)), fixed(0.2))
+    out = defense.run_eliminator(rpts(*np.random.default_rng(0).random(10)), fixed(0.2))
     checks.append(len(out.eliminated) == 2)
-    checks.append(len(defense.eliminate_fixed_fraction(rpts(1, 2, 3, 4, 5), fixed(0.25)).eliminated) == 1)
-    checks.append(defense.eliminate_fixed_fraction(rpts(1, 2, 3), fixed(0.0)).eliminated == frozenset())
+    checks.append(len(defense.run_eliminator(rpts(1, 2, 3, 4, 5), fixed(0.25)).eliminated) == 1)
+    checks.append(defense.run_eliminator(rpts(1, 2, 3), fixed(0.0)).eliminated == frozenset())
 
-    checks.append(defense.eliminate_largest_gap(rpts(0.10, 0.12, 0.13, 0.90), gap).eliminated == {3})
-    checks.append(defense.eliminate_largest_gap(rpts(0.4, 0.4, 0.4), gap).eliminated == frozenset())
-    checks.append(defense.eliminate_largest_gap(rpts(1.0, 2.0, 3.0), gap).eliminated == {2})
+    checks.append(defense.run_eliminator(rpts(0.10, 0.12, 0.13, 0.90), gap).eliminated == {3})
+    checks.append(defense.run_eliminator(rpts(0.4, 0.4, 0.4), gap).eliminated == frozenset())
+    checks.append(defense.run_eliminator(rpts(1.0, 2.0, 3.0), gap).eliminated == {2})
 
-    z = defense.eliminate_zscore(rpts(0.5, 0.5, 0.5, 0.5, 2.0), zscore)
+    z = defense.run_eliminator(rpts(0.5, 0.5, 0.5, 0.5, 2.0), zscore)
     checks.append(z.diagnostics["mean"] == pytest.approx(0.8))
     checks.append(z.diagnostics["std"] == pytest.approx(0.6))
     checks.append(z.eliminated == {4})
-    checks.append(1 in defense.eliminate_zscore(rpts(1.0, 2.0, 3.0), DefenseConfig(kind="zscore", zscore_threshold=0.1)).retained)
-    checks.append(defense.eliminate_zscore(rpts(1, 1, 1), zscore).eliminated == frozenset())
+    checks.append(1 in defense.run_eliminator(rpts(1.0, 2.0, 3.0), DefenseConfig(kind="zscore", zscore_threshold=0.1)).retained)
+    checks.append(defense.run_eliminator(rpts(1, 1, 1), zscore).eliminated == frozenset())
 
-    km = defense.eliminate_kmeans(rpts(0.1, 0.1, 0.9, 0.9), DefenseConfig(kind="kmeans"))
+    km = defense.run_eliminator(rpts(0.1, 0.1, 0.9, 0.9), DefenseConfig(kind="kmeans"))
     checks.append(km.eliminated == {2, 3})
-    km2 = defense.eliminate_kmeans(
+    km2 = defense.run_eliminator(
         rpts(0.19, 0.20, 0.21, 0.22), DefenseConfig(kind="kmeans", kmeans_guard=1.0)
     )
     checks.append(km2.diagnostics["pooled_std"] == pytest.approx(0.00707, abs=1e-4))

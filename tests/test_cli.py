@@ -276,6 +276,7 @@ BAD_INPUTS = {
     "fractions_share_a_directory": ({}, "sweep --fractions 0.25,0.25,0.250"),
     "fractions_repeat_to_nine_digits": ({}, "sweep --fractions 0.1,0.1000000000001"),
     "fractions_nan": ({}, "sweep --fractions nan"),
+    "fractions_negative_zero_repeats_zero": ({}, "sweep --fractions 0,-0"),
     "poison_spec_key_unknown": ({"poison_spec": {"source_class": 1}}, "run"),
     # Raw JSON text: json.dumps cannot give a key twice.
     "key_repeated": ('{"seed": 1, "seed": 2}', "run"),

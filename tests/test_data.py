@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim import data
+from fedsim.defense import run_eliminator
+from fedsim.privacy import LdpConfig, perturb_loss
 
 
 def write_idx_pair(tmp_path, pixels, labels, rows=2, cols=2, image_magic=None, label_magic=None, prefix=""):
@@ -80,9 +82,11 @@ def test_synthesize_deterministic():
 
 
 def test_synthesize_range_and_blocks():
-    ds = data.synthesize(3, 4, 8, 2.0, seed=0, noise_std=5.0)
-    assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
-    np.testing.assert_array_equal(ds.labels, np.repeat([0, 1, 2], 4))
+    # A noise_std near the float64 limit overflows to +-inf before the clip, with no warning.
+    for noise_std in (5.0, 1e308):
+        ds = data.synthesize(3, 4, 8, 2.0, seed=0, noise_std=noise_std)
+        assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
+        np.testing.assert_array_equal(ds.labels, np.repeat([0, 1, 2], 4))
 
 
 def test_class_means_respect_separation():
@@ -252,3 +256,31 @@ def test_dataset_rejects_label_outside_classes_by_value(labels, shown):
 def test_dataset_rejects_arrays_of_the_wrong_shape_or_type(features, labels, shown):
     with pytest.raises(ValueError, match=re.escape(shown)):
         data.Dataset(features, labels, 2)
+
+
+SOURCE = data.Dataset(np.zeros((4, 3)), np.zeros(4, dtype=int), 2)
+ROWS = np.arange(2)
+
+
+@pytest.mark.parametrize(
+    "build, shown",
+    [
+        (lambda: data.Dataset([[0.0]], np.zeros(1, dtype=int), 1), "features must be a numpy array, got [[0.0]]"),
+        (lambda: data.Dataset(np.zeros((1, 1)), np.zeros(1, dtype=int), 2.5), "num_classes must be an integer, got 2.5"),
+        (lambda: data.ClientShard(True, SOURCE, ROWS, ROWS), "client_id must be an integer, got True"),
+        (lambda: data.ClientShard(0, "x", ROWS, ROWS), "source must be a Dataset, got 'x'"),
+        (lambda: data.ClientShard(0, SOURCE, ROWS, ROWS, "no"), "is_malicious must be true or false, got 'no'"),
+        (lambda: run_eliminator({0: 0.1}, None), "config must be a DefenseConfig, got None"),
+        (
+            lambda: perturb_loss(np.zeros(1), LdpConfig(), np.random.default_rng(0)),
+            "rngs must be a list of generators, one per loss, got one Generator",
+        ),
+    ],
+    ids=[
+        "dataset_list_features", "dataset_float_classes", "shard_bool_id", "shard_string_source",
+        "shard_string_flag", "eliminator_no_config", "perturb_one_generator",
+    ],
+)
+def test_library_inputs_of_the_wrong_kind_are_rejected_by_name(build, shown):
+    with pytest.raises(ValueError, match=re.escape(shown)):
+        build()

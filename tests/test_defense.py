@@ -1,9 +1,12 @@
 """Tests for the four eliminators and detection scoring.
 
-Each worked example is checked against hand-computed numbers, and the shared
-structural guarantees (partition, permutation/shift invariance) are checked
-as hypothesis properties across all eliminators.
+Every eliminator is run through run_eliminator with a config naming its
+kind. Each worked example is checked against hand-computed numbers, and the
+shared structural guarantees (partition, permutation/shift invariance) are
+checked as hypothesis properties across all eliminators.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ finite_losses = st.lists(
 # --- fixed fraction -------------------------------------------------------
 
 def test_fixed_fraction_zero_eliminates_nobody():
-    out = defense.eliminate_fixed_fraction(reports(0.5, 0.1, 0.9), fixed(0.0))
+    out = defense.run_eliminator(reports(0.5, 0.1, 0.9), fixed(0.0))
     assert out.eliminated == frozenset()
     assert out.retained == frozenset({0, 1, 2})
 
@@ -38,32 +41,32 @@ def test_fixed_fraction_zero_eliminates_nobody():
 def test_fixed_fraction_matches_full_sort_oracle():
     rng = np.random.default_rng(0)
     losses = rng.random(10)
-    out = defense.eliminate_fixed_fraction(reports(*losses), fixed(0.2))
+    out = defense.run_eliminator(reports(*losses), fixed(0.2))
     expected = set(np.argsort(-losses)[:2].tolist())
     assert out.eliminated == frozenset(expected)
 
 
 def test_fixed_fraction_rounds_half_up():
-    out = defense.eliminate_fixed_fraction(reports(1, 2, 3, 4, 5), fixed(0.25))
+    out = defense.run_eliminator(reports(1, 2, 3, 4, 5), fixed(0.25))
     assert len(out.eliminated) == 1  # round(1.25) = 1
-    out = defense.eliminate_fixed_fraction(reports(1, 2, 3, 4, 5), fixed(0.3))
+    out = defense.run_eliminator(reports(1, 2, 3, 4, 5), fixed(0.3))
     assert len(out.eliminated) == 2  # round(1.5) = 2
 
 
 def test_fixed_fraction_ties_drop_lower_id_first():
-    out = defense.eliminate_fixed_fraction({7: 1.0, 3: 1.0, 5: 0.2}, fixed(0.34))  # round(1.02) = 1
+    out = defense.run_eliminator({7: 1.0, 3: 1.0, 5: 0.2}, fixed(0.34))  # round(1.02) = 1
     assert out.eliminated == frozenset({3})
 
 
 def test_fixed_fraction_validates_inputs():
     with pytest.raises(ValueError):
-        defense.eliminate_fixed_fraction({}, fixed(0.2))
+        defense.run_eliminator({}, fixed(0.2))
     with pytest.raises(ValueError):
         fixed(1.0)
 
 
 def test_fixed_fraction_retain_one_fallback():
-    out = defense.eliminate_fixed_fraction(reports(0.3, 0.8), fixed(0.9))  # round(1.8) = 2
+    out = defense.run_eliminator(reports(0.3, 0.8), fixed(0.9))  # round(1.8) = 2
     assert out.retained == frozenset({0})  # lowest loss survives
     assert out.eliminated == frozenset({1})
     assert out.diagnostics["retain_one_fallback"] is True
@@ -72,7 +75,7 @@ def test_fixed_fraction_retain_one_fallback():
 @given(losses=finite_losses, frac=st.floats(0.0, 0.99))
 @settings(max_examples=100, deadline=None)
 def test_fixed_fraction_count_property(losses, frac):
-    out = defense.eliminate_fixed_fraction(reports(*losses), fixed(frac))
+    out = defense.run_eliminator(reports(*losses), fixed(frac))
     expected = min(int(np.floor(frac * len(losses) + 0.5)), len(losses) - 1)
     assert len(out.eliminated) == expected
 
@@ -83,24 +86,24 @@ GAP = DefenseConfig(kind="largest_gap")
 
 
 def test_largest_gap_worked_example():
-    out = defense.eliminate_largest_gap(reports(0.10, 0.12, 0.13, 0.90), GAP)
+    out = defense.run_eliminator(reports(0.10, 0.12, 0.13, 0.90), GAP)
     # Gaps are {0.02, 0.01, 0.77}; the cut falls after 0.13.
     assert out.eliminated == frozenset({3})
     assert out.diagnostics["gap"] == pytest.approx(0.77)
 
 
 def test_largest_gap_all_equal_eliminates_nobody():
-    out = defense.eliminate_largest_gap(reports(0.4, 0.4, 0.4), GAP)
+    out = defense.run_eliminator(reports(0.4, 0.4, 0.4), GAP)
     assert out.eliminated == frozenset()
 
 
 def test_largest_gap_tie_keeps_more_clients():
-    out = defense.eliminate_largest_gap(reports(1.0, 2.0, 3.0), GAP)
+    out = defense.run_eliminator(reports(1.0, 2.0, 3.0), GAP)
     assert out.eliminated == frozenset({2})
 
 
 def test_largest_gap_single_report_flagged():
-    out = defense.eliminate_largest_gap(reports(1.0), GAP)
+    out = defense.run_eliminator(reports(1.0), GAP)
     assert out.eliminated == frozenset()
     assert out.diagnostics["too_few_reports"] is True
 
@@ -113,12 +116,12 @@ def zscore(threshold, one_sided=False):
 
 def test_zscore_mean_point_always_retained():
     for threshold in (0.1, 0.5, 1.0, 3.0):
-        out = defense.eliminate_zscore(reports(1.0, 2.0, 3.0), zscore(threshold))
+        out = defense.run_eliminator(reports(1.0, 2.0, 3.0), zscore(threshold))
         assert 1 in out.retained
 
 
 def test_zscore_hand_computed_example():
-    out = defense.eliminate_zscore(reports(0.5, 0.5, 0.5, 0.5, 2.0), zscore(1.0))
+    out = defense.run_eliminator(reports(0.5, 0.5, 0.5, 0.5, 2.0), zscore(1.0))
     assert out.diagnostics["mean"] == pytest.approx(0.8)
     assert out.diagnostics["std"] == pytest.approx(0.6)
     # z(2.0) = 2.0 > 1 eliminated; z(0.5) = -0.5 retained.
@@ -126,22 +129,22 @@ def test_zscore_hand_computed_example():
 
 
 def test_zscore_degenerate_sigma():
-    out = defense.eliminate_zscore(reports(1.0, 1.0, 1.0), zscore(1.0))
+    out = defense.run_eliminator(reports(1.0, 1.0, 1.0), zscore(1.0))
     assert out.eliminated == frozenset()
 
 
 def test_zscore_two_sided_drops_low_outliers_one_sided_keeps_them():
     losses = (0.5, 0.5, 0.5, 0.5, 0.5, 0.5, -2.0)
-    both = defense.eliminate_zscore(reports(*losses), zscore(1.0))
+    both = defense.run_eliminator(reports(*losses), zscore(1.0))
     assert 6 in both.eliminated
-    high_only = defense.eliminate_zscore(reports(*losses), zscore(1.0, one_sided=True))
+    high_only = defense.run_eliminator(reports(*losses), zscore(1.0, one_sided=True))
     assert 6 not in high_only.eliminated
 
 
 # --- kmeans ---------------------------------------------------------------
 
 def test_kmeans_perfectly_separated_clusters():
-    out = defense.eliminate_kmeans(reports(0.1, 0.1, 0.9, 0.9), DefenseConfig(kind="kmeans"))
+    out = defense.run_eliminator(reports(0.1, 0.1, 0.9, 0.9), DefenseConfig(kind="kmeans"))
     assert out.eliminated == frozenset({2, 3})
     low, high = out.diagnostics["centroids"]
     assert (low, high) == (pytest.approx(0.1), pytest.approx(0.9))
@@ -149,7 +152,7 @@ def test_kmeans_perfectly_separated_clusters():
 
 
 def test_kmeans_hand_run_lloyd_example():
-    out = defense.eliminate_kmeans(
+    out = defense.run_eliminator(
         reports(0.19, 0.20, 0.21, 0.22), DefenseConfig(kind="kmeans", kmeans_guard=1.0)
     )
     low, high = out.diagnostics["centroids"]
@@ -163,7 +166,7 @@ def test_kmeans_hand_run_lloyd_example():
 
 
 def test_kmeans_guard_blocks_marginal_split():
-    out = defense.eliminate_kmeans(
+    out = defense.run_eliminator(
         reports(0.19, 0.20, 0.21, 0.22), DefenseConfig(kind="kmeans", kmeans_guard=3.5)
     )
     assert out.eliminated == frozenset()
@@ -172,14 +175,14 @@ def test_kmeans_guard_blocks_marginal_split():
 
 
 def test_kmeans_guard_zero_always_splits():
-    out = defense.eliminate_kmeans(
+    out = defense.run_eliminator(
         reports(0.20, 0.20001, 0.20002, 0.20003), DefenseConfig(kind="kmeans", kmeans_guard=0.0)
     )
     assert len(out.eliminated) > 0
 
 
 def test_kmeans_all_equal_losses():
-    out = defense.eliminate_kmeans(reports(0.3, 0.3, 0.3), DefenseConfig(kind="kmeans"))
+    out = defense.run_eliminator(reports(0.3, 0.3, 0.3), DefenseConfig(kind="kmeans"))
     assert out.eliminated == frozenset()
     assert set(out.diagnostics) == {"centroids", "pooled_std", "guard_passed"}
 
@@ -207,7 +210,7 @@ def test_kmeans_matches_brute_force_on_separated_instances():
         losses = np.concatenate(
             [centers[0] + rng.random(n - k) * spread, centers[1] + rng.random(k) * spread]
         )
-        out = defense.eliminate_kmeans(reports(*losses), cfg)
+        out = defense.run_eliminator(reports(*losses), cfg)
         expected = brute_force_best_split(losses)
         got = {losses[i] for i in out.eliminated}
         assert got == expected
@@ -271,6 +274,7 @@ def test_partition_and_permutation_invariance(losses, seed):
         assert out.eliminated | out.retained == set(range(len(losses)))
         assert not (out.eliminated & out.retained)
         assert out.retained
+        json.dumps(out.diagnostics)  # plain values, so a round trace can write them
         again = defense.run_eliminator(shuffled, cfg)
         assert again.eliminated == out.eliminated
         assert again.diagnostics == out.diagnostics
@@ -303,7 +307,7 @@ def test_kmeans_never_eliminates_low_cluster():
     cfg = DefenseConfig(kind="kmeans", kmeans_guard=0.0)
     for _ in range(100):
         losses = rng.random(int(rng.integers(2, 10)))
-        out = defense.eliminate_kmeans(reports(*losses), cfg)
+        out = defense.run_eliminator(reports(*losses), cfg)
         if out.eliminated:
             cut = min(losses[i] for i in out.eliminated)
             assert all(losses[i] < cut for i in out.retained)

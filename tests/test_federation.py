@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsim import cli, federation, nn
@@ -143,15 +143,19 @@ def test_fed_avg_counts_a_stack_given_twice_twice():
 @settings(max_examples=60, deadline=None)
 @given(
     ids=st.sets(st.integers(0, 40), min_size=1, max_size=16).map(sorted),
-    data=st.data(),
+    cuts=st.sets(st.integers(1, 15)),
+    seed=st.integers(0, 2**32 - 1),
+    width=st.sampled_from([1, 4]),
 )
-def test_fed_avg_matches_ascending_id_loop_bit_for_bit(ids, data):
+# Hidden width 1 and a stack of more than 8 clients: the shapes where a numpy
+# reduction over the client axis can sum in another order.
+@example(ids=list(range(12)), cuts=set(), seed=0, width=1)
+def test_fed_avg_matches_ascending_id_loop_bit_for_bit(ids, cuts, seed, width):
     """An ascending id list cut into random consecutive stacks averages to the
     bits of adding each client's parameters alone, in ascending id."""
-    cut_after = data.draw(st.lists(st.booleans(), min_size=len(ids) - 1, max_size=len(ids) - 1), label="cuts")
-    bounds = [0, *(i + 1 for i, cut in enumerate(cut_after) if cut), len(ids)]
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    models = dict(zip(ids, random_models(len(ids), rng)))
+    bounds = [0, *sorted(c for c in cuts if c < len(ids)), len(ids)]
+    rng = np.random.default_rng(seed)
+    models = dict(zip(ids, random_models(len(ids), rng, dims=(3, width, 2))))
     stacks = [ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     trained = (stack_models([models[cid] for cid in run]) for run in stacks)
     assert_same_params(federation.fed_avg(trained), mean_model(models))
@@ -653,7 +657,8 @@ def test_run_experiment_deterministic():
 @st.composite
 def small_experiments(draw):
     """A small config and datasets: 1 to 12 clients whose shards may differ in size,
-    any defense kind, multi-word seeds, and a stack cap of 1 to 3 models."""
+    any defense kind, multi-word seeds, hidden layers as narrow as 1, and a stack cap
+    of 1 to 3 or of 9 to 12 models."""
     classes, dim = draw(st.integers(2, 4)), draw(st.integers(5, 8))
     data_seed = draw(st.integers(0, 99))
     train = synthesize(classes, draw(st.integers(2, 7)), dim, 6.0, seed=[data_seed, 1000])
@@ -679,13 +684,27 @@ def small_experiments(draw):
         target_class=target,
         defense=defense,
         ldp=LdpConfig(epsilon=draw(st.floats(0.1, 10.0)), sensitivity=draw(st.floats(1e-4, 1.0))),
-        hidden_dims=tuple(draw(st.lists(st.integers(2, 5), max_size=2))),
+        hidden_dims=tuple(draw(st.lists(st.integers(1, 5), max_size=2))),
         seed=draw(st.integers(0, 2**96) | st.sampled_from([2**32 - 1, 2**32, 2**64])),
         repeats=draw(st.integers(1, 2)),
     )
-    return config, train, test, draw(st.integers(1, 3))
+    return config, train, test, draw(st.integers(1, 3) | st.integers(9, 12))
 
 
+# Twelve one-sample clients, all trained in one stack of 12, through a hidden layer
+# of width 1 and of widths 3 then 1: the fed_avg shapes where a numpy reduction over
+# the client axis can sum in another order.
+@example(experiment=(
+    FederationConfig(total_clients=12, clients_per_round=12, global_epochs=2, malicious_fraction=0.25,
+                     source_class=0, target_class=1, hidden_dims=(1,), repeats=1),
+    synthesize(2, 6, 5, 6.0, seed=[0, 1000]), synthesize(2, 3, 5, 6.0, seed=[0, 1001]), 12,
+))
+@example(experiment=(
+    FederationConfig(total_clients=12, clients_per_round=11, global_epochs=2, malicious_fraction=0.25,
+                     source_class=1, target_class=0, hidden_dims=(3, 1), repeats=1,
+                     defense=DefenseConfig(kind="zscore", zscore_threshold=2.0)),
+    synthesize(3, 4, 6, 6.0, seed=[1, 1000]), synthesize(3, 3, 6, 6.0, seed=[1, 1001]), 9,
+))
 @settings(max_examples=200, deadline=None)
 @given(experiment=small_experiments())
 def test_run_experiment_matches_the_reference_simulator(experiment):
