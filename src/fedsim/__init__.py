@@ -9,9 +9,8 @@ from .data import (
     IdxData,
     SyntheticData,
     load_idx,
-    mark_malicious,
     partition,
-    poison_labels,
+    poison_shards,
     synthesize,
 )
 from .defense import (

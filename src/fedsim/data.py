@@ -23,7 +23,7 @@ class IdxFormatError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    features: np.ndarray  # (n, d) float64 in [0, 1]
+    features: np.ndarray  # (n, d) floats; load_idx and synthesize give float64 in [0, 1]
     labels: np.ndarray  # (n,) integer class indices
     num_classes: int
 
@@ -32,6 +32,8 @@ class Dataset:
         if self.features.ndim != 2 or self.labels.ndim != 1:
             shapes = f"{self.features.shape} and {self.labels.shape}"
             raise ValueError(f"need features of shape (n, d) and labels of shape (n,), got {shapes}")
+        if self.features.dtype.kind != "f":
+            raise ValueError(f"features must be floating point, got dtype {self.features.dtype}")
         if self.labels.dtype.kind not in "iu":
             raise ValueError(f"labels must be integers, got dtype {self.labels.dtype}")
         if self.features.shape[0] != self.labels.shape[0]:
@@ -51,7 +53,7 @@ class ClientShard:
     source is held by reference and never copied; rows are the indices of
     the client's samples in it, and labels[i] is the label of
     source.features[rows[i]]. The labels are the shard's own array, so
-    poison_labels can flip them without touching source; the federation
+    poison_shards can flip them without touching source; the federation
     checks them against the model's classes before it trains on them.
     Shards, like Datasets, compare and hash by identity.
     """
@@ -383,29 +385,26 @@ def round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def mark_malicious(shards: list[ClientShard], malicious_fraction: float, seed) -> list[ClientShard]:
-    """Flag a fixed, seeded subset of shards as attacker-controlled."""
+def poison_shards(
+    shards: list[ClientShard], malicious_fraction: float, source_class: int, target_class: int, seed
+) -> list[ClientShard]:
+    """The label-flip attack: flag a seeded subset of the honest shards as malicious and relabel
+    each one's source-class samples as the target class, in a copy of its labels. The features
+    stay in the shared source, and every other shard is passed on as the same object."""
     if not 0.0 <= malicious_fraction <= 0.5:
         raise ValueError(f"malicious_fraction {malicious_fraction} outside [0, 0.5]")
+    flip = f"label flip (source_class={source_class}, target_class={target_class})"
+    if source_class == target_class or min(source_class, target_class) < 0:
+        raise ValueError(f"{flip} needs two distinct, non-negative classes")
+    for s in shards:
+        if max(source_class, target_class) >= s.source.num_classes:
+            raise ValueError(f"{flip} names a class beyond client {s.client_id}'s {s.source.num_classes} classes")
+        if s.is_malicious:
+            raise ValueError(f"client {s.client_id} is already malicious")
+    poisoned = list(shards)
     count = round_half_up(malicious_fraction * len(shards))
-    rng = np.random.default_rng(seed)
-    flagged = set(rng.choice(len(shards), size=count, replace=False).tolist())
-    # A shard whose flag is already right is passed on as it is, not rebuilt.
-    return [
-        replace(s, is_malicious=i in flagged) if s.is_malicious != (i in flagged) else s
-        for i, s in enumerate(shards)
-    ]
-
-
-def poison_labels(shard: ClientShard, source_class: int, target_class: int) -> ClientShard:
-    """Flip every source-class label to the target class in a copy of the shard's labels.
-
-    The features stay in the shared source, untouched.
-    """
-    if not shard.is_malicious:
-        raise ValueError("poison_labels applies only to shards flagged malicious")
-    if max(source_class, target_class) >= shard.source.num_classes:
-        raise ValueError("poison class out of range for this dataset")
-    labels = shard.labels.copy()
-    labels[labels == source_class] = target_class
-    return replace(shard, labels=labels)
+    for i in np.random.default_rng(seed).choice(len(shards), size=count, replace=False).tolist():
+        labels = shards[i].labels.copy()
+        labels[labels == source_class] = target_class
+        poisoned[i] = replace(shards[i], labels=labels, is_malicious=True)
+    return poisoned

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import nn
-from .data import ClientShard, Dataset, check_field_kinds, mark_malicious, partition, poison_labels
+from .data import ClientShard, Dataset, check_field_kinds, partition, poison_shards
 from .defense import DefenseConfig, detection_score, run_eliminator
 from .metrics import evaluate_model
 from .privacy import LdpConfig, perturb_loss
@@ -418,9 +418,9 @@ def init_state(
     """Partition and poison the data, initialize the model, for one repeat."""
     prefix = (config.seed, repeat)
     shards = partition(train_set, config.total_clients, [*prefix, _STREAM_PARTITION])
-    shards = mark_malicious(shards, config.malicious_fraction, [*prefix, _STREAM_MALICIOUS])
-    flip = (config.source_class, config.target_class)
-    shards = [poison_labels(s, *flip) if s.is_malicious else s for s in shards]
+    shards = poison_shards(
+        shards, config.malicious_fraction, config.source_class, config.target_class, [*prefix, _STREAM_MALICIOUS]
+    )
     dims = (train_set.features.shape[1], *config.hidden_dims, train_set.num_classes)
     model = nn.init_params(dims, np.random.default_rng([*prefix, _STREAM_INIT]))
     return FederationState(

@@ -12,7 +12,7 @@ give the same round records, field for field.
 import numpy as np
 
 from fedsim import nn
-from fedsim.data import mark_malicious, partition, poison_labels
+from fedsim.data import partition, poison_shards
 from fedsim.defense import detection_score, run_eliminator
 from fedsim.federation import MEAN_FIELDS, RoundRecord
 from fedsim.metrics import evaluate_model
@@ -63,9 +63,9 @@ def reference_runs(config, train, test) -> list:
     for r in range(config.repeats):
         prefix = [config.seed, r]
         shards = partition(train, config.total_clients, [*prefix, PARTITION])
-        shards = mark_malicious(shards, config.malicious_fraction, [*prefix, MALICIOUS])
-        flip = (config.source_class, config.target_class)
-        shards = [poison_labels(s, *flip) if s.is_malicious else s for s in shards]
+        shards = poison_shards(
+            shards, config.malicious_fraction, config.source_class, config.target_class, [*prefix, MALICIOUS]
+        )
         dims = (train.features.shape[1], *config.hidden_dims, train.num_classes)
         model = nn.init_params(dims, np.random.default_rng([*prefix, INIT]))
         run = []

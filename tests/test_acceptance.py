@@ -1,10 +1,8 @@
 """End-to-end acceptance suite for the desk-scale poisoning/defense study.
 
 Every criterion prints a single PASS/FAIL line (run with `pytest -s` to see
-them as they complete). The training criteria all use the same fixed task:
-synthetic 10-class data (dim 64, 200 samples/class, separation 6), 50
-clients, 10 per round, 15 global epochs, 5 client epochs, an MLP
-[64, 32, 10], poisoning 5 -> 3, and 3 repeats per experiment.
+them as they complete). The training criteria all use the desk experiment of
+tests/desk.py, which the desk golden shares, so each arm trains once.
 """
 
 import functools
@@ -13,13 +11,9 @@ import json
 import numpy as np
 import pytest
 
+from desk import desk_report
 from fedsim import cli, defense, federation, nn, privacy
-from fedsim.data import synthesize
 from fedsim.defense import DefenseConfig
-from fedsim.federation import FederationConfig
-
-SEED = 0
-KMEANS_GUARD = 3.5
 
 
 def report_line(name, passed, detail):
@@ -27,22 +21,8 @@ def report_line(name, passed, detail):
 
 
 @functools.lru_cache(maxsize=None)
-def desk_datasets():
-    train = synthesize(10, 200, 64, 6.0, seed=[SEED, 1000], noise_std=1.0)
-    test = synthesize(10, 50, 64, 6.0, seed=[SEED, 1001], noise_std=1.0)
-    return train, test
-
-
-@functools.lru_cache(maxsize=None)
 def run(kind, fraction):
-    train, test = desk_datasets()
-    config = FederationConfig(
-        malicious_fraction=fraction,
-        defense=DefenseConfig(kind=kind, kmeans_guard=KMEANS_GUARD),
-        seed=SEED,
-        repeats=3,
-    )
-    report = federation.run_experiment(config, train, test)
+    report = desk_report(kind, fraction)
     final = report.final_means
     records = [rec for run in report.runs for rec in run]
     return {

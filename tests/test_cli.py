@@ -362,7 +362,7 @@ def configs(draw):
     return config
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(config=configs())
 def test_fuzzed_config_exits_1_or_reaches_training(config):
     """Any config either fails with one error line or passes every check; nothing else escapes."""

@@ -121,7 +121,7 @@ def test_synthesize_rejects_bad_arguments():
 
 
 @given(n=st.integers(1, 60), k=st.integers(1, 20), seed=st.integers(0, 10))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 def test_partition_covers_disjointly(n, k, seed):
     if k > n:
         return
@@ -166,40 +166,46 @@ def test_round_half_up():
     assert data.round_half_up(0.5) == 1
 
 
-@given(frac=st.floats(0.0, 0.5), n=st.integers(1, 50), seed=st.integers(0, 5))
-@settings(max_examples=60, deadline=None)
-def test_mark_malicious_count_is_rounded_fraction(frac, n, seed):
-    ds = data.Dataset(np.zeros((n, 2)), np.zeros(n, dtype=int), 1)
-    shards = data.partition(ds, n, seed=0)
-    marked = data.mark_malicious(shards, frac, seed)
-    assert sum(s.is_malicious for s in marked) == data.round_half_up(frac * n)
-    # Marking marked shards again moves the flags as marking fresh ones would.
-    again, fresh = (data.mark_malicious(s, frac, seed + 1) for s in (marked, shards))
-    assert [s.is_malicious for s in again] == [s.is_malicious for s in fresh]
-
-
-def test_mark_malicious_rejects_out_of_range():
-    ds = data.Dataset(np.zeros((4, 2)), np.zeros(4, dtype=int), 1)
-    shards = data.partition(ds, 4, seed=0)
-    with pytest.raises(ValueError):
-        data.mark_malicious(shards, 0.6, seed=0)
-    with pytest.raises(ValueError):
-        data.mark_malicious(shards, -0.1, seed=0)
-
-
 def index_shard(source, rows, cid=0, is_malicious=False):
     """A client shard over the shared source holding these rows and their labels."""
     rows = np.asarray(rows, dtype=np.intp)
     return data.ClientShard(cid, source, rows, source.labels[rows], is_malicious)
 
 
-def test_poison_labels_flips_exactly_the_source_class():
+@given(frac=st.floats(0.0, 0.5), n=st.integers(1, 50), seed=st.integers(0, 5))
+@settings(max_examples=60)
+def test_poison_shards_count_is_rounded_fraction(frac, n, seed):
+    ds = data.Dataset(np.zeros((n, 2)), np.zeros(n, dtype=int), 2)
+    shards = data.partition(ds, n, seed=0)
+    marked = data.poison_shards(shards, frac, 0, 1, seed)
+    assert sum(s.is_malicious for s in marked) == data.round_half_up(frac * n)
+    # An honest shard is passed on as it is, not rebuilt.
+    assert all(m is s for m, s in zip(marked, shards) if not m.is_malicious)
+    # A shard is poisoned once: poisoning the output again rejects the first malicious client.
+    flagged = [s.client_id for s in marked if s.is_malicious]
+    if flagged:
+        with pytest.raises(ValueError, match=f"client {flagged[0]} is already malicious"):
+            data.poison_shards(marked, frac, 0, 1, seed + 1)
+
+
+def test_poison_shards_rejects_fraction_out_of_range():
+    ds = data.Dataset(np.zeros((4, 2)), np.zeros(4, dtype=int), 2)
+    shards = data.partition(ds, 4, seed=0)
+    with pytest.raises(ValueError, match=re.escape("malicious_fraction 0.6 outside [0, 0.5]")):
+        data.poison_shards(shards, 0.6, 0, 1, seed=0)
+    with pytest.raises(ValueError, match=re.escape("malicious_fraction -0.1 outside [0, 0.5]")):
+        data.poison_shards(shards, -0.1, 0, 1, seed=0)
+
+
+def test_poison_shards_flips_exactly_the_source_class():
     rng = np.random.default_rng(0)
     source = data.Dataset(rng.random((50, 4)), rng.integers(0, 10, size=50), 10)
     before = source.labels.copy()
-    shard = index_shard(source, np.sort(rng.choice(50, size=30, replace=False)), is_malicious=True)
+    shard = index_shard(source, np.sort(rng.choice(50, size=30, replace=False)))
     labels = shard.labels.copy()
-    flipped = data.poison_labels(shard, 5, 3)
+    # One shard at fraction 0.5 rounds up to one malicious shard.
+    [flipped] = data.poison_shards([shard], 0.5, 5, 3, seed=0)
+    assert flipped.is_malicious
     source_rows = labels == 5
     assert source_rows.any()
     np.testing.assert_array_equal(flipped.labels[source_rows], 3)
@@ -208,14 +214,28 @@ def test_poison_labels_flips_exactly_the_source_class():
     assert flipped.source is source
     np.testing.assert_array_equal(flipped.rows, shard.rows)
     # Original shard and the shared source untouched.
+    assert not shard.is_malicious
     np.testing.assert_array_equal(shard.labels, labels)
     np.testing.assert_array_equal(source.labels, before)
 
 
-def test_poison_labels_requires_malicious_flag():
-    shard = index_shard(data.Dataset(np.zeros((2, 2)), np.array([5, 1]), 10), [0, 1])
-    with pytest.raises(ValueError):
-        data.poison_labels(shard, 5, 3)
+@pytest.mark.parametrize(
+    "flip, fraction, malicious, shown",
+    [
+        ((1, -1), 0.5, (), "label flip (source_class=1, target_class=-1) needs two distinct, non-negative classes"),
+        ((2, 2), 0.5, (), "label flip (source_class=2, target_class=2) needs two distinct, non-negative classes"),
+        ((-1, 1), 0.5, (), "label flip (source_class=-1, target_class=1) needs two distinct, non-negative classes"),
+        ((5, 10), 0.0, (), "label flip (source_class=5, target_class=10) names a class beyond client 0's 10 classes"),
+        ((10, 3), 0.0, (), "label flip (source_class=10, target_class=3) names a class beyond client 0's 10 classes"),
+        ((5, 3), 0.0, (2,), "client 2 is already malicious"),
+    ],
+    ids=["negative_target", "source_is_target", "negative_source", "target_beyond", "source_beyond", "marked_shard"],
+)
+def test_poison_shards_rejects_an_attack_it_cannot_apply(flip, fraction, malicious, shown):
+    source = data.Dataset(np.zeros((8, 2)), np.arange(8) % 10, 10)
+    shards = [index_shard(source, [2 * cid, 2 * cid + 1], cid, cid in malicious) for cid in range(4)]
+    with pytest.raises(ValueError, match=re.escape(shown)):
+        data.poison_shards(shards, fraction, *flip, seed=0)
 
 
 @pytest.mark.parametrize(
@@ -250,8 +270,10 @@ def test_dataset_rejects_label_outside_classes_by_value(labels, shown):
         (np.zeros((4, 3)), np.zeros((4, 1), dtype=int), "labels of shape (n,), got (4, 3) and (4, 1)"),
         (np.zeros(4), np.zeros(4, dtype=int), "features of shape (n, d) and labels of shape (n,), got (4,)"),
         (np.zeros((4, 3)), np.zeros(4), "labels must be integers, got dtype float64"),
+        (np.zeros((4, 3), dtype=np.int64), np.zeros(4, dtype=int), "features must be floating point, got dtype int64"),
+        (np.zeros((4, 3), dtype=bool), np.zeros(4, dtype=int), "features must be floating point, got dtype bool"),
     ],
-    ids=["column_labels", "one_dimensional_features", "float_labels"],
+    ids=["column_labels", "one_dimensional_features", "float_labels", "integer_features", "bool_features"],
 )
 def test_dataset_rejects_arrays_of_the_wrong_shape_or_type(features, labels, shown):
     with pytest.raises(ValueError, match=re.escape(shown)):

@@ -73,7 +73,7 @@ def test_fixed_fraction_retain_one_fallback():
 
 
 @given(losses=finite_losses, frac=st.floats(0.0, 0.99))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_fixed_fraction_count_property(losses, frac):
     out = defense.run_eliminator(reports(*losses), fixed(frac))
     expected = min(int(np.floor(frac * len(losses) + 0.5)), len(losses) - 1)
@@ -263,7 +263,7 @@ ALL_CONFIGS = (
             0.7000000000000001, 1.1, 1.1, 0.9000000000000001, 1.1, 1.0, 1.0, 0.9],
     seed=94,
 )
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_partition_and_permutation_invariance(losses, seed):
     rpts = reports(*losses)
     items = list(rpts.items())
@@ -284,7 +284,7 @@ def test_partition_and_permutation_invariance(losses, seed):
     losses=st.lists(st.integers(-50, 50), min_size=2, max_size=12),
     shift=st.integers(-5, 5),
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_shift_invariance(losses, shift):
     vals = np.array(losses, dtype=float) / 2.0
     for cfg in ALL_CONFIGS[2:]:  # largest_gap, zscore, kmeans

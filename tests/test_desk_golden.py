@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedsim import DefenseConfig, FederationConfig, federation, run_experiment, synthesize
+from desk import desk_report, synthetic_pair
+from fedsim import DefenseConfig, FederationConfig, federation, run_experiment
 
 GOLDEN = Path(__file__).with_name("desk_golden.json")
 CROSS_DEVICE_GOLDEN = Path(__file__).with_name("cross_device_golden.json")
@@ -57,26 +58,9 @@ MULTIWORD_SEED = replace(
 MULTIWORD_KEY = f"seed={MULTIWORD_SEED.seed}"
 
 
-def synthetic_pair(per_class: int, seed: int):
-    """The CLI's default synthetic train and test sets, with per_class training samples."""
-    return tuple(
-        synthesize(10, count, 64, 6.0, seed=[seed, stream], noise_std=1.0)
-        for count, stream in ((per_class, 1000), (50, 1001))
-    )
-
-
 def desk_epoch_means() -> dict:
     """'<kind>@<fraction>' -> the experiment's epoch_means, one dict per global epoch."""
-    base = FederationConfig()
-    train, test = synthetic_pair(200, base.seed)
-    return {
-        f"{kind}@{fraction}": run_experiment(
-            replace(base, malicious_fraction=fraction, defense=DefenseConfig(kind=kind)),
-            train,
-            test,
-        ).epoch_means
-        for kind, fraction in DESK_ARMS
-    }
+    return {f"{kind}@{fraction}": desk_report(kind, fraction).epoch_means for kind, fraction in DESK_ARMS}
 
 
 def experiment_rounds(config: FederationConfig, per_class: int) -> dict:

@@ -140,7 +140,7 @@ def test_fed_avg_counts_a_stack_given_twice_twice():
     assert_same_params(got, mean_model(dict(enumerate(models[:2] + models[:2] + models[2:]))))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     ids=st.sets(st.integers(0, 40), min_size=1, max_size=16).map(sorted),
     cuts=st.sets(st.integers(1, 15)),
@@ -422,7 +422,7 @@ def client_groups(draw, spoiler):
 
 
 @pytest.mark.parametrize("spoiler", GROUP_SPOILERS)
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(data=st.data())
 def test_fuzzed_groups_match_the_reference_or_are_rejected_by_name(spoiler, data):
     """Every draw either reports, trains and averages to the bits of reference_sim's
@@ -609,7 +609,7 @@ def test_round_work_structure(monkeypatch, shape):
 
 # --- client generators ---------------------------------------------------------
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     seed=st.one_of(
         st.integers(0, 2**96),
@@ -705,7 +705,7 @@ def small_experiments(draw):
                      defense=DefenseConfig(kind="zscore", zscore_threshold=2.0)),
     synthesize(3, 4, 6, 6.0, seed=[1, 1000]), synthesize(3, 3, 6, 6.0, seed=[1, 1001]), 9,
 ))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(experiment=small_experiments())
 def test_run_experiment_matches_the_reference_simulator(experiment):
     """run_experiment's round records and epoch means equal those of a naive

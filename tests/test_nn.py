@@ -213,7 +213,7 @@ def test_stacked_models_compute_each_slice_bit_for_bit():
             assert a[i].tobytes() == b.tobytes()
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(
     hidden=st.sampled_from([(), (6,), (7, 5)]),
     clients=st.sampled_from([None, 1, 3]),

@@ -100,7 +100,7 @@ class ZeroDraw:
         return 0.0 if size is None else np.zeros(size)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     losses=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=20),
     epsilon=st.floats(1e-3, 1e3),
