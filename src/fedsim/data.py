@@ -7,6 +7,7 @@ seeds, so every operation here is a pure function of its arguments.
 
 from __future__ import annotations
 
+import functools
 import numbers
 import struct
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -60,7 +61,7 @@ class ClientShard:
 
     client_id: int
     source: Dataset
-    rows: np.ndarray  # (n,) integer indices into source, sorted by partition
+    rows: np.ndarray  # (n,) integer indices into source, strictly increasing
     labels: np.ndarray  # (n,) integer class indices
     is_malicious: bool = False
 
@@ -76,6 +77,8 @@ class ClientShard:
             raise ValueError(f"client {self.client_id} needs integer rows and labels, got {kinds}")
         if self.rows.size and (self.rows.min() < 0 or self.rows.max() >= len(self.source)):
             raise ValueError(f"client {self.client_id} has rows outside its {len(self.source)}-row source")
+        if (self.rows[1:] <= self.rows[:-1]).any():
+            raise ValueError(f"client {self.client_id} has rows that do not strictly increase")
 
     def __len__(self) -> int:
         return self.rows.shape[0]
@@ -98,23 +101,31 @@ _FIELD_KINDS = {
 }
 
 
+@functools.cache
+def _field_rules(cls) -> tuple:
+    """(name, accepts, expected) of each field of a dataclass, looked up once per class."""
+    rules = []
+    for f in fields(cls):
+        section = type(f.default)
+        if is_dataclass(section):
+            rules.append((f.name, lambda v, section=section: isinstance(v, section), f"a {section.__name__}"))
+        else:
+            rules.append((f.name, *_FIELD_KINDS[f.type]))
+    return tuple(rules)
+
+
 def check_field_kinds(config) -> None:
     """Reject a field of a config or data dataclass whose value is of the wrong kind, by
     name; a nested section must be of its default's class. An accepted value is stored as
     plain Python: a numpy scalar as its .item(), a list of integers as a tuple of ints."""
-    for f in fields(config):
-        value, section = getattr(config, f.name), type(f.default)
-        if is_dataclass(section):
-            fits, expected = isinstance(value, section), f"a {section.__name__}"
-        else:
-            accepts, expected = _FIELD_KINDS[f.type]
-            fits = accepts(value)
-        if not fits:
-            raise ValueError(f"{f.name} must be {expected}, got {value!r}")
+    for name, accepts, expected in _field_rules(type(config)):
+        value = getattr(config, name)
+        if not accepts(value):
+            raise ValueError(f"{name} must be {expected}, got {value!r}")
         if isinstance(value, np.generic):
-            object.__setattr__(config, f.name, value.item())
+            object.__setattr__(config, name, value.item())
         elif isinstance(value, (list, tuple)):
-            object.__setattr__(config, f.name, tuple(map(int, value)))
+            object.__setattr__(config, name, tuple(map(int, value)))
 
 
 @dataclass(frozen=True)

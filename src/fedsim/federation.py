@@ -270,9 +270,17 @@ def fed_avg(stacks) -> nn.ModelParams:
     """Unweighted element-wise mean of every client slice in stacks.
 
     stacks is any iterable of model stacks with a leading client axis, as
-    local_train returns them. Each slice is added, as a view, in the order
-    given, as its stack arrives: the caller's order fixes the bits, however
-    the clients were stacked. A stack given twice counts twice.
+    local_train returns them. Every slice is added in the order given, as its
+    stack arrives: the caller's order fixes the bits, however the clients
+    were stacked. A stack given twice counts twice.
+
+    Each parameter of a stack is folded in by one reduction over the client
+    axis of a copy with the running total in front, which adds the total and
+    then each client in order, as a loop over the slices would. That copy
+    leaves the caller's stacks, even a read-only broadcast, unwritten. A
+    parameter of one element per client, where numpy would sum the client
+    axis pairwise, and a stack of one client, where the copy is pure cost,
+    are added slice by slice instead.
     """
     sums, count = None, 0
     for stack in stacks:
@@ -284,9 +292,12 @@ def fed_avg(stacks) -> nn.ModelParams:
         elif stack.dims != dims:
             raise ValueError("stacks disagree on model dims")
         clients = len(params[0])
-        for i in range(clients):
-            for acc, p in zip(sums, params):
-                acc += p[i]
+        for acc, p in zip(sums, params):
+            if clients > 1 and acc.size > 1:
+                np.add.reduce(np.concatenate((acc[None], p)), axis=0, out=acc)
+            else:
+                for i in range(clients):
+                    acc += p[i]
         count += clients
     if not count:
         raise ValueError("fed_avg needs at least one client")

@@ -143,13 +143,22 @@ def backward(model: ModelParams, inputs: np.ndarray, labels) -> tuple[ModelParam
 
 
 def sgd_step(model: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
-    """One plain gradient-descent step: p' = p - lr * g."""
+    """One plain gradient-descent step: p' = p - lr * g, in new arrays.
+
+    It allocates one array per parameter: lr * g is computed into it, and p
+    minus it written back into it, the bits of p - lr * g. Neither model nor
+    grads is written.
+    """
     shapes, grad_shapes = [w.shape for w in model.weights], [g.shape for g in grads.weights]
     if shapes != grad_shapes:
         raise ShapeMismatchError(f"model weights {shapes} != gradient weights {grad_shapes}")
+
+    def step(p, g):
+        out = np.multiply(g, lr)
+        return np.subtract(p, out, out=out)
+
     return ModelParams(
-        tuple(w - lr * g for w, g in zip(model.weights, grads.weights)),
-        tuple(b - lr * g for b, g in zip(model.biases, grads.biases)),
+        tuple(map(step, model.weights, grads.weights)), tuple(map(step, model.biases, grads.biases))
     )
 
 

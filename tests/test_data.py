@@ -247,8 +247,13 @@ def test_poison_shards_rejects_an_attack_it_cannot_apply(flip, fraction, malicio
         ([-1, 2], [0, 1], "client 7 has rows outside its 4-row source"),
         ([0.0, 1.0], [0, 1], "client 7 needs integer rows and labels, got float64 and int64"),
         ([0, 1], [0.0, 1.0], "client 7 needs integer rows and labels, got int64 and float64"),
+        ([0, 2, 2], [0, 1, 1], "client 7 has rows that do not strictly increase"),
+        ([3, 1], [0, 1], "client 7 has rows that do not strictly increase"),
     ],
-    ids=["lengths_differ", "not_one_dimensional", "row_past_end", "row_negative", "float_rows", "float_labels"],
+    ids=[
+        "lengths_differ", "not_one_dimensional", "row_past_end", "row_negative", "float_rows", "float_labels",
+        "repeated_row", "rows_descending",
+    ],
 )
 def test_client_shard_rejects_rows_that_do_not_fit(rows, labels, shown):
     source = data.Dataset(np.zeros((4, 3)), np.zeros(4, dtype=int), 2)

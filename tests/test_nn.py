@@ -135,15 +135,22 @@ def test_backward_returns_same_loss_as_forward():
 
 
 def test_sgd_step_is_pure_and_exact():
+    """The bits of p - lr * g in fresh C-contiguous, writeable arrays, for a lone
+    model and for the read-only broadcast stack local_train starts from."""
     rng = np.random.default_rng(2)
-    model, _ = random_model(rng)
-    grads, _ = random_model(rng)
-    before = [w.copy() for w in model.weights]
-    stepped = nn.sgd_step(model, grads, 0.25)
-    for w0, g, w1 in zip(model.weights, grads.weights, stepped.weights):
-        np.testing.assert_allclose(w1, w0 - 0.25 * g, atol=0)
-    for old, cur in zip(before, model.weights):
-        np.testing.assert_array_equal(old, cur)
+    lone, _ = random_model(rng)
+    broadcast = nn.ModelParams(
+        tuple(np.broadcast_to(w, (3, *w.shape)) for w in lone.weights),
+        tuple(np.broadcast_to(b, (3, *b.shape)) for b in lone.biases),
+    )
+    for model, grads in ((lone, random_model(rng)[0]), (broadcast, stack([random_model(rng)[0] for _ in range(3)]))):
+        before = [a.tobytes() for a in arrays(model) + arrays(grads)]
+        stepped = nn.sgd_step(model, grads, 0.25)
+        for p, g, new in zip(arrays(model), arrays(grads), arrays(stepped)):
+            assert new.shape == p.shape and new.tobytes() == (p - 0.25 * g).tobytes()
+            assert new.flags.c_contiguous and new.flags.writeable
+            assert not np.shares_memory(new, p) and not np.shares_memory(new, g)
+        assert [a.tobytes() for a in arrays(model) + arrays(grads)] == before
 
 
 def test_sgd_step_rejects_mismatched_dims():
