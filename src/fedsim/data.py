@@ -396,20 +396,26 @@ def round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
+def check_label_flip(malicious_fraction, source_class, target_class, num_classes=None) -> None:
+    """The label-flip attack's rules, one message per fault; FederationConfig, validate and poison_shards call it."""
+    if not 0.0 <= malicious_fraction <= 0.5:
+        raise ValueError(f"malicious_fraction {malicious_fraction} outside [0, 0.5]")
+    flip = f"label flip (source_class={source_class}, target_class={target_class})"
+    if source_class == target_class or min(source_class, target_class) < 0:
+        raise ValueError(f"{flip} needs two distinct, non-negative classes")
+    if num_classes is not None and max(source_class, target_class) >= num_classes:
+        raise ValueError(f"{flip} names a class beyond the training set's {num_classes} classes")
+
+
 def poison_shards(
     shards: list[ClientShard], malicious_fraction: float, source_class: int, target_class: int, seed
 ) -> list[ClientShard]:
     """The label-flip attack: flag a seeded subset of the honest shards as malicious and relabel
     each one's source-class samples as the target class, in a copy of its labels. The features
     stay in the shared source, and every other shard is passed on as the same object."""
-    if not 0.0 <= malicious_fraction <= 0.5:
-        raise ValueError(f"malicious_fraction {malicious_fraction} outside [0, 0.5]")
-    flip = f"label flip (source_class={source_class}, target_class={target_class})"
-    if source_class == target_class or min(source_class, target_class) < 0:
-        raise ValueError(f"{flip} needs two distinct, non-negative classes")
+    classes = min((s.source.num_classes for s in shards), default=None)
+    check_label_flip(malicious_fraction, source_class, target_class, classes)
     for s in shards:
-        if max(source_class, target_class) >= s.source.num_classes:
-            raise ValueError(f"{flip} names a class beyond client {s.client_id}'s {s.source.num_classes} classes")
         if s.is_malicious:
             raise ValueError(f"client {s.client_id} is already malicious")
     poisoned = list(shards)

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import nn
-from .data import ClientShard, Dataset, check_field_kinds, partition, poison_shards
+from .data import ClientShard, Dataset, check_field_kinds, check_label_flip, partition, poison_shards
 from .defense import DefenseConfig, detection_score, run_eliminator
 from .metrics import evaluate_model
 from .privacy import LdpConfig, perturb_loss
@@ -54,6 +54,8 @@ _OUT_HASH = (0x8B51F9DD, 0x58F38DED)
 
 @dataclass(frozen=True)
 class FederationConfig:
+    """One experiment's settings; the label flip's fraction and classes follow data.check_label_flip."""
+
     total_clients: int = 50
     clients_per_round: int = 10
     global_epochs: int = 15
@@ -80,11 +82,7 @@ class FederationConfig:
             raise ValueError("client_epochs must be non-negative")
         if not 0 < self.client_lr < np.inf:
             raise ValueError(f"client_lr {self.client_lr} must be positive and finite")
-        if not 0.0 <= self.malicious_fraction <= 0.5:
-            raise ValueError(f"malicious_fraction {self.malicious_fraction} outside [0, 0.5]")
-        if self.source_class == self.target_class or min(self.source_class, self.target_class) < 0:
-            flip = f"source_class {self.source_class} and target_class {self.target_class}"
-            raise ValueError(f"{flip} must differ and be non-negative")
+        check_label_flip(self.malicious_fraction, self.source_class, self.target_class)
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} must be non-negative")
         if any(width < 1 for width in self.hidden_dims):
@@ -212,11 +210,20 @@ def report_losses(
     matches the client's labels, which is what separates honest from
     poisoned shards; by the end of local training the client has fit its
     own labels, flipped or not, and the signal is gone.
+
+    A non-finite raw loss raises ValueError before any generator is drawn. It
+    names the first such client and, if it has one, the first training-set row
+    of that client with a non-finite feature.
     """
     if len(shards) != len(rngs):
         raise ValueError(f"{len(shards)} shards and {len(rngs)} generators; need one each")
     model, features, labels = _stack_group(global_model, shards)
     raw_losses, _ = nn.softmax_cross_entropy(nn.forward(model, features), labels)
+    if not np.isfinite(raw_losses).all():
+        i = int(np.flatnonzero(~np.isfinite(raw_losses))[0])
+        bad = ~np.isfinite(features[i]).all(axis=1)
+        row = f"; its training-set row {shards[i].rows[bad][0]} has a non-finite feature" if bad.any() else ""
+        raise ValueError(f"client {shards[i].client_id} has a non-finite loss {raw_losses[i]}{row}")
     c, n = labels.shape
     epochs = config.client_epochs
     orders = np.array([rng.permutation(n) for rng in rngs for _ in range(epochs)], dtype=np.intp)
@@ -440,7 +447,10 @@ def init_state(
 
 
 def validate(config: FederationConfig, train_set: Dataset, test_set: Dataset) -> None:
-    """Reject a config and datasets that cannot run together, before any training."""
+    """Reject a config and datasets that cannot run together, before any training.
+
+    The label flip's classes must lie within the training set's, as data.check_label_flip states.
+    """
     dims = (train_set.features.shape[1], test_set.features.shape[1])
     classes = (train_set.num_classes, test_set.num_classes)
     if len(test_set) == 0:
@@ -449,9 +459,7 @@ def validate(config: FederationConfig, train_set: Dataset, test_set: Dataset) ->
         raise ValueError(f"train samples have {dims[0]} features, test samples {dims[1]}")
     if classes[0] != classes[1]:
         raise ValueError(f"train set has {classes[0]} classes, test set {classes[1]}")
-    if max(config.source_class, config.target_class) >= classes[0]:
-        flip = f"(source_class={config.source_class}, target_class={config.target_class})"
-        raise ValueError(f"label flip {flip} names a class beyond the dataset's {classes[0]} classes")
+    check_label_flip(config.malicious_fraction, config.source_class, config.target_class, classes[0])
     if config.total_clients > len(train_set):
         raise ValueError(f"total_clients {config.total_clients} exceeds the {len(train_set)} training samples")
 

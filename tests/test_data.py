@@ -225,8 +225,8 @@ def test_poison_shards_flips_exactly_the_source_class():
         ((1, -1), 0.5, (), "label flip (source_class=1, target_class=-1) needs two distinct, non-negative classes"),
         ((2, 2), 0.5, (), "label flip (source_class=2, target_class=2) needs two distinct, non-negative classes"),
         ((-1, 1), 0.5, (), "label flip (source_class=-1, target_class=1) needs two distinct, non-negative classes"),
-        ((5, 10), 0.0, (), "label flip (source_class=5, target_class=10) names a class beyond client 0's 10 classes"),
-        ((10, 3), 0.0, (), "label flip (source_class=10, target_class=3) names a class beyond client 0's 10 classes"),
+        ((5, 10), 0.0, (), "label flip (source_class=5, target_class=10) names a class beyond the training set's 10 classes"),
+        ((10, 3), 0.0, (), "label flip (source_class=10, target_class=3) names a class beyond the training set's 10 classes"),
         ((5, 3), 0.0, (2,), "client 2 is already malicious"),
     ],
     ids=["negative_target", "source_is_target", "negative_source", "target_beyond", "source_beyond", "marked_shard"],

@@ -1,6 +1,7 @@
 """Tests for the federated loop: selection, local training, FedAvg, rounds."""
 
 import itertools
+import json
 import math
 import re
 import tracemalloc
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsim import cli, federation, nn
-from fedsim.data import ClientShard, Dataset, IdxData, SyntheticData, synthesize
+from fedsim.data import ClientShard, Dataset, IdxData, SyntheticData, partition, poison_shards, synthesize
 from fedsim.defense import DEFENSE_KINDS, DefenseConfig
 from fedsim.federation import FederationConfig
 from fedsim.privacy import LdpConfig
@@ -250,6 +251,20 @@ def test_local_train_rejects_empty_shard():
         federation.report_losses(model, [empty], train_config(1, 0.5, 4), [np.random.default_rng(0)])
     with pytest.raises(ValueError, match="client 0 has an empty shard"):
         federation.local_train(model, [empty], train_config(1, 0.5, 4), np.zeros((1, 1, 0), dtype=np.intp))
+
+
+def test_report_losses_names_the_client_and_row_behind_a_non_finite_loss():
+    rng = np.random.default_rng(0)
+    shards = make_shards(rng, [6, 6, 6])
+    row = int(shards[1].rows[2])
+    shards[1].source.features[row, 1] = np.nan
+    model = nn.init_params((4, 3), rng)
+    rngs = [np.random.default_rng(cid) for cid in range(3)]
+    states = [g.bit_generator.state for g in rngs]
+    shown = f"client 1 has a non-finite loss nan; its training-set row {row} has a non-finite feature"
+    with pytest.raises(ValueError, match=re.escape(shown)):
+        federation.report_losses(model, shards, train_config(1, 0.5, 4), rngs)
+    assert [g.bit_generator.state for g in rngs] == states  # raised before any draw
 
 
 def assert_same_weights(got: nn.ModelParams, i: int, want_model):
@@ -850,10 +865,61 @@ def test_config_validation():
 
 
 def test_label_flip_classes_validation():
-    with pytest.raises(ValueError, match="source_class 3 and target_class 3 must differ"):
-        small_config(source_class=3, target_class=3)
-    with pytest.raises(ValueError, match="source_class -1 and target_class 2 must differ and be non-negative"):
-        small_config(source_class=-1, target_class=2)
+    for source, target in ((3, 3), (-1, 2)):
+        flip = f"label flip (source_class={source}, target_class={target})"
+        with pytest.raises(ValueError, match=re.escape(f"{flip} needs two distinct, non-negative classes")):
+            small_config(source_class=source, target_class=target)
+
+
+# Each fault of the label-flip attack, as (malicious_fraction, source_class, target_class) on a
+# 4-class training set, and the one message every entry point that sees it gives.
+FLIP_FAULTS = {
+    "fraction_above_half": ((0.6, 1, 2), "malicious_fraction 0.6 outside [0, 0.5]"),
+    "fraction_negative": ((-0.1, 1, 2), "malicious_fraction -0.1 outside [0, 0.5]"),
+    "source_is_target": (
+        (0.25, 2, 2), "label flip (source_class=2, target_class=2) needs two distinct, non-negative classes"
+    ),
+    "negative_source": (
+        (0.25, -1, 2), "label flip (source_class=-1, target_class=2) needs two distinct, non-negative classes"
+    ),
+    "class_beyond": (
+        (0.25, 12, 2), "label flip (source_class=12, target_class=2) names a class beyond the training set's 4 classes"
+    ),
+}
+
+
+# FederationConfig rejects every fault it can see without data, and validate, inside
+# run_experiment, the class bound; poison_shards and the CLI see all of them.
+FLIP_CASES = [
+    *(("FederationConfig", fault) for fault in FLIP_FAULTS if fault != "class_beyond"),
+    ("run_experiment", "class_beyond"),
+    *((entry, fault) for entry in ("poison_shards", "cli") for fault in FLIP_FAULTS),
+]
+
+
+@pytest.mark.parametrize("entry, fault", FLIP_CASES, ids=[f"{fault}-{entry}" for entry, fault in FLIP_CASES])
+def test_each_label_flip_fault_has_one_message_at_every_entry_point(tmp_path, monkeypatch, capsys, entry, fault):
+    (fraction, source_class, target_class), message = FLIP_FAULTS[fault]
+    flip = dict(malicious_fraction=fraction, source_class=source_class, target_class=target_class)
+    no_training = mock.Mock(side_effect=AssertionError("training started before the flip was rejected"))
+    monkeypatch.setattr(federation, "init_state", no_training)
+    monkeypatch.setattr(cli, "run_experiment", no_training)
+    if entry == "cli":
+        dataset = {"type": "synthetic", "num_classes": 4, "per_class": 30, "dim": 8, "test_per_class": 10}
+        config = tmp_path / "config.json"
+        spec = {"dataset": dataset, "total_clients": 8, "clients_per_round": 4, **flip}
+        config.write_text(json.dumps(spec), encoding="utf-8")
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        return
+    calls = {
+        "FederationConfig": lambda: small_config(**flip),
+        "run_experiment": lambda: federation.run_experiment(small_config(**flip), *small_task()),
+        "poison_shards": lambda: poison_shards(partition(small_task()[0], 8, seed=0), *flip.values(), seed=0),
+    }
+    with pytest.raises(ValueError) as raised:
+        calls[entry]()
+    assert str(raised.value) == message
 
 
 NAN, INF = float("nan"), float("inf")
