@@ -397,7 +397,16 @@ def round_half_up(x: float) -> int:
 
 
 def check_label_flip(malicious_fraction, source_class, target_class, num_classes=None) -> None:
-    """The label-flip attack's rules, one message per fault; FederationConfig, validate and poison_shards call it."""
+    """The label-flip attack's rules, one message per fault; FederationConfig, validate and poison_shards call it.
+    The fraction must be a number and the classes integers, by the rules check_field_kinds applies."""
+    for name, value, kind in (
+        ("malicious_fraction", malicious_fraction, "float"),
+        ("source_class", source_class, "int"),
+        ("target_class", target_class, "int"),
+    ):
+        accepts, expected = _FIELD_KINDS[kind]
+        if not accepts(value):
+            raise ValueError(f"{name} must be {expected}, got {value!r}")
     if not 0.0 <= malicious_fraction <= 0.5:
         raise ValueError(f"malicious_fraction {malicious_fraction} outside [0, 0.5]")
     flip = f"label flip (source_class={source_class}, target_class={target_class})"

@@ -39,9 +39,13 @@ _STREAM_SELECT = 3
 _STREAM_CLIENT = 4
 
 # Most bytes of stacked model parameters one local_train call trains at once.
-# Larger stacks dispatch less but hold more memory for each step's gradients
-# and activations; a model above the cap trains one client per call.
-_STACK_BYTES = 256 * 1024
+# A larger cap makes fewer calls, each paying its fixed cost for more clients,
+# but each call's temporaries (gradients, the sgd_step output, fed_avg's copy)
+# grow with it. Above about 768 KiB malloc stops reusing them, and a
+# cross-device run takes thousands of page faults (about 8,000 at 1 MiB).
+# At 512 KiB the default 64-32-10 model trains 27 clients per call; a model
+# above the cap trains one client per call.
+_STACK_BYTES = 512 * 1024
 
 # numpy's SeedSequence constants: the hash constants of the entropy mix and
 # of the output words (each a start and a multiplier), and the two

@@ -228,14 +228,30 @@ def test_poison_shards_flips_exactly_the_source_class():
         ((5, 10), 0.0, (), "label flip (source_class=5, target_class=10) names a class beyond the training set's 10 classes"),
         ((10, 3), 0.0, (), "label flip (source_class=10, target_class=3) names a class beyond the training set's 10 classes"),
         ((5, 3), 0.0, (2,), "client 2 is already malicious"),
+        ((1.5, 2), 0.25, (), "source_class must be an integer, got 1.5"),
+        ((True, 2), 0.25, (), "source_class must be an integer, got True"),
+        (("3", 2), 0.25, (), "source_class must be an integer, got '3'"),
+        ((1, 2.0), 0.25, (), "target_class must be an integer, got 2.0"),
+        ((1, 2), "0.25", (), "malicious_fraction must be a number, got '0.25'"),
     ],
-    ids=["negative_target", "source_is_target", "negative_source", "target_beyond", "source_beyond", "marked_shard"],
+    ids=[
+        "negative_target", "source_is_target", "negative_source", "target_beyond", "source_beyond", "marked_shard",
+        "float_source", "bool_source", "string_source", "float_target", "string_fraction",
+    ],
 )
 def test_poison_shards_rejects_an_attack_it_cannot_apply(flip, fraction, malicious, shown):
     source = data.Dataset(np.zeros((8, 2)), np.arange(8) % 10, 10)
     shards = [index_shard(source, [2 * cid, 2 * cid + 1], cid, cid in malicious) for cid in range(4)]
     with pytest.raises(ValueError, match=re.escape(shown)):
         data.poison_shards(shards, fraction, *flip, seed=0)
+
+
+def test_poison_shards_takes_numpy_scalars_as_the_numbers_they_hold():
+    source = data.Dataset(np.zeros((16, 2)), np.arange(16) % 4, 4)
+    shards = data.partition(source, 8, seed=0)
+    poisoned = data.poison_shards(shards, np.float64(0.25), np.int64(1), np.int64(2), seed=0)
+    assert [s.is_malicious for s in poisoned] == [s.is_malicious for s in data.poison_shards(shards, 0.25, 1, 2, seed=0)]
+    assert sum(s.is_malicious for s in poisoned) == 2
 
 
 @pytest.mark.parametrize(

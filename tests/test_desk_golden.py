@@ -4,7 +4,7 @@ defense, and every round of a cross-device experiment.
 The desk config is the library default (50 clients, 10 per round, 15 global
 epochs, MLP [64, 32, 10], 3 repeats) on the CLI's default synthetic data. It
 trains each round's clients as one stack. The cross-device config has 300
-clients of 4 samples and trains 120 of them a round in 10 stacks, and kmeans
+clients of 4 samples and trains 120 of them a round in up to 5 stacks, and kmeans
 eliminates clients from several stacks of one round, so the locked numbers
 depend on which slice of which stack every retained client is averaged from.
 A smaller cross-device config at seed 2**64 + 5 locks the path where the seed
@@ -110,8 +110,8 @@ def test_multiword_seed_rounds_match_golden():
 
 
 def test_cross_device_lock_spans_stacks():
-    """The lock's premise: every round's retained clients train in at least
-    three stacks, so fed_avg folds in many stacks a round."""
+    """The lock's premise: every round of the first repeat trains its retained
+    clients in at least three stacks, so fed_avg folds in many stacks a round."""
     state = federation.init_state(CROSS_DEVICE, *synthetic_pair(120, CROSS_DEVICE.seed))
     want = json.loads(CROSS_DEVICE_GOLDEN.read_text(encoding="utf-8"))
     stacks = []

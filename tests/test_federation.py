@@ -145,18 +145,23 @@ def test_fed_avg_counts_a_stack_given_twice_twice():
 # fedsim supports: that leg confirms fed_avg's reduction order there too.
 @settings(max_examples=80)
 @given(
-    ids=st.sets(st.integers(0, 40), min_size=1, max_size=16).map(sorted),
-    cuts=st.sets(st.integers(1, 15)),
+    ids=st.sets(st.integers(0, 120), min_size=1, max_size=48).map(sorted),
+    cuts=st.sets(st.integers(1, 47)),
     seed=st.integers(0, 2**32 - 1),
     dim=st.sampled_from([1, 3]),
     width=st.sampled_from([1, 2, 4]),
 )
 # fed_avg reduces a stack's client axis in one call, except for parameters of one
 # element per client, where numpy would sum that axis pairwise, and one-client
-# stacks. Pinned: the reduction over more than 8 clients, 12 clients whose
-# (1, 1) weight and width-1 bias take the loop, and 12 one-client stacks.
+# stacks. From 17 clients on, numpy's pairwise sum would change the bits of
+# one-element parameters. Pinned: the reduction over more than 8 clients, 12
+# clients whose (1, 1) weight and width-1 bias take the loop, one stack of 27
+# clients (cross_device's full stack under the default cap) on each path, and
+# 12 one-client stacks.
 @example(ids=list(range(12)), cuts=set(), seed=0, dim=3, width=4)
 @example(ids=list(range(12)), cuts=set(), seed=0, dim=1, width=1)
+@example(ids=list(range(27)), cuts=set(), seed=0, dim=3, width=4)
+@example(ids=list(range(27)), cuts=set(), seed=0, dim=1, width=1)
 @example(ids=list(range(12)), cuts=set(range(1, 12)), seed=0, dim=3, width=2)
 def test_fed_avg_matches_ascending_id_loop_bit_for_bit(ids, cuts, seed, dim, width):
     """An ascending id list cut into random consecutive stacks, one client each
@@ -576,8 +581,8 @@ def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_pe
 
 # (config, training samples per class) of the README desk experiment, and of a
 # cross-device shape: 300 clients, the first 10 of 5 samples and the rest of 4,
-# 120 a round, of which fixed_fraction cuts 24; the rest train in about ten
-# stacks of 13 models.
+# 120 a round, of which fixed_fraction cuts 24; the rest train in about four
+# stacks of up to 27 models.
 WORK_SHAPES = {
     "desk": (FederationConfig(malicious_fraction=0.4, defense=DefenseConfig(kind="kmeans")), 200),
     "cross_device": (
