@@ -4,6 +4,7 @@ locally-differentially-private defense against targeted label flipping."""
 __version__ = "0.1.0"
 
 from .data import (
+    ClientGroup,
     ClientShard,
     Dataset,
     IdxData,

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import functools
 import numbers
+import os
 import struct
 from dataclasses import dataclass, fields, is_dataclass, replace
+from stat import S_ISREG
 
 import numpy as np
 
@@ -75,13 +77,96 @@ class ClientShard:
         if self.rows.dtype.kind not in "iu" or self.labels.dtype.kind not in "iu":
             kinds = f"{self.rows.dtype} and {self.labels.dtype}"
             raise ValueError(f"client {self.client_id} needs integer rows and labels, got {kinds}")
-        if self.rows.size and (self.rows.min() < 0 or self.rows.max() >= len(self.source)):
-            raise ValueError(f"client {self.client_id} has rows outside its {len(self.source)}-row source")
-        if (self.rows[1:] <= self.rows[:-1]).any():
+        # Rows that strictly increase span rows[0] to rows[-1]; others need min and max, so
+        # that rows outside the source are named before rows out of order.
+        increasing = not (self.rows[1:] <= self.rows[:-1]).any()
+        if self.rows.size:
+            low, high = (self.rows[0], self.rows[-1]) if increasing else (self.rows.min(), self.rows.max())
+            if low < 0 or high >= len(self.source):
+                raise ValueError(f"client {self.client_id} has rows outside its {len(self.source)}-row source")
+        if not increasing:
             raise ValueError(f"client {self.client_id} has rows that do not strictly increase")
 
     def __len__(self) -> int:
         return self.rows.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class ClientGroup:
+    """Clients with equal-size shards of one training set, gathered into arrays.
+
+    Row i of every array is client ids[i]: rows[i] and labels[i] are its
+    shard's rows and labels, malicious[i] its flag. of gathers shards once;
+    take and joined build groups from groups, reading no shard again.
+    """
+
+    source: Dataset
+    ids: np.ndarray  # (C,) client ids
+    rows: np.ndarray  # (C, n) integer indices into source
+    labels: np.ndarray  # (C, n) integer class indices
+    malicious: np.ndarray  # (C,) bool
+
+    def __post_init__(self):
+        check_field_kinds(self)
+        shapes = (self.ids.shape, self.malicious.shape, self.rows.shape, self.labels.shape)
+        if self.rows.ndim != 2 or shapes[0] != shapes[1] or shapes[0] != shapes[2][:1] or shapes[2] != shapes[3]:
+            raise ValueError(f"need ids and malicious of shape (C,), rows and labels of shape (C, n), got {shapes}")
+        if not self.rows.size:
+            raise ValueError(f"a group needs at least one client and one sample, got rows of shape {self.rows.shape}")
+
+    @classmethod
+    def of(cls, shards) -> ClientGroup:
+        """The shards as one group, in order. Rejects, by client id, a shard that
+        indexes another training set than the first, is empty or differs in size."""
+        if not shards:
+            raise ValueError("need at least one shard")
+        first = shards[0]
+        n = len(first)
+        for shard in shards:
+            if shard.source is not first.source:
+                raise ValueError(
+                    f"client {shard.client_id} indexes another training set than client {first.client_id}"
+                )
+            if len(shard) != n or not n:
+                size = len(shard)
+                fault = f"has {size} samples, not {n}" if size else "has an empty shard"
+                raise ValueError(f"client {shard.client_id} {fault}")
+        c = len(shards)
+        return cls(
+            first.source,
+            np.array([s.client_id for s in shards]),
+            np.concatenate([s.rows for s in shards]).reshape(c, n),
+            np.concatenate([s.labels for s in shards]).reshape(c, n),
+            np.array([s.is_malicious for s in shards]),
+        )
+
+    @classmethod
+    def joined(cls, groups) -> ClientGroup:
+        """The clients of groups as one group, in order. Rejects, by client id, a
+        group that indexes another training set than the first or differs in size."""
+        first = groups[0]
+        for group in groups:
+            if group.source is not first.source:
+                raise ValueError(f"client {group.ids[0]} indexes another training set than client {first.ids[0]}")
+            if group.samples != first.samples:
+                raise ValueError(f"client {group.ids[0]} has {group.samples} samples, not {first.samples}")
+        names = ("ids", "rows", "labels", "malicious")
+        return cls(first.source, *(np.concatenate([getattr(g, name) for g in groups]) for name in names))
+
+    def take(self, positions) -> ClientGroup:
+        """The clients at positions, any index of the client axis (an array of
+        positions, a boolean mask or a slice), in that order."""
+        return ClientGroup(
+            self.source, self.ids[positions], self.rows[positions], self.labels[positions], self.malicious[positions]
+        )
+
+    @property
+    def samples(self) -> int:
+        """n, the size of every client's shard."""
+        return self.rows.shape[1]
+
+    def __len__(self) -> int:
+        return self.ids.shape[0]
 
 
 def _integer(value) -> bool:
@@ -159,6 +244,12 @@ class IdxData:
 
 
 def _read_exact(f, count: int, path: str, what: str) -> bytes:
+    """count bytes of f. From a regular file, a count past its end, such as a header's
+    claim that the file cannot hold, is rejected before the read allocates it."""
+    info = os.fstat(f.fileno())
+    if S_ISREG(info.st_mode) and count > info.st_size - f.tell():
+        left = info.st_size - f.tell()
+        raise IdxFormatError(f"{path}: truncated: {what} needs {count} bytes at offset {f.tell()}, but {left} follow")
     buf = f.read(count)
     if len(buf) != count:
         raise IdxFormatError(f"{path}: truncated while reading {what} at offset {f.tell() - len(buf)}")

@@ -1,19 +1,24 @@
 """The federated training loop: select, report, defend, train locally, average.
 
 Each global epoch the server samples a subset of clients and ships them the
-current model. Every selected client first reports one noisy loss: its loss
-under the incoming model, noised. The configured eliminator filters the
-reports; only the clients it retains then train locally, in stacks of
-clients trained together, and FedAvg averages their weights as each stack
-arrives. The new model is scored on a held-out honest test set. A report
-depends on no trained weight, and an eliminated client's weights would never
-reach the average, so training only the retained clients gives the bytes
-that training every selected client would. Everything is driven by
-explicit seeded generators, so a config fully determines every round record.
-Client cid in epoch e of repeat r draws from exactly
-np.random.default_rng([seed, r, 4, e, cid]). numpy's SeedSequence mixes the
-round's shared prefix [seed, r, 4, e] once; fedsim folds in the client ids
-and hashes out PCG64's seeding words in one vector pass.
+current model. The round reads each selected client's shard once: every run
+of consecutive ids with equal shard size is gathered into one ClientGroup of
+arrays (ids, rows, labels, malicious flags). Every selected client first
+reports one noisy loss: its loss under the incoming model, noised. The
+configured eliminator filters the reports; only the clients it retains then
+train locally, in stacks of clients trained together that take their rows,
+labels and batch orders from the groups by position, and FedAvg averages
+their weights as each stack arrives. The new model is scored on a held-out
+honest test set. A report depends on no trained weight, and an eliminated
+client's weights would never reach the average, so training only the
+retained clients gives the bytes that training every selected client would.
+Everything is driven by explicit seeded generators, so a config fully
+determines every round record. Client cid in epoch e of repeat r draws from
+exactly np.random.default_rng([seed, r, 4, e, cid]): its batch order for each
+local epoch, a shuffle of range(n) as rng.permutation(n) draws it, then its
+noise. numpy's SeedSequence mixes the round's shared prefix [seed, r, 4, e]
+once; fedsim folds in the client ids and hashes out PCG64's seeding words in
+one vector pass.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import nn
-from .data import ClientShard, Dataset, check_field_kinds, check_label_flip, partition, poison_shards
+from .data import ClientGroup, Dataset, check_field_kinds, check_label_flip, partition, poison_shards
 from .defense import DefenseConfig, detection_score, run_eliminator
 from .metrics import evaluate_model
 from .privacy import LdpConfig, perturb_loss
@@ -157,54 +162,39 @@ def select_clients(rng: np.random.Generator, total_clients: int, k: int) -> tupl
     return tuple(int(c) for c in np.sort(chosen))
 
 
-def _stack_group(model: nn.ModelParams, shards: list[ClientShard]) -> tuple[nn.ModelParams, np.ndarray, np.ndarray]:
-    """A group of equal-size, non-empty shards as one stack: C read-only broadcast
-    copies of model, features of shape (C, n, d) and labels of shape (C, n).
-
-    The shards must index one source; their rows are gathered from it in one
+def _stack(model: nn.ModelParams, group: ClientGroup) -> tuple[nn.ModelParams, np.ndarray]:
+    """A group as one stack: C read-only broadcast copies of model, and the
+    group's features of shape (C, n, d), gathered from its training set in one
     fancy index. Every label must lie in [0, classes) of model, since
-    nn.descend does not check its labels.
+    nn.descend does not check its labels; a client that holds another is
+    rejected by id.
     """
-    if not shards:
-        raise ValueError("need at least one shard")
-    first = shards[0]
-    n = len(first)
-    for shard in shards:
-        if shard.source is not first.source:
-            raise ValueError(
-                f"client {shard.client_id} indexes another training set than client {first.client_id}"
-            )
-        if len(shard) == 0:
-            raise ValueError(f"client {shard.client_id} has an empty shard")
-        if len(shard) != n:
-            raise ValueError(f"client {shard.client_id} has {len(shard)} samples, not {n}")
-    features = first.source.features[np.array([s.rows for s in shards])]
-    labels = np.array([s.labels for s in shards])
     classes = model.dims[-1]
-    if labels.min() < 0 or labels.max() >= classes:
-        bad = next(s for s in shards if s.labels.min() < 0 or s.labels.max() >= classes)
-        raise ValueError(f"client {bad.client_id} has a label out of range [0, {classes})")
-    c = len(shards)
+    if group.labels.min() < 0 or group.labels.max() >= classes:
+        bad = ((group.labels < 0) | (group.labels >= classes)).any(axis=1)
+        raise ValueError(f"client {group.ids[bad][0]} has a label out of range [0, {classes})")
+    c = len(group)
     stack = nn.ModelParams(
         tuple(np.broadcast_to(w, (c, *w.shape)) for w in model.weights),
         tuple(np.broadcast_to(b, (c, *b.shape)) for b in model.biases),
     )
-    return stack, features, labels
+    return stack, group.source.features[group.rows]
 
 
 def report_losses(
     global_model: nn.ModelParams,
-    shards: list[ClientShard],
+    group: ClientGroup,
     config: FederationConfig,
     rngs: list[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray]:
     """A group of clients' noisy loss reports, and the batch orders their training draws.
 
-    The shards must be of equal size n; their losses come from one stacked
-    forward pass over a read-only broadcast of global_model. Each client
-    draws from its own generator in rngs: one rng.permutation(n) per epoch
-    of config's client_epochs, then the Laplace noise of config's ldp.
-    Returns (noisy_losses, orders) in shard order: a float64 array of C
+    The group's losses come from one stacked forward pass over a read-only
+    broadcast of global_model. Each client draws from its own generator in
+    rngs, in group order: for each of config's client_epochs, rng.shuffle of
+    range(n) into its row of one preallocated orders array, which draws what
+    rng.permutation(n) would; then the Laplace noise of config's ldp.
+    Returns (noisy_losses, orders) in group order: a float64 array of C
     reports and an integer array of shape (C, client_epochs, n) whose [i, e]
     is client i's batch order in epoch e, as local_train takes it.
 
@@ -215,28 +205,32 @@ def report_losses(
     poisoned shards; by the end of local training the client has fit its
     own labels, flipped or not, and the signal is gone.
 
-    A non-finite raw loss raises ValueError before any generator is drawn. It
-    names the first such client and, if it has one, the first training-set row
-    of that client with a non-finite feature.
+    A label outside the model's classes, or a non-finite raw loss, raises
+    ValueError before any generator is drawn. A non-finite loss names the
+    first such client and, if it has one, the first training-set row of that
+    client with a non-finite feature.
     """
-    if len(shards) != len(rngs):
-        raise ValueError(f"{len(shards)} shards and {len(rngs)} generators; need one each")
-    model, features, labels = _stack_group(global_model, shards)
-    raw_losses, _ = nn.softmax_cross_entropy(nn.forward(model, features), labels)
+    if len(group) != len(rngs):
+        raise ValueError(f"{len(group)} shards and {len(rngs)} generators; need one each")
+    model, features = _stack(global_model, group)
+    raw_losses, _ = nn.softmax_cross_entropy(nn.forward(model, features), group.labels)
     if not np.isfinite(raw_losses).all():
         i = int(np.flatnonzero(~np.isfinite(raw_losses))[0])
         bad = ~np.isfinite(features[i]).all(axis=1)
-        row = f"; its training-set row {shards[i].rows[bad][0]} has a non-finite feature" if bad.any() else ""
-        raise ValueError(f"client {shards[i].client_id} has a non-finite loss {raw_losses[i]}{row}")
-    c, n = labels.shape
-    epochs = config.client_epochs
-    orders = np.array([rng.permutation(n) for rng in rngs for _ in range(epochs)], dtype=np.intp)
-    return perturb_loss(raw_losses, config.ldp, rngs), orders.reshape(c, epochs, n)
+        row = f"; its training-set row {group.rows[i][bad][0]} has a non-finite feature" if bad.any() else ""
+        raise ValueError(f"client {group.ids[i]} has a non-finite loss {raw_losses[i]}{row}")
+    epochs, n = config.client_epochs, group.samples
+    orders = np.empty((len(group), epochs, n), dtype=np.intp)
+    orders[...] = np.arange(n)
+    # Row k of the flat view is epoch k % epochs of client k // epochs.
+    for order, rng in zip(orders.reshape(-1, n), (rng for rng in rngs for _ in range(epochs))):
+        rng.shuffle(order)
+    return perturb_loss(raw_losses, config.ldp, rngs), orders
 
 
 def local_train(
     global_model: nn.ModelParams,
-    shards: list[ClientShard],
+    group: ClientGroup,
     config: FederationConfig,
     orders: np.ndarray,
 ) -> nn.ModelParams:
@@ -244,19 +238,20 @@ def local_train(
 
     The training settings are config's client_epochs, batch_size and client_lr.
 
-    The shards must be of equal size n; they train as one stacked model with
-    a leading client axis, which computes exactly what training each client
-    alone would. orders is an integer array of shape (C, client_epochs, n):
-    orders[i, e] is a permutation of range(n), client i's batch order in
-    epoch e, as report_losses draws it; local_train itself draws from no
-    generator.
+    The group trains as one stacked model with a leading client axis, which
+    computes exactly what training each client alone would; its features are
+    gathered from the training set here. orders is an integer array of shape
+    (C, client_epochs, n): orders[i, e] is a permutation of range(n), client
+    i's batch order in epoch e, as report_losses draws it; local_train itself
+    draws from no generator.
 
-    Returns the trained stack, in shard order: slice i is client i's model.
+    Returns the trained stack, in group order: slice i is client i's model.
     The stack starts as a read-only broadcast of global_model, which is never
     written. Its first step, through the pure nn.backward and nn.sgd_step,
     gives it C-contiguous arrays of its own; nn.descend updates those in place.
     """
-    model, features, labels = _stack_group(global_model, shards)
+    model, features = _stack(global_model, group)
+    labels = group.labels
     c, n = labels.shape
     orders = np.asarray(orders)
     shape = (c, config.client_epochs, n)
@@ -372,18 +367,39 @@ def _client_rngs(entropy, ids) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in seeds]
 
 
-def _size_groups(state: FederationState, ids) -> list[list[int]]:
-    """ids cut into runs of consecutive ids with equal shard size, in the order of ids."""
-    return [list(run) for _, run in itertools.groupby(ids, key=lambda cid: len(state.shards[cid]))]
+def _size_runs(shards, ids) -> list[ClientGroup]:
+    """The shards of ids, in the order of ids, cut into runs of consecutive ids
+    with equal shard size, each gathered as one ClientGroup: the round's one
+    read of each of those shards."""
+    return [ClientGroup.of(list(run)) for _, run in itertools.groupby((shards[cid] for cid in ids), key=len)]
 
 
-def _training_groups(state: FederationState, ids) -> list[tuple[int, ...]]:
-    """ids cut into local_train calls: equal shard sizes, capped stacks."""
-    model_bytes = sum(p.nbytes for p in state.model.weights + state.model.biases)
+def _training_stacks(model: nn.ModelParams, groups, orders, retained) -> list[tuple[ClientGroup, np.ndarray]]:
+    """(group, orders) of each local_train call of a round: the retained clients
+    of groups, taken by position with their orders, in runs of equal shard
+    size, each cut into stacks of at most _STACK_BYTES of model parameters.
+
+    groups and orders are a round's size runs and their report_losses orders,
+    in ascending id. Two groups of one size whose clients between them are
+    all eliminated join into one run.
+    """
+    model_bytes = sum(p.nbytes for p in model.weights + model.biases)
     chunk = max(1, _STACK_BYTES // model_bytes)
+    kept_ids = np.fromiter(retained, dtype=np.int64, count=len(retained))
+    runs = []
+    for group, drawn in zip(groups, orders):
+        kept = np.isin(group.ids, kept_ids)
+        if not kept.any():
+            continue
+        if not kept.all():
+            group, drawn = group.take(kept), drawn[kept]
+        if runs and runs[-1][0].samples == group.samples:
+            last, last_orders = runs.pop()
+            group, drawn = ClientGroup.joined([last, group]), np.concatenate((last_orders, drawn))
+        runs.append((group, drawn))
     return [
-        tuple(group[start : start + chunk])
-        for group in _size_groups(state, ids)
+        (group.take(slice(start, start + chunk)), drawn[start : start + chunk])
+        for group, drawn in runs
         for start in range(0, len(group), chunk)
     ]
 
@@ -391,10 +407,12 @@ def _training_groups(state: FederationState, ids) -> list[tuple[int, ...]]:
 def global_round(state: FederationState, epoch: int) -> RoundRecord:
     """Run one global epoch in place and return its record.
 
-    The round selects clients, gathers every selected client's report (one
-    report_losses call per run of equal shard sizes), runs the eliminator on
-    the reports, and hands fed_avg the retained clients' local_train stacks
-    one at a time, in ascending client id; it then evaluates the new model.
+    The round selects clients and reads each selected shard once, gathering
+    each run of consecutive ids with equal shard size as one ClientGroup. It
+    gathers every selected client's report (one report_losses call per
+    group), runs the eliminator on the reports, and hands fed_avg the
+    retained clients' local_train stacks one at a time, in ascending client
+    id; it then evaluates the new model.
     """
     cfg = state.config
     selected = select_clients(
@@ -402,23 +420,20 @@ def global_round(state: FederationState, epoch: int) -> RoundRecord:
         cfg.total_clients,
         cfg.clients_per_round,
     )
-    rngs = dict(zip(selected, _client_rngs([*state.seed_prefix, _STREAM_CLIENT, epoch], selected)))
-    noisy, orders = {}, {}
-    for group in _size_groups(state, selected):
-        losses, drawn = report_losses(
-            state.model, [state.shards[cid] for cid in group], cfg, [rngs[cid] for cid in group]
-        )
-        noisy.update(zip(group, losses.tolist()))
-        orders.update(zip(group, drawn))
+    groups = _size_runs(state.shards, selected)
+    rngs = iter(_client_rngs([*state.seed_prefix, _STREAM_CLIENT, epoch], selected))
+    noisy, orders = {}, []
+    for group in groups:
+        losses, drawn = report_losses(state.model, group, cfg, list(itertools.islice(rngs, len(group))))
+        noisy.update(zip(group.ids.tolist(), losses.tolist()))
+        orders.append(drawn)
     outcome = run_eliminator(noisy, cfg.defense)
     state.model = fed_avg(
-        local_train(
-            state.model, [state.shards[cid] for cid in group], cfg, np.stack([orders[cid] for cid in group])
-        )
-        for group in _training_groups(state, sorted(outcome.retained))
+        local_train(state.model, group, cfg, drawn)
+        for group, drawn in _training_stacks(state.model, groups, orders, outcome.retained)
     )
     result = evaluate_model(state.model, state.test_set)
-    truth = {cid for cid in selected if state.shards[cid].is_malicious}
+    truth = {cid for group in groups for cid in group.ids[group.malicious].tolist()}
     det = detection_score(outcome, truth)
     return RoundRecord(
         epoch=epoch,

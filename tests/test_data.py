@@ -2,6 +2,7 @@
 
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,31 @@ def test_load_idx_truncated_pixels(tmp_path):
     with pytest.raises(data.IdxFormatError) as err:
         data.load_idx(images, labels)
     assert "truncated" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "images, labels, shown",
+    [
+        ((100_000, 200, 200), 1, "pixel data needs 4000000000 bytes at offset 16, but 16 follow"),
+        ((0xFFFFFFFF, 65535, 65535), 1, f"pixel data needs {0xFFFFFFFF * 65535 * 65535} bytes at offset 16, but 16"),
+        ((1, 4, 4), 0xFFFFFFFF, "label data needs 4294967295 bytes at offset 8, but 1 follow"),
+    ],
+    ids=["four_gigabytes", "largest_header", "labels"],
+)
+def test_load_idx_rejects_a_header_claim_past_the_file_before_reading(tmp_path, images, labels, shown):
+    """Each file holds a 16-byte image body or a 1-byte label body; the claimed size is
+    compared with the file's before any read, so no buffer of that size is allocated."""
+    image_path, label_path = tmp_path / "images.idx", tmp_path / "labels.idx"
+    image_path.write_bytes(struct.pack(">IIII", data.IDX_IMAGES_MAGIC, *images) + bytes(16))
+    label_path.write_bytes(struct.pack(">II", data.IDX_LABELS_MAGIC, labels) + bytes(1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(data.IdxFormatError, match=re.escape(shown)):
+            data.load_idx(image_path, label_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_synthesize_minimal():
@@ -265,16 +291,53 @@ def test_poison_shards_takes_numpy_scalars_as_the_numbers_they_hold():
         ([0, 1], [0.0, 1.0], "client 7 needs integer rows and labels, got int64 and float64"),
         ([0, 2, 2], [0, 1, 1], "client 7 has rows that do not strictly increase"),
         ([3, 1], [0, 1], "client 7 has rows that do not strictly increase"),
+        # Both faults: rows out of order are not bounded by their ends, and the range is named first.
+        ([5, 1], [0, 1], "client 7 has rows outside its 4-row source"),
     ],
     ids=[
         "lengths_differ", "not_one_dimensional", "row_past_end", "row_negative", "float_rows", "float_labels",
-        "repeated_row", "rows_descending",
+        "repeated_row", "rows_descending", "descending_past_end",
     ],
 )
 def test_client_shard_rejects_rows_that_do_not_fit(rows, labels, shown):
     source = data.Dataset(np.zeros((4, 3)), np.zeros(4, dtype=int), 2)
     with pytest.raises(ValueError, match=re.escape(shown)):
         data.ClientShard(7, source, np.array(rows), np.array(labels))
+
+
+def test_client_group_gathers_shards_and_takes_clients_by_position():
+    source = data.Dataset(np.zeros((24, 2)), np.arange(24) % 4, 4)
+    shards = data.poison_shards(data.partition(source, 8, seed=0), 0.25, 1, 2, seed=0)
+    group = data.ClientGroup.of(shards[2:6])
+    assert group.source is source and len(group) == 4 and group.samples == 3
+    assert group.ids.tolist() == [2, 3, 4, 5]
+    for name, field in (("rows", "rows"), ("labels", "labels"), ("malicious", "is_malicious")):
+        assert getattr(group, name).tolist() == [np.asarray(getattr(s, field)).tolist() for s in shards[2:6]]
+    assert group.malicious.any() and not group.malicious.all()
+    for positions in ([3, 0], np.array([False, True, True, False]), slice(1, 3)):
+        taken = group.take(positions)
+        assert taken.ids.tolist() == group.ids[positions].tolist()
+        assert taken.rows.tolist() == group.rows[positions].tolist()
+        assert taken.labels.tolist() == group.labels[positions].tolist()
+        assert taken.malicious.tolist() == group.malicious[positions].tolist()
+    joined = data.ClientGroup.joined([group.take([0]), data.ClientGroup.of(shards[6:8])])
+    want = data.ClientGroup.of([shards[2], *shards[6:8]])
+    for name in ("ids", "rows", "labels", "malicious"):
+        assert getattr(joined, name).tolist() == getattr(want, name).tolist()
+
+
+def test_client_group_rejects_arrays_of_mismatched_shapes():
+    source = data.Dataset(np.zeros((4, 3)), np.zeros(4, dtype=int), 2)
+    rows, labels, ids, flags = np.array([[0, 1], [2, 3]]), np.zeros((2, 2), dtype=int), np.arange(2), np.zeros(2, bool)
+    for bad in (
+        (ids, rows[0], labels, flags), (ids, rows, labels[:1], flags), (ids[:1], rows, labels, flags),
+        (ids, rows, labels, flags[:1]), (ids, rows[:, :0], labels[:, :0], flags),
+    ):
+        with pytest.raises(ValueError, match="need ids and malicious of shape|at least one client"):
+            data.ClientGroup(source, *bad)
+    with pytest.raises(ValueError, match=re.escape("client 1 has 2 samples, not 1")):
+        data.ClientGroup.joined([data.ClientGroup(source, ids[:1], rows[:1, :1], labels[:1, :1], flags[:1]),
+                                 data.ClientGroup(source, ids[1:], rows[1:], labels[1:], flags[1:])])
 
 
 @pytest.mark.parametrize(

@@ -121,8 +121,10 @@ def test_cross_device_lock_spans_stacks():
             CROSS_DEVICE.total_clients,
             CROSS_DEVICE.clients_per_round,
         )
-        retained = sorted(set(selected) - set(eliminated))
-        stacks.append(len(federation._training_groups(state, retained)))
+        groups = federation._size_runs(state.shards, selected)
+        orders = [np.zeros((len(group), 0, group.samples), dtype=np.intp) for group in groups]
+        retained = set(selected) - set(eliminated)
+        stacks.append(len(federation._training_stacks(state.model, groups, orders, retained)))
     assert min(stacks) >= 3, stacks
 
 

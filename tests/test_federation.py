@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsim import cli, federation, nn
-from fedsim.data import ClientShard, Dataset, IdxData, SyntheticData, partition, poison_shards, synthesize
+from fedsim.data import ClientGroup, ClientShard, Dataset, IdxData, SyntheticData, partition, poison_shards, synthesize
 from fedsim.defense import DEFENSE_KINDS, DefenseConfig
 from fedsim.federation import FederationConfig
 from fedsim.privacy import LdpConfig
@@ -182,7 +182,8 @@ def test_fed_avg_writes_into_none_of_its_stacks():
     dims = (1, 1, 2)  # the (1, 1) weight and width-1 bias take the loop, the last layer the reduction
     global_model = nn.init_params(dims, rng)
     shards = make_shards(rng, [5] * 3, dim=1, classes=2)
-    broadcast = federation.local_train(global_model, shards, train_config(0, 0.4, 5), np.zeros((3, 0, 5), int))
+    group = ClientGroup.of(shards)
+    broadcast = federation.local_train(global_model, group, train_config(0, 0.4, 5), np.zeros((3, 0, 5), int))
     assert not broadcast.weights[0].flags.writeable
     owned = random_models(5, rng, dims=dims)
     stacks = [broadcast, stack_models(owned[:4]), stack_models(owned[4:])]
@@ -219,17 +220,19 @@ def shard_features(shard):
 
 def report_and_train(model, shards, config, rngs):
     """Both steps over the same clients, as a round that retains them all runs them."""
-    noisy_losses, orders = federation.report_losses(model, shards, config, rngs)
-    return noisy_losses, federation.local_train(model, shards, config, orders)
+    group = ClientGroup.of(shards)
+    noisy_losses, orders = federation.report_losses(model, group, config, rngs)
+    return noisy_losses, federation.local_train(model, group, config, orders)
 
 
 def test_local_train_zero_epochs_returns_global_weights():
     rng = np.random.default_rng(0)
     [shard] = make_shards(rng, [12])
     model = nn.init_params((4, 3), rng)
-    _, orders = federation.report_losses(model, [shard], train_config(0, 0.5, 4), [np.random.default_rng(1)])
+    group = ClientGroup.of([shard])
+    _, orders = federation.report_losses(model, group, train_config(0, 0.5, 4), [np.random.default_rng(1)])
     assert orders.shape == (1, 0, 12)
-    trained = federation.local_train(model, [shard], train_config(0, 0.5, 4), orders)
+    trained = federation.local_train(model, group, train_config(0, 0.5, 4), orders)
     assert [w.shape for w in trained.weights] == [(1, *w.shape) for w in model.weights]
     for wa, wb in zip(trained.weights, model.weights):
         np.testing.assert_array_equal(wa[0], wb)
@@ -248,14 +251,11 @@ def test_local_train_reports_loss_of_incoming_model():
     assert trained < incoming  # training actually reduced the local loss
 
 
-def test_local_train_rejects_empty_shard():
-    model = nn.init_params((4, 3), np.random.default_rng(0))
+def test_client_group_rejects_empty_shard():
     source = Dataset(np.zeros((2, 4)), np.zeros(2, dtype=int), 3)
     empty = ClientShard(0, source, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=int))
     with pytest.raises(ValueError, match="client 0 has an empty shard"):
-        federation.report_losses(model, [empty], train_config(1, 0.5, 4), [np.random.default_rng(0)])
-    with pytest.raises(ValueError, match="client 0 has an empty shard"):
-        federation.local_train(model, [empty], train_config(1, 0.5, 4), np.zeros((1, 1, 0), dtype=np.intp))
+        ClientGroup.of([empty])
 
 
 def test_report_losses_names_the_client_and_row_behind_a_non_finite_loss():
@@ -268,8 +268,29 @@ def test_report_losses_names_the_client_and_row_behind_a_non_finite_loss():
     states = [g.bit_generator.state for g in rngs]
     shown = f"client 1 has a non-finite loss nan; its training-set row {row} has a non-finite feature"
     with pytest.raises(ValueError, match=re.escape(shown)):
-        federation.report_losses(model, shards, train_config(1, 0.5, 4), rngs)
+        federation.report_losses(model, ClientGroup.of(shards), train_config(1, 0.5, 4), rngs)
     assert [g.bit_generator.state for g in rngs] == states  # raised before any draw
+
+
+# CI runs this on the numpy 1.24 leg too, so the draw order is confirmed there.
+@pytest.mark.parametrize("n", [1, 4, 40, 120])
+@pytest.mark.parametrize("epochs", [0, 1, 3])
+def test_orders_shuffled_into_rows_draw_what_per_client_permutations_draw(n, epochs):
+    """report_losses shuffles range(n) into each client's rows of one orders array, then
+    draws the noise. numpy defines permutation(n) as that shuffle, so each client's
+    stream is drawn as with one rng.permutation(n) per epoch followed by rng.random()."""
+    rng = np.random.default_rng(n)
+    group = ClientGroup.of(make_shards(rng, [n] * 3))
+    model = nn.init_params((4, 3), rng)
+    rngs = [np.random.default_rng([11, i]) for i in range(3)]
+    _, orders = federation.report_losses(model, group, train_config(epochs, 0.5, 4), rngs)
+    assert orders.shape == (3, epochs, n) and orders.dtype == np.intp
+    for i, got in enumerate(rngs):
+        want = np.random.default_rng([11, i])
+        for epoch in range(epochs):
+            assert orders[i, epoch].tobytes() == want.permutation(n).astype(np.intp).tobytes()
+        want.random()
+        assert got.bit_generator.state == want.bit_generator.state
 
 
 def assert_same_weights(got: nn.ModelParams, i: int, want_model):
@@ -336,13 +357,14 @@ def test_local_train_rejects_out_of_range_label_before_any_step(monkeypatch, lab
     for name in ("backward", "sgd_step", "descend"):
         monkeypatch.setattr(nn, name, no_step)
     problem = re.escape("client 1 has a label out of range [0, 3)")
+    group = ClientGroup.of(shards)
     with pytest.raises(ValueError, match=problem):
-        federation.report_losses(model, shards, train_config(2, 0.5, 4), rngs)
+        federation.report_losses(model, group, train_config(2, 0.5, 4), rngs)
     assert [r.bit_generator.state for r in rngs] == states
     # The training step checks too: nn.descend reads labels unchecked.
     orders = np.broadcast_to(np.arange(12), (2, 2, 12))
     with pytest.raises(ValueError, match=problem):
-        federation.local_train(model, shards, train_config(2, 0.5, 4), orders)
+        federation.local_train(model, group, train_config(2, 0.5, 4), orders)
 
 
 def test_local_train_rejects_unequal_shards_and_missing_generators():
@@ -351,40 +373,35 @@ def test_local_train_rejects_unequal_shards_and_missing_generators():
     shards = make_shards(rng, [12, 11])
     rngs = [np.random.default_rng(i) for i in range(2)]
     cfg = train_config(1, 0.5, 4)
-    with pytest.raises(ValueError, match="client 1 has 11 samples"):
-        federation.report_losses(model, shards, cfg, rngs)
-    with pytest.raises(ValueError, match="client 1 has 11 samples"):
-        federation.local_train(model, shards, cfg, np.zeros((2, 1, 12), dtype=np.intp))
-    with pytest.raises(ValueError):
-        federation.report_losses(model, shards[:1], cfg, rngs)
-    with pytest.raises(ValueError):
-        federation.report_losses(model, [], cfg, [])
-    with pytest.raises(ValueError):
-        federation.local_train(model, [], cfg, np.zeros((0, 1, 12), dtype=np.intp))
+    with pytest.raises(ValueError, match="client 1 has 11 samples, not 12"):
+        ClientGroup.of(shards)
+    with pytest.raises(ValueError, match="need at least one shard"):
+        ClientGroup.of([])
+    first = ClientGroup.of(shards[:1])
+    with pytest.raises(ValueError, match="1 shards and 2 generators; need one each"):
+        federation.report_losses(model, first, cfg, rngs)
     # Batch orders that are missing, for another epoch count, reach past the shard,
     # are not integers, or repeat a row.
-    _, orders = federation.report_losses(model, shards[:1], cfg, rngs[:1])
+    _, orders = federation.report_losses(model, first, cfg, rngs[:1])
     bad_orders = (
         orders[:0], np.concatenate([orders, orders], axis=1), orders + 1, orders - 1,
         orders.astype(np.float64), np.zeros_like(orders),
     )
     for bad in bad_orders:
         with pytest.raises(ValueError, match="orders of shape"):
-            federation.local_train(model, shards[:1], cfg, bad)
+            federation.local_train(model, first, cfg, bad)
 
 
-def test_report_and_train_reject_shards_of_two_sources():
+def test_client_group_rejects_shards_of_two_sources():
     rng = np.random.default_rng(2)
-    model = nn.init_params((4, 3), rng)
     [first] = make_shards(rng, [12], cids=(4,))
     [second] = make_shards(rng, [12], cids=(9,))
     assert second.source is not first.source
-    shards, cfg = [first, second], train_config(1, 0.5, 4)
     problem = re.escape("client 9 indexes another training set than client 4")
     with pytest.raises(ValueError, match=problem):
-        federation.report_losses(model, shards, cfg, [np.random.default_rng(i) for i in range(2)])
+        ClientGroup.of([first, second])
     with pytest.raises(ValueError, match=problem):
-        federation.local_train(model, shards, cfg, np.zeros((2, 1, 12), dtype=np.intp))
+        ClientGroup.joined([ClientGroup.of([first]), ClientGroup.of([second])])
 
 
 # The inputs a fuzzed group may spoil, one at a time; "none" spoils nothing.
@@ -472,22 +489,23 @@ def client_groups(draw, spoiler):
 def test_fuzzed_groups_match_the_reference_or_are_rejected_by_name(spoiler, data):
     """Every draw either reports, trains and averages to the bits of reference_sim's
     client_round and mean_model, or raises a ValueError that names its spoiled input.
-    report_losses rejects before any generator draws, and local_train rejects a
-    spoiled shard too."""
+    A spoiled shard is rejected by ClientGroup.of or report_losses before any
+    generator draws, and again when the last run is gathered for local_train."""
     case = data.draw(client_groups(spoiler), label="case")
     groups, model, config, problem = case["groups"], case["model"], case["config"], case["problem"]
     noisy, stacks = {}, []
     try:
-        for group, ids in zip(groups, case["generators"]):
+        for shards, ids in zip(groups, case["generators"]):
             rngs = [np.random.default_rng([7, cid]) for cid in ids]
             states = [r.bit_generator.state for r in rngs]
             try:
+                group = ClientGroup.of(shards)
                 losses, orders = federation.report_losses(model, group, config, rngs)
             except ValueError:
                 assert [r.bit_generator.state for r in rngs] == states
                 raise
             noisy.update(zip(ids, losses))
-            if group is groups[-1]:
+            if shards is groups[-1]:
                 orders = case["spoil_orders"](orders)
             stacks.append(federation.local_train(model, group, config, orders))
         mean = federation.fed_avg([*stacks, *case["extra"]])
@@ -497,7 +515,7 @@ def test_fuzzed_groups_match_the_reference_or_are_rejected_by_name(spoiler, data
             last = groups[-1]
             orders = np.broadcast_to(np.arange(len(last[0])), (len(last), config.client_epochs, len(last[0])))
             with pytest.raises(ValueError, match=re.escape(problem)):
-                federation.local_train(model, last, config, orders)
+                federation.local_train(model, ClientGroup.of(last), config, orders)
         return
     assert problem is None
     want = {
@@ -543,9 +561,9 @@ def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_pe
     calls, reported = [], {}
     train_group, eliminate = federation.local_train, federation.run_eliminator
 
-    def recording_local_train(global_model, shards, *args):
-        stack = train_group(global_model, shards, *args)
-        calls.append(([s.client_id for s in shards], stack))
+    def recording_local_train(global_model, group, *args):
+        stack = train_group(global_model, group, *args)
+        calls.append((group.ids.tolist(), stack))
         return stack
 
     def recording_eliminator(reports, config):
@@ -573,10 +591,31 @@ def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_pe
     assert all(len({len(state.shards[cid]) for cid in ids}) == 1 for ids in groups)
     assert sorted(len(ids) for ids in groups) == expected_sizes
     for ids, stack in calls:
-        # Slice i of a stack is the model of the i-th shard that local_train was handed.
+        # Slice i of a stack is the model of the i-th client of the group that local_train was handed.
         assert len(stack.weights[0]) == len(ids)
         for i, cid in enumerate(ids):
             assert_same_weights(stack, i, want[cid][1])
+
+
+def test_training_stacks_join_runs_of_one_size_around_eliminated_clients(monkeypatch):
+    """The retained clients train in runs of equal shard size among the retained, cut at
+    the cap: once client 1 (7 samples) is eliminated, clients 0 and 2 to 4 (6 samples)
+    form one run, although they were reported in two groups. Each stack's orders are its
+    clients' own."""
+    rng = np.random.default_rng(5)
+    shards = make_shards(rng, [6, 7, 6, 6, 6, 7])
+    model = nn.init_params((4, 3), rng)
+    model_bytes = sum(p.nbytes for p in model.weights + model.biases)
+    monkeypatch.setattr(federation, "_STACK_BYTES", 2 * model_bytes)
+    groups = federation._size_runs(shards, range(6))
+    assert [group.ids.tolist() for group in groups] == [[0], [1], [2, 3, 4], [5]]
+    # Each client's orders array is filled with its id, so it can be traced into the stacks.
+    orders = [np.broadcast_to(group.ids[:, None, None], (len(group), 1, group.samples)) for group in groups]
+    stacks = federation._training_stacks(model, groups, orders, {0, 2, 3, 4, 5})
+    assert [group.ids.tolist() for group, _ in stacks] == [[0, 2], [3, 4], [5]]
+    for group, drawn in stacks:
+        assert drawn[:, 0, 0].tolist() == group.ids.tolist()
+        assert group.rows.tolist() == [shards[cid].rows.tolist() for cid in group.ids]
 
 
 # (config, training samples per class) of the README desk experiment, and of a
@@ -635,9 +674,9 @@ def test_round_work_structure(monkeypatch, shape):
         record = federation.global_round(state, epoch)
         [(_, outcome)] = calls["run_eliminator"]
         retained = sorted(outcome.retained)
-        trained = [shard.client_id for (_, shards, *_), _ in calls["local_train"] for shard in shards]
+        trained = [cid for (_, group, *_), _ in calls["local_train"] for cid in group.ids.tolist()]
         assert trained == retained
-        reported = [shard.client_id for (_, shards, *_), _ in calls["report_losses"] for shard in shards]
+        reported = [cid for (_, group, *_), _ in calls["report_losses"] for cid in group.ids.tolist()]
         assert reported == list(record.selected)
         assert len(calls["report_losses"]) == len(equal_size_runs(state, record.selected))
         want_stacks = sum(math.ceil(run / cap) for run in equal_size_runs(state, retained))
