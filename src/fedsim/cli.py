@@ -181,8 +181,8 @@ def main(argv=None) -> int:
             if spec.federation.defense.kind == "none":
                 raise ValueError("sweep needs a defense kind other than 'none' to compare against")
         train, test = build_datasets(spec)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # a bare MemoryError is named by its type
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     rows = [SWEEP_COLUMNS]
     try:  # A ValueError from here on is a bug, and keeps its traceback.
@@ -201,8 +201,8 @@ def main(argv=None) -> int:
             )
         if args.command == "sweep":
             _write_csv(out_dir / "sweep.csv", rows)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -97,7 +97,7 @@ class ClientGroup:
 
     Row i of every array is client ids[i]: rows[i] and labels[i] are its
     shard's rows and labels, malicious[i] its flag. of gathers shards once;
-    take and joined build groups from groups, reading no shard again.
+    take selects clients of a group, reading no shard again.
     """
 
     source: Dataset
@@ -139,19 +139,6 @@ class ClientGroup:
             np.concatenate([s.labels for s in shards]).reshape(c, n),
             np.array([s.is_malicious for s in shards]),
         )
-
-    @classmethod
-    def joined(cls, groups) -> ClientGroup:
-        """The clients of groups as one group, in order. Rejects, by client id, a
-        group that indexes another training set than the first or differs in size."""
-        first = groups[0]
-        for group in groups:
-            if group.source is not first.source:
-                raise ValueError(f"client {group.ids[0]} indexes another training set than client {first.ids[0]}")
-            if group.samples != first.samples:
-                raise ValueError(f"client {group.ids[0]} has {group.samples} samples, not {first.samples}")
-        names = ("ids", "rows", "labels", "malicious")
-        return cls(first.source, *(np.concatenate([getattr(g, name) for g in groups]) for name in names))
 
     def take(self, positions) -> ClientGroup:
         """The clients at positions, any index of the client axis (an array of

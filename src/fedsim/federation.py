@@ -376,32 +376,27 @@ def _size_runs(shards, ids) -> list[ClientGroup]:
 
 def _training_stacks(model: nn.ModelParams, groups, orders, retained) -> list[tuple[ClientGroup, np.ndarray]]:
     """(group, orders) of each local_train call of a round: the retained clients
-    of groups, taken by position with their orders, in runs of equal shard
-    size, each cut into stacks of at most _STACK_BYTES of model parameters.
+    of each group, taken by position with their orders, cut into stacks of at
+    most _STACK_BYTES of model parameters. A stack never spans two groups.
 
     groups and orders are a round's size runs and their report_losses orders,
-    in ascending id. Two groups of one size whose clients between them are
-    all eliminated join into one run.
+    in ascending id.
     """
     model_bytes = sum(p.nbytes for p in model.weights + model.biases)
     chunk = max(1, _STACK_BYTES // model_bytes)
     kept_ids = np.fromiter(retained, dtype=np.int64, count=len(retained))
-    runs = []
+    stacks = []
     for group, drawn in zip(groups, orders):
         kept = np.isin(group.ids, kept_ids)
         if not kept.any():
             continue
         if not kept.all():
             group, drawn = group.take(kept), drawn[kept]
-        if runs and runs[-1][0].samples == group.samples:
-            last, last_orders = runs.pop()
-            group, drawn = ClientGroup.joined([last, group]), np.concatenate((last_orders, drawn))
-        runs.append((group, drawn))
-    return [
-        (group.take(slice(start, start + chunk)), drawn[start : start + chunk])
-        for group, drawn in runs
-        for start in range(0, len(group), chunk)
-    ]
+        stacks += [
+            (group.take(slice(start, start + chunk)), drawn[start : start + chunk])
+            for start in range(0, len(group), chunk)
+        ]
+    return stacks
 
 
 def global_round(state: FederationState, epoch: int) -> RoundRecord:

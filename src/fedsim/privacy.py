@@ -27,9 +27,14 @@ class LdpConfig:
         for name in ("epsilon", "sensitivity"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} {getattr(self, name)} must be positive and finite")
-        if not 0 < laplace_scale(self) < np.inf:
-            pair = f"sensitivity {self.sensitivity} / epsilon {self.epsilon}"
+        pair = f"sensitivity {self.sensitivity} / epsilon {self.epsilon}"
+        b = laplace_scale(self)
+        if not 0 < b < np.inf:
             raise ValueError(f"noise scale {pair} must be positive and finite")
+        with np.errstate(over="ignore"):
+            largest = _laplace_noise(b, 0.0)  # the draw of largest magnitude, 53 ln 2 times b
+        if not np.isfinite(largest):
+            raise ValueError(f"noise scale {pair} is too large: its largest Laplace draw overflows")
 
 
 def laplace_scale(config: LdpConfig) -> float:
@@ -65,10 +70,15 @@ def perturb_loss(losses: np.ndarray, config: LdpConfig, rngs) -> np.ndarray:
     """
     if np.ndim(losses) != 1:
         raise ValueError(f"losses must be 1-D, one per client, got shape {np.shape(losses)}")
+    if np.asarray(losses).dtype.kind not in "iuf":
+        raise ValueError(f"losses must be numbers, got dtype {np.asarray(losses).dtype}")
     if isinstance(rngs, np.random.Generator):
         raise ValueError("rngs must be a list of generators, one per loss, got one Generator")
     if len(losses) != len(rngs):
         raise ValueError(f"{len(losses)} losses and {len(rngs)} generators; need one each")
+    for i, rng in enumerate(rngs):  # anything with a Generator's random() draws
+        if not callable(getattr(rng, "random", None)):
+            raise ValueError(f"rngs[{i}] must be a Generator, got {rng!r}")
     if not np.isfinite(losses).all():
         raise ValueError(f"loss must be finite, got {losses[~np.isfinite(losses)][0]}")
     return losses + _laplace_noise(laplace_scale(config), np.array([rng.random() for rng in rngs]))

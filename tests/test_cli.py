@@ -304,6 +304,27 @@ def test_bad_input_exits_1_before_training(tmp_path, capsys, monkeypatch, overri
     assert len(err) == 1 and err[0].startswith("error:"), err
 
 
+@pytest.mark.parametrize("phase", ["synthesize", "run_experiment"])
+@pytest.mark.parametrize(
+    "raised, shown",
+    [
+        (MemoryError("Unable to allocate 7.28 TiB"), "error: Unable to allocate 7.28 TiB"),
+        (MemoryError(), "error: MemoryError"),
+    ],
+    ids=["numpy_message", "bare"],
+)
+def test_memory_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch, phase, raised, shown):
+    """A MemoryError while the datasets are built or while training runs ends in one
+    error line and exit 1. Both phases raise it in place of any allocation."""
+    def out_of_memory(*args, **kwargs):
+        raise raised
+
+    monkeypatch.setattr(cli, phase, out_of_memory)
+    config = write_config(tmp_path)
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [shown]
+
+
 # --- fuzz -----------------------------------------------------------------------
 
 class TrainingReached(Exception):

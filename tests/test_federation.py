@@ -400,8 +400,6 @@ def test_client_group_rejects_shards_of_two_sources():
     problem = re.escape("client 9 indexes another training set than client 4")
     with pytest.raises(ValueError, match=problem):
         ClientGroup.of([first, second])
-    with pytest.raises(ValueError, match=problem):
-        ClientGroup.joined([ClientGroup.of([first]), ClientGroup.of([second])])
 
 
 # The inputs a fuzzed group may spoil, one at a time; "none" spoils nothing.
@@ -597,11 +595,11 @@ def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_pe
             assert_same_weights(stack, i, want[cid][1])
 
 
-def test_training_stacks_join_runs_of_one_size_around_eliminated_clients(monkeypatch):
-    """The retained clients train in runs of equal shard size among the retained, cut at
-    the cap: once client 1 (7 samples) is eliminated, clients 0 and 2 to 4 (6 samples)
-    form one run, although they were reported in two groups. Each stack's orders are its
-    clients' own."""
+def test_training_stacks_cut_each_groups_retained_clients_alone(monkeypatch):
+    """Each report group's retained clients train in stacks of their own, cut at the
+    cap: once client 1 (7 samples) is eliminated, client 0 and clients 2 to 4 (all of
+    6 samples) still train apart, as they were reported in two groups. Each stack's
+    orders and rows are its clients' own."""
     rng = np.random.default_rng(5)
     shards = make_shards(rng, [6, 7, 6, 6, 6, 7])
     model = nn.init_params((4, 3), rng)
@@ -612,7 +610,7 @@ def test_training_stacks_join_runs_of_one_size_around_eliminated_clients(monkeyp
     # Each client's orders array is filled with its id, so it can be traced into the stacks.
     orders = [np.broadcast_to(group.ids[:, None, None], (len(group), 1, group.samples)) for group in groups]
     stacks = federation._training_stacks(model, groups, orders, {0, 2, 3, 4, 5})
-    assert [group.ids.tolist() for group, _ in stacks] == [[0, 2], [3, 4], [5]]
+    assert [group.ids.tolist() for group, _ in stacks] == [[0], [2, 3], [4], [5]]
     for group, drawn in stacks:
         assert drawn[:, 0, 0].tolist() == group.ids.tolist()
         assert group.rows.tolist() == [shards[cid].rows.tolist() for cid in group.ids]
@@ -634,17 +632,18 @@ WORK_SHAPES = {
 }
 
 
-def equal_size_runs(state, ids) -> list[int]:
-    """The lengths of the runs of consecutive ids in ids with equal shard size."""
-    return [len(list(run)) for _, run in itertools.groupby(ids, key=lambda cid: len(state.shards[cid]))]
+def equal_size_runs(state, ids) -> list[list[int]]:
+    """The runs of consecutive ids in ids with equal shard size."""
+    return [list(run) for _, run in itertools.groupby(ids, key=lambda cid: len(state.shards[cid]))]
 
 
 @pytest.mark.parametrize("shape", list(WORK_SHAPES))
 def test_round_work_structure(monkeypatch, shape):
     """Counted calls pin a round's work: every selected client reports, in one
     report_losses call per run of equal shard sizes; only the retained clients
-    train, in one local_train call per capped stack; the client generators are
-    built once and the new model is evaluated once."""
+    train, in one local_train call per capped stack of each run's retained
+    clients; the client generators are built once and the new model is
+    evaluated once."""
     cfg, per_class = WORK_SHAPES[shape]
     train, test = (
         synthesize(10, count, 64, 6.0, seed=[cfg.seed, stream]) for count, stream in ((per_class, 1000), (50, 1001))
@@ -679,7 +678,9 @@ def test_round_work_structure(monkeypatch, shape):
         reported = [cid for (_, group, *_), _ in calls["report_losses"] for cid in group.ids.tolist()]
         assert reported == list(record.selected)
         assert len(calls["report_losses"]) == len(equal_size_runs(state, record.selected))
-        want_stacks = sum(math.ceil(run / cap) for run in equal_size_runs(state, retained))
+        kept = set(retained)
+        runs_kept = [sum(cid in kept for cid in run) for run in equal_size_runs(state, record.selected)]
+        want_stacks = sum(math.ceil(count / cap) for count in runs_kept)
         assert len(calls["local_train"]) == want_stacks
         assert len(calls["_client_rngs"]) == len(calls["evaluate_model"]) == 1
         cut += len(outcome.eliminated)
@@ -984,6 +985,9 @@ OUT_OF_RANGE = {
     ),
     "ldp_scale_overflows": (
         lambda: LdpConfig(epsilon=1e-300, sensitivity=1e300), "sensitivity 1e+300 / epsilon 1e-300"
+    ),
+    "ldp_largest_draw_overflows": (
+        lambda: LdpConfig(sensitivity=1e308), "sensitivity 1e+308 / epsilon 1.0 is too large"
     ),
     "separation_nan": (lambda: synthesize(4, 5, 8, NAN, seed=0), "separation nan"),
     "noise_std_infinite": (lambda: synthesize(4, 5, 8, 6.0, seed=0, noise_std=INF), "noise_std inf"),
