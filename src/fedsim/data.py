@@ -7,6 +7,7 @@ seeds, so every operation here is a pure function of its arguments.
 
 from __future__ import annotations
 
+import copy
 import functools
 import numbers
 import os
@@ -50,59 +51,18 @@ class Dataset:
 
 
 @dataclass(frozen=True, eq=False)
-class ClientShard:
-    """One client's data: rows of a shared training set, with labels of its own.
-
-    source is held by reference and never copied; rows are the indices of
-    the client's samples in it, and labels[i] is the label of
-    source.features[rows[i]]. The labels are the shard's own array, so
-    poison_shards can flip them without touching source; the federation
-    checks them against the model's classes before it trains on them.
-    Shards, like Datasets, compare and hash by identity.
-    """
-
-    client_id: int
-    source: Dataset
-    rows: np.ndarray  # (n,) integer indices into source, strictly increasing
-    labels: np.ndarray  # (n,) integer class indices
-    is_malicious: bool = False
-
-    def __post_init__(self):
-        check_field_kinds(self)
-        if self.rows.shape != self.labels.shape or self.rows.ndim != 1:
-            raise ValueError(
-                f"client {self.client_id} needs rows and labels of one shape (n,), "
-                f"got {self.rows.shape} and {self.labels.shape}"
-            )
-        if self.rows.dtype.kind not in "iu" or self.labels.dtype.kind not in "iu":
-            kinds = f"{self.rows.dtype} and {self.labels.dtype}"
-            raise ValueError(f"client {self.client_id} needs integer rows and labels, got {kinds}")
-        # Rows that strictly increase span rows[0] to rows[-1]; others need min and max, so
-        # that rows outside the source are named before rows out of order.
-        increasing = not (self.rows[1:] <= self.rows[:-1]).any()
-        if self.rows.size:
-            low, high = (self.rows[0], self.rows[-1]) if increasing else (self.rows.min(), self.rows.max())
-            if low < 0 or high >= len(self.source):
-                raise ValueError(f"client {self.client_id} has rows outside its {len(self.source)}-row source")
-        if not increasing:
-            raise ValueError(f"client {self.client_id} has rows that do not strictly increase")
-
-    def __len__(self) -> int:
-        return self.rows.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class ClientGroup:
-    """Clients with equal-size shards of one training set, gathered into arrays.
+    """Clients with equal-size shards of one training set, held as arrays.
 
-    Row i of every array is client ids[i]: rows[i] and labels[i] are its
-    shard's rows and labels, malicious[i] its flag. of gathers shards once;
-    take selects clients of a group, reading no shard again.
+    Row i of every array is client ids[i]: rows[i] index its samples in source,
+    which is never copied, and labels[i] are their labels, the group's own, so
+    poison_shards can flip them; the federation checks them against the model's
+    classes. malicious[i] is its flag. Groups compare and hash by identity.
     """
 
     source: Dataset
-    ids: np.ndarray  # (C,) client ids
-    rows: np.ndarray  # (C, n) integer indices into source
+    ids: np.ndarray  # (C,) integer client ids, strictly increasing
+    rows: np.ndarray  # (C, n) integer indices into source, each row strictly increasing
     labels: np.ndarray  # (C, n) integer class indices
     malicious: np.ndarray  # (C,) bool
 
@@ -113,39 +73,39 @@ class ClientGroup:
             raise ValueError(f"need ids and malicious of shape (C,), rows and labels of shape (C, n), got {shapes}")
         if not self.rows.size:
             raise ValueError(f"a group needs at least one client and one sample, got rows of shape {self.rows.shape}")
-
-    @classmethod
-    def of(cls, shards) -> ClientGroup:
-        """The shards as one group, in order. Rejects, by client id, a shard that
-        indexes another training set than the first, is empty or differs in size."""
-        if not shards:
-            raise ValueError("need at least one shard")
-        first = shards[0]
-        n = len(first)
-        for shard in shards:
-            if shard.source is not first.source:
-                raise ValueError(
-                    f"client {shard.client_id} indexes another training set than client {first.client_id}"
-                )
-            if len(shard) != n or not n:
-                size = len(shard)
-                fault = f"has {size} samples, not {n}" if size else "has an empty shard"
-                raise ValueError(f"client {shard.client_id} {fault}")
-        c = len(shards)
-        return cls(
-            first.source,
-            np.array([s.client_id for s in shards]),
-            np.concatenate([s.rows for s in shards]).reshape(c, n),
-            np.concatenate([s.labels for s in shards]).reshape(c, n),
-            np.array([s.is_malicious for s in shards]),
-        )
+        if self.ids.dtype.kind not in "iu" or self.malicious.dtype.kind != "b":
+            kinds = f"{self.ids.dtype} and {self.malicious.dtype}"
+            raise ValueError(f"need integer ids and bool malicious flags, got {kinds}")
+        late = np.flatnonzero(self.ids[1:] <= self.ids[:-1])[:1]
+        if late.size:
+            raise ValueError(f"client {self.ids[late + 1][0]} follows {self.ids[late][0]}: ids must strictly increase")
+        if self.rows.dtype.kind not in "iu" or self.labels.dtype.kind not in "iu":
+            kinds = f"{self.rows.dtype} and {self.labels.dtype}"
+            raise ValueError(f"client {self.ids[0]} needs integer rows and labels, got {kinds}")
+        rows, size = self.rows, len(self.source)
+        # Increasing rows lie between their first and last, so a fitting group costs one pass;
+        # otherwise the client is searched for, rows outside the source before rows out of order.
+        if (rows[:, 1:] <= rows[:, :-1]).any() or rows[:, 0].min() < 0 or rows[:, -1].max() >= size:
+            faults = {
+                f"rows outside its {size}-row source": ((rows < 0) | (rows >= size)).any(axis=1),
+                "rows that do not strictly increase": (rows[:, 1:] <= rows[:, :-1]).any(axis=1),
+            }
+            for fault, bad in faults.items():
+                if bad.any():
+                    raise ValueError(f"client {self.ids[bad][0]} has {fault}")
 
     def take(self, positions) -> ClientGroup:
-        """The clients at positions, any index of the client axis (an array of
-        positions, a boolean mask or a slice), in that order."""
-        return ClientGroup(
-            self.source, self.ids[positions], self.rows[positions], self.labels[positions], self.malicious[positions]
-        )
+        """The clients at positions, an index of the client axis (a boolean mask, a slice or
+        ascending positions). Each client passed this group's checks, so only what taking can
+        spoil, the shape and the order of the taken ids, is checked again."""
+        ids = self.ids[positions]
+        if ids.ndim != 1 or not ids.size or (ids[1:] <= ids[:-1]).any():
+            raise ValueError(f"positions must take one or more clients in ascending id, got ids {ids.tolist()}")
+        taken = copy.copy(self)
+        object.__setattr__(taken, "ids", ids)
+        for name in ("rows", "labels", "malicious"):
+            object.__setattr__(taken, name, getattr(self, name)[positions])
+        return taken
 
     @property
     def samples(self) -> int:
@@ -454,20 +414,23 @@ def synthesize(
     return Dataset(features, labels, num_classes)
 
 
-def partition(dataset: Dataset, num_clients: int, seed) -> list[ClientShard]:
-    """Seeded shuffle split into near-equal disjoint shards covering the data.
-
-    Every shard indexes dataset by its sorted rows and copies only their labels.
-    """
+def partition(dataset: Dataset, num_clients: int, seed) -> list[ClientGroup]:
+    """Seeded shuffle split into near-equal disjoint shards covering the data, cut from one
+    permutation as np.array_split would: the first n % num_clients clients hold one sample
+    more, so there are at most two groups. Each shard is its sorted rows and their labels."""
     n = len(dataset)
     if num_clients < 1 or num_clients > n:
         raise ValueError(f"num_clients={num_clients} must be in [1, {n}]")
     perm = np.random.default_rng(seed).permutation(n)
-    shards = []
-    for cid, idx in enumerate(np.array_split(perm, num_clients)):
-        idx = np.sort(idx)
-        shards.append(ClientShard(cid, dataset, idx, dataset.labels[idx]))
-    return shards
+    size, larger = divmod(n, num_clients)
+    cut = larger * (size + 1)
+    groups = []
+    for first, block in ((0, perm[:cut].reshape(larger, size + 1)), (larger, perm[cut:].reshape(-1, size))):
+        if len(block):
+            rows = np.sort(block, axis=1)
+            ids = np.arange(first, first + len(block))
+            groups.append(ClientGroup(dataset, ids, rows, dataset.labels[rows], np.zeros(len(block), dtype=bool)))
+    return groups
 
 
 def round_half_up(x: float) -> int:
@@ -495,20 +458,27 @@ def check_label_flip(malicious_fraction, source_class, target_class, num_classes
 
 
 def poison_shards(
-    shards: list[ClientShard], malicious_fraction: float, source_class: int, target_class: int, seed
-) -> list[ClientShard]:
-    """The label-flip attack: flag a seeded subset of the honest shards as malicious and relabel
-    each one's source-class samples as the target class, in a copy of its labels. The features
-    stay in the shared source, and every other shard is passed on as the same object."""
-    classes = min((s.source.num_classes for s in shards), default=None)
+    groups: list[ClientGroup], malicious_fraction: float, source_class: int, target_class: int, seed
+) -> list[ClientGroup]:
+    """The label-flip attack: flag a seeded subset of the honest clients as malicious and relabel
+    each one's source-class samples as the target class, in a copy of its group's labels. The
+    draw is over the clients' positions in the order given, ascending id for partition's groups.
+    The features stay in the shared source, and a group with no drawn client is passed on as the
+    same object."""
+    classes = min((g.source.num_classes for g in groups), default=None)
     check_label_flip(malicious_fraction, source_class, target_class, classes)
-    for s in shards:
-        if s.is_malicious:
-            raise ValueError(f"client {s.client_id} is already malicious")
-    poisoned = list(shards)
-    count = round_half_up(malicious_fraction * len(shards))
-    for i in np.random.default_rng(seed).choice(len(shards), size=count, replace=False).tolist():
-        labels = shards[i].labels.copy()
-        labels[labels == source_class] = target_class
-        poisoned[i] = replace(shards[i], labels=labels, is_malicious=True)
+    for g in groups:
+        if g.malicious.any():
+            raise ValueError(f"client {g.ids[g.malicious][0]} is already malicious")
+    sizes = [len(g) for g in groups]
+    drawn = np.zeros(sum(sizes), dtype=bool)
+    count = round_half_up(malicious_fraction * len(drawn))
+    drawn[np.random.default_rng(seed).choice(len(drawn), size=count, replace=False)] = True
+    poisoned = []
+    for g, flags in zip(groups, np.split(drawn, np.cumsum(sizes)[:-1])):
+        if flags.any():
+            labels = g.labels.copy()
+            labels[flags[:, None] & (labels == source_class)] = target_class
+            g = replace(g, labels=labels, malicious=flags)
+        poisoned.append(g)
     return poisoned

@@ -18,6 +18,11 @@ import numpy as np
 
 from .data import check_field_kinds, round_half_up
 
+# The largest loss report, in magnitude, that an eliminator judges: deviations of at most
+# 2e150 square to 4e300, so the kmeans guard's sum of squares and zscore's variance stay
+# finite over fewer than 4 * 10**7 reports. LdpConfig keeps its largest draw within it.
+REPORT_LIMIT = 1e150
+
 
 @dataclass
 class EliminationOutcome:
@@ -132,19 +137,32 @@ def run_eliminator(reports, config: DefenseConfig) -> EliminationOutcome:
     The kernel sees the losses in ascending client id, so neither the verdict
     nor its diagnostics depend on the map's order. If the kernel would drop
     every client, the lowest loss is retained (the lowest id of equal losses).
+    A loss that is not a number, is not finite or lies beyond REPORT_LIMIT is
+    rejected, naming the client.
     """
     if not isinstance(config, DefenseConfig):
         raise ValueError(f"config must be a DefenseConfig, got {config!r}")
     if not reports:
         raise ValueError("need at least 1 loss report, got 0")
-    for cid in reports:
-        if isinstance(cid, bool) or not isinstance(cid, (int, np.integer)):
-            raise ValueError(f"client ids must be integers, got {cid!r}")
+    # Checked once for each type present: a round's ids are ints and its losses floats.
+    for kind in set(map(type, reports)):
+        if issubclass(kind, bool) or not issubclass(kind, (int, np.integer)):
+            raise ValueError(f"client ids must be integers, got {next(c for c in reports if type(c) is kind)!r}")
+    kinds = set(map(type, reports.values()))
+    for kind in kinds:
+        if issubclass(kind, bool) or not issubclass(kind, (int, float, np.integer, np.floating)):
+            cid = next(c for c, loss in reports.items() if type(loss) is kind)
+            raise ValueError(f"client {cid} reported a loss that is not a number: {reports[cid]!r}")
     ids = sorted(reports)
-    losses = np.array([reports[cid] for cid in ids], dtype=np.float64)
-    if not np.isfinite(losses).all():
-        cid = ids[int(np.flatnonzero(~np.isfinite(losses))[0])]
-        raise ValueError(f"client {cid} reported a non-finite loss {reports[cid]}")
+    values = [reports[cid] for cid in ids]
+    if int in kinds:  # a Python int may pass float64's range; held at twice the limit, it is rejected all the same
+        values = [min(max(v, -2 * REPORT_LIMIT), 2 * REPORT_LIMIT) if isinstance(v, int) else v for v in values]
+    losses = np.array(values, dtype=np.float64)
+    bad = np.flatnonzero(~(np.abs(losses) <= REPORT_LIMIT))  # NaN fails the comparison too
+    if bad.size:
+        cid = ids[int(bad[0])]
+        fault = f"a loss beyond {REPORT_LIMIT:g} in magnitude:" if np.isfinite(losses[bad[0]]) else "a non-finite loss"
+        raise ValueError(f"client {cid} reported {fault} {reports[cid]}")
     drop, diagnostics = _KERNELS[config.kind](losses, config)
     eliminated = {ids[i] for i in drop}
     if len(eliminated) == len(ids):

@@ -1,17 +1,17 @@
 """The federated training loop: select, report, defend, train locally, average.
 
-Each global epoch the server samples a subset of clients and ships them the
-current model. The round reads each selected client's shard once: every run
-of consecutive ids with equal shard size is gathered into one ClientGroup of
-arrays (ids, rows, labels, malicious flags). Every selected client first
-reports one noisy loss: its loss under the incoming model, noised. The
-configured eliminator filters the reports; only the clients it retains then
-train locally, in stacks of clients trained together that take their rows,
-labels and batch orders from the groups by position, and FedAvg averages
-their weights as each stack arrives. The new model is scored on a held-out
-honest test set. A report depends on no trained weight, and an eliminated
-client's weights would never reach the average, so training only the
-retained clients gives the bytes that training every selected client would.
+The clients are ClientGroups from partition on: at most two groups of
+consecutive ids, one per shard size. Each global epoch the server samples a
+subset of clients and ships them the current model; a round takes each
+group's selected clients by one mask. Every selected client first reports
+one noisy loss: its loss under the incoming model, noised. The configured
+eliminator filters the reports; only the clients it retains then train
+locally, in stacks of clients trained together that take their rows, labels
+and batch orders from the groups by position, and FedAvg averages their
+weights as each stack arrives. The new model is scored on a held-out honest
+test set. A report depends on no trained weight, and an eliminated client's
+weights would never reach the average, so training only the retained
+clients gives the bytes that training every selected client would.
 Everything is driven by explicit seeded generators, so a config fully
 determines every round record. Client cid in epoch e of repeat r draws from
 exactly np.random.default_rng([seed, r, 4, e, cid]): its batch order for each
@@ -211,7 +211,7 @@ def report_losses(
     client with a non-finite feature.
     """
     if len(group) != len(rngs):
-        raise ValueError(f"{len(group)} shards and {len(rngs)} generators; need one each")
+        raise ValueError(f"{len(group)} clients and {len(rngs)} generators; need one each")
     model, features = _stack(global_model, group)
     raw_losses, _ = nn.softmax_cross_entropy(nn.forward(model, features), group.labels)
     if not np.isfinite(raw_losses).all():
@@ -314,11 +314,17 @@ def fed_avg(stacks) -> nn.ModelParams:
 
 @dataclass
 class FederationState:
+    """One repeat's model and population: groups whose ids concatenate to range(total_clients)."""
+
     config: FederationConfig
-    shards: list
+    groups: list
     test_set: Dataset
     model: nn.ModelParams
     seed_prefix: tuple  # rng namespace: (master_seed, repeat)
+
+    def __post_init__(self):
+        if [cid for group in self.groups for cid in group.ids.tolist()] != list(range(self.config.total_clients)):
+            raise ValueError(f"the groups' ids must be exactly range({self.config.total_clients}), in order")
 
 
 def _hash_consts(start: int, mult: int, count: int) -> np.ndarray:
@@ -367,11 +373,13 @@ def _client_rngs(entropy, ids) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in seeds]
 
 
-def _size_runs(shards, ids) -> list[ClientGroup]:
-    """The shards of ids, in the order of ids, cut into runs of consecutive ids
-    with equal shard size, each gathered as one ClientGroup: the round's one
-    read of each of those shards."""
-    return [ClientGroup.of(list(run)) for _, run in itertools.groupby((shards[cid] for cid in ids), key=len)]
+def _clients_among(groups, ids) -> list[tuple[int, np.ndarray]]:
+    """Where each group's clients among ids are: (i, kept) for each groups[i] that
+    holds any, in group order, where kept is its np.isin mask of ids; a group
+    that holds none is dropped. groups[i].take(kept) gives those clients."""
+    wanted = np.fromiter(ids, dtype=np.int64, count=len(ids))
+    masks = (np.isin(group.ids, wanted) for group in groups)
+    return [(i, kept) for i, kept in enumerate(masks) if kept.any()]
 
 
 def _training_stacks(model: nn.ModelParams, groups, orders, retained) -> list[tuple[ClientGroup, np.ndarray]]:
@@ -379,19 +387,14 @@ def _training_stacks(model: nn.ModelParams, groups, orders, retained) -> list[tu
     of each group, taken by position with their orders, cut into stacks of at
     most _STACK_BYTES of model parameters. A stack never spans two groups.
 
-    groups and orders are a round's size runs and their report_losses orders,
-    in ascending id.
+    groups and orders are a round's report groups and their report_losses
+    orders, in ascending id.
     """
     model_bytes = sum(p.nbytes for p in model.weights + model.biases)
     chunk = max(1, _STACK_BYTES // model_bytes)
-    kept_ids = np.fromiter(retained, dtype=np.int64, count=len(retained))
     stacks = []
-    for group, drawn in zip(groups, orders):
-        kept = np.isin(group.ids, kept_ids)
-        if not kept.any():
-            continue
-        if not kept.all():
-            group, drawn = group.take(kept), drawn[kept]
+    for i, kept in _clients_among(groups, retained):
+        group, drawn = (groups[i], orders[i]) if kept.all() else (groups[i].take(kept), orders[i][kept])
         stacks += [
             (group.take(slice(start, start + chunk)), drawn[start : start + chunk])
             for start in range(0, len(group), chunk)
@@ -402,10 +405,9 @@ def _training_stacks(model: nn.ModelParams, groups, orders, retained) -> list[tu
 def global_round(state: FederationState, epoch: int) -> RoundRecord:
     """Run one global epoch in place and return its record.
 
-    The round selects clients and reads each selected shard once, gathering
-    each run of consecutive ids with equal shard size as one ClientGroup. It
-    gathers every selected client's report (one report_losses call per
-    group), runs the eliminator on the reports, and hands fed_avg the
+    The round selects clients and takes each group's selected clients by one
+    mask. It gathers every selected client's report (one report_losses call
+    per group), runs the eliminator on the reports, and hands fed_avg the
     retained clients' local_train stacks one at a time, in ascending client
     id; it then evaluates the new model.
     """
@@ -415,7 +417,7 @@ def global_round(state: FederationState, epoch: int) -> RoundRecord:
         cfg.total_clients,
         cfg.clients_per_round,
     )
-    groups = _size_runs(state.shards, selected)
+    groups = [state.groups[i].take(kept) for i, kept in _clients_among(state.groups, selected)]
     rngs = iter(_client_rngs([*state.seed_prefix, _STREAM_CLIENT, epoch], selected))
     noisy, orders = {}, []
     for group in groups:
@@ -449,14 +451,14 @@ def init_state(
 ) -> FederationState:
     """Partition and poison the data, initialize the model, for one repeat."""
     prefix = (config.seed, repeat)
-    shards = partition(train_set, config.total_clients, [*prefix, _STREAM_PARTITION])
-    shards = poison_shards(
-        shards, config.malicious_fraction, config.source_class, config.target_class, [*prefix, _STREAM_MALICIOUS]
+    groups = partition(train_set, config.total_clients, [*prefix, _STREAM_PARTITION])
+    groups = poison_shards(
+        groups, config.malicious_fraction, config.source_class, config.target_class, [*prefix, _STREAM_MALICIOUS]
     )
     dims = (train_set.features.shape[1], *config.hidden_dims, train_set.num_classes)
     model = nn.init_params(dims, np.random.default_rng([*prefix, _STREAM_INIT]))
     return FederationState(
-        config=config, shards=shards, test_set=test_set, model=model, seed_prefix=prefix
+        config=config, groups=groups, test_set=test_set, model=model, seed_prefix=prefix
     )
 
 

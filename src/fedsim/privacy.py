@@ -13,11 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import check_field_kinds
+from .defense import REPORT_LIMIT
 
 
 @dataclass(frozen=True)
 class LdpConfig:
-    """Pure epsilon-DP budget for the Laplace mechanism (delta is always 0)."""
+    """Pure epsilon-DP budget for the Laplace mechanism (delta is always 0). The
+    largest draw, about 36.74 times the scale, must not pass defense.REPORT_LIMIT."""
 
     epsilon: float = 1.0
     sensitivity: float = 0.0001
@@ -31,10 +33,10 @@ class LdpConfig:
         b = laplace_scale(self)
         if not 0 < b < np.inf:
             raise ValueError(f"noise scale {pair} must be positive and finite")
-        with np.errstate(over="ignore"):
-            largest = _laplace_noise(b, 0.0)  # the draw of largest magnitude, 53 ln 2 times b
-        if not np.isfinite(largest):
-            raise ValueError(f"noise scale {pair} is too large: its largest Laplace draw overflows")
+        largest = -float(_laplace_noise(1.0, 0.0)) * b  # the draw of largest magnitude, 53 ln 2 times b
+        if largest > REPORT_LIMIT:
+            limit = f"the eliminators' report limit {REPORT_LIMIT:g}"
+            raise ValueError(f"noise scale {pair} is too large: its largest Laplace draw {largest:.4g} passes {limit}")
 
 
 def laplace_scale(config: LdpConfig) -> float:
@@ -66,19 +68,27 @@ def perturb_loss(losses: np.ndarray, config: LdpConfig, rngs) -> np.ndarray:
     """The reported values: each true loss plus Laplace noise. May go negative.
 
     Client i draws one uniform from rngs[i], so its noise is what
-    laplace_sample(laplace_scale(config), rngs[i]) would return.
+    laplace_sample(laplace_scale(config), rngs[i]) would return. A loss that
+    is not finite or lies beyond defense.REPORT_LIMIT is rejected.
     """
-    if np.ndim(losses) != 1:
-        raise ValueError(f"losses must be 1-D, one per client, got shape {np.shape(losses)}")
-    if np.asarray(losses).dtype.kind not in "iuf":
-        raise ValueError(f"losses must be numbers, got dtype {np.asarray(losses).dtype}")
-    if isinstance(rngs, np.random.Generator):
-        raise ValueError("rngs must be a list of generators, one per loss, got one Generator")
+    losses = np.asarray(losses)
+    if losses.ndim != 1:
+        raise ValueError(f"losses must be 1-D, one per client, got shape {losses.shape}")
+    if losses.dtype.kind not in "iuf":
+        raise ValueError(f"losses must be numbers, got dtype {losses.dtype}")
+    if not isinstance(config, LdpConfig):
+        raise ValueError(f"config must be an LdpConfig, got {config!r}")
+    if not isinstance(rngs, (list, tuple)):
+        got = "one Generator" if isinstance(rngs, np.random.Generator) else repr(rngs)
+        raise ValueError(f"rngs must be a list of generators, one per loss, got {got}")
     if len(losses) != len(rngs):
         raise ValueError(f"{len(losses)} losses and {len(rngs)} generators; need one each")
     for i, rng in enumerate(rngs):  # anything with a Generator's random() draws
         if not callable(getattr(rng, "random", None)):
             raise ValueError(f"rngs[{i}] must be a Generator, got {rng!r}")
-    if not np.isfinite(losses).all():
-        raise ValueError(f"loss must be finite, got {losses[~np.isfinite(losses)][0]}")
+    beyond = ~(np.abs(losses) <= REPORT_LIMIT)  # NaN fails the comparison too
+    if beyond.any():
+        loss = losses[beyond][0]
+        bound = f"at most {REPORT_LIMIT:g} in magnitude" if np.isfinite(loss) else "finite"
+        raise ValueError(f"loss must be {bound}, got {loss}")
     return losses + _laplace_noise(laplace_scale(config), np.array([rng.random() for rng in rngs]))

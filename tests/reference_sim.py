@@ -1,12 +1,14 @@
 """A naive whole-experiment reference simulator, written from fedsim's documented contract.
 
 Every client is simulated alone: its own generator, its own 2-D shard, its own
-loss report and local training, one SGD step at a time. The server keeps the
+loss report and local training, one SGD step at a time. Each client's rows,
+labels and malicious flag are read out of partition's and poison_shards'
+groups, one client at a time, before the first round. The server keeps the
 reports in a dict and averages the retained models in ascending client id.
-Nothing here stacks clients, groups them by shard size, builds generators in
-a vector pass or calls report_losses, local_train or fed_avg; it shares only
-fedsim's data, nn, privacy, defense and metrics layers. run_experiment must
-give the same round records, field for field.
+Nothing here stacks clients, takes clients from a group by mask, builds
+generators in a vector pass or calls report_losses, local_train or fed_avg;
+it shares only fedsim's data, nn, privacy, defense and metrics layers.
+run_experiment must give the same round records, field for field.
 """
 
 import numpy as np
@@ -22,12 +24,21 @@ from fedsim.privacy import laplace_sample, laplace_scale
 PARTITION, MALICIOUS, INIT, SELECT, CLIENT = range(5)
 
 
-def client_round(model, shard, config, rng):
+def client_data(groups) -> dict:
+    """{client_id: (features, labels, malicious)} of every client in groups: its
+    shard's feature rows, read from the training set, its labels and its flag."""
+    return {
+        int(cid): (group.source.features[group.rows[i]], group.labels[i], bool(group.malicious[i]))
+        for group in groups
+        for i, cid in enumerate(group.ids)
+    }
+
+
+def client_round(model, features, labels, config, rng):
     """A client's noisy loss report under the incoming model, and its trained model.
 
     The client draws one batch order per local epoch, then its Laplace noise.
     """
-    features, labels = shard.source.features[shard.rows], shard.labels
     loss, _ = nn.softmax_cross_entropy(nn.forward(model, features), labels)
     orders = [rng.permutation(len(labels)) for _ in range(config.client_epochs)]
     noisy = loss + laplace_sample(laplace_scale(config.ldp), rng)
@@ -62,10 +73,11 @@ def reference_runs(config, train, test) -> list:
     runs = []
     for r in range(config.repeats):
         prefix = [config.seed, r]
-        shards = partition(train, config.total_clients, [*prefix, PARTITION])
-        shards = poison_shards(
-            shards, config.malicious_fraction, config.source_class, config.target_class, [*prefix, MALICIOUS]
+        groups = partition(train, config.total_clients, [*prefix, PARTITION])
+        groups = poison_shards(
+            groups, config.malicious_fraction, config.source_class, config.target_class, [*prefix, MALICIOUS]
         )
+        population = client_data(groups)
         dims = (train.features.shape[1], *config.hidden_dims, train.num_classes)
         model = nn.init_params(dims, np.random.default_rng([*prefix, INIT]))
         run = []
@@ -77,11 +89,12 @@ def reference_runs(config, train, test) -> list:
             reports, trained = {}, {}
             for cid in selected:
                 rng = np.random.default_rng([*prefix, CLIENT, e, cid])
-                reports[cid], trained[cid] = client_round(model, shards[cid], config, rng)
+                features, labels, _ = population[cid]
+                reports[cid], trained[cid] = client_round(model, features, labels, config, rng)
             outcome = run_eliminator(reports, config.defense)
             model = mean_model({cid: trained[cid] for cid in outcome.retained})
             result = evaluate_model(model, test)
-            det = detection_score(outcome, {cid for cid in selected if shards[cid].is_malicious})
+            det = detection_score(outcome, {cid for cid in selected if population[cid][2]})
             run.append(RoundRecord(
                 e, tuple(selected), tuple(sorted(outcome.eliminated)), result.accuracy, result.mean_ce_loss,
                 result.per_class_recall[config.source_class], det.accuracy, det.precision, det.recall, det.f1,

@@ -269,6 +269,11 @@ BAD_INPUTS = {
     "ldp_sensitivity_nan": ({"ldp": {"sensitivity": NAN}}, "run"),
     "ldp_scale_underflows": ({"ldp": {"epsilon": 1e300, "sensitivity": 1e-300}}, "run"),
     "ldp_scale_overflows": ({"ldp": {"epsilon": 1e-300, "sensitivity": 1e300}}, "run"),
+    # A finite scale whose largest draw passes the eliminators' report limit, past which the
+    # kmeans guard's squares would overflow.
+    "ldp_draw_past_report_limit": (
+        {"ldp": {"sensitivity": 1e160}, "defense": {"kind": "kmeans"}, "malicious_fraction": 0.4}, "run"
+    ),
     "dataset_separation_nan": ({"dataset": {**SMALL_CONFIG["dataset"], "separation": NAN}}, "run"),
     "idx_test_set_empty": (idx_dataset(4, 4, test_count=0), "run"),
     "dataset_classes_beyond_patterns": ({"dataset": {"type": "synthetic", "num_classes": 75, "dim": 6}}, "run"),

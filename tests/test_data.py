@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim import data
-from fedsim.defense import run_eliminator
+from fedsim.defense import DEFENSE_KINDS, REPORT_LIMIT, DefenseConfig, run_eliminator
 from fedsim.privacy import LdpConfig, perturb_loss
 
 
@@ -146,6 +146,11 @@ def test_synthesize_rejects_bad_arguments():
         data.synthesize(2, 1, 4, 0.0, seed=0)
 
 
+def group_ids(groups) -> list:
+    """The client ids of groups, concatenated."""
+    return np.concatenate([g.ids for g in groups]).tolist()
+
+
 @given(n=st.integers(1, 60), k=st.integers(1, 20), seed=st.integers(0, 10))
 @settings(max_examples=50)
 def test_partition_covers_disjointly(n, k, seed):
@@ -153,19 +158,41 @@ def test_partition_covers_disjointly(n, k, seed):
         return
     rng = np.random.default_rng(seed)
     ds = data.Dataset(rng.random((n, 3)), rng.integers(0, 4, size=n), 4)
-    shards = data.partition(ds, k, seed)
-    assert [s.client_id for s in shards] == list(range(k))
-    sizes = [len(s) for s in shards]
+    groups = data.partition(ds, k, seed)
+    assert group_ids(groups) == list(range(k))
+    sizes = [g.samples for g in groups for _ in g.ids]
     assert sum(sizes) == n
     assert max(sizes) - min(sizes) <= 1
-    rows = np.concatenate([s.rows for s in shards])
-    assert len(set(rows.tolist())) == n  # disjoint ...
-    assert sorted(rows.tolist()) == list(range(n))  # ... and covering
-    for s in shards:
-        assert s.source is ds  # indexed, not copied
-        assert np.all(np.diff(s.rows) > 0)
-        np.testing.assert_array_equal(s.labels, ds.labels[s.rows])
-    assert all(not s.is_malicious for s in shards)
+    rows = np.concatenate([g.rows.ravel() for g in groups])
+    assert sorted(rows.tolist()) == list(range(n))  # disjoint and covering
+    for g in groups:
+        assert g.source is ds  # indexed, not copied
+        np.testing.assert_array_equal(g.labels, ds.labels[g.rows])
+        assert not g.malicious.any()
+
+
+def samples_and_clients(most):
+    """(n, K): 1 to most samples, and 1 to n clients."""
+    return st.integers(1, most).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n)))
+
+
+@given(shape=samples_and_clients(300), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100)
+def test_partition_matches_array_split_of_one_permutation(shape, seed):
+    """At most two groups, ids 0 to K - 1 in order, shard sizes that never increase; and
+    client cid's rows are the sorted cid-th piece np.array_split cuts from one seeded
+    permutation, a definition independent of partition's reshapes."""
+    n, k = shape
+    ds = data.Dataset(np.zeros((n, 1)), np.arange(n) % 3, 3)
+    groups = data.partition(ds, k, seed)
+    assert 1 <= len(groups) <= 2
+    assert group_ids(groups) == list(range(k))
+    sizes = [g.samples for g in groups for _ in g.ids]
+    assert sizes == sorted(sizes, reverse=True)
+    pieces = np.array_split(np.random.default_rng(seed).permutation(n), k)
+    for g in groups:
+        for cid, rows in zip(g.ids.tolist(), g.rows):
+            assert rows.tolist() == np.sort(pieces[cid]).tolist()
 
 
 def test_partition_rejects_too_many_clients():
@@ -178,10 +205,10 @@ def test_datasets_and_shards_compare_and_hash_by_identity():
     """Their array fields have no truth value, so == and hash() go by identity."""
     ds = data.Dataset(np.arange(12.0).reshape(6, 2), np.array([0, 1, 0, 1, 0, 1]), 2)
     twin = data.Dataset(ds.features.copy(), ds.labels.copy(), 2)
-    a, b = data.partition(ds, 3, seed=0), data.partition(ds, 3, seed=0)
-    assert a != b and a == a
+    a, b = data.partition(ds, 3, seed=0), data.partition(ds, 4, seed=0)
+    assert a != data.partition(ds, 3, seed=0) and a == a
     assert ds != twin and ds == ds
-    assert len({*a, *b, ds, twin}) == 8
+    assert len({*a, *b, ds, twin}) == 5  # 6 rows make one group of 3 clients, or two of 4
 
 
 def test_round_half_up():
@@ -192,23 +219,29 @@ def test_round_half_up():
     assert data.round_half_up(0.5) == 1
 
 
-def index_shard(source, rows, cid=0, is_malicious=False):
-    """A client shard over the shared source holding these rows and their labels."""
+def group_of(source, rows, malicious=()):
+    """A group over source whose client i holds rows[i] and their labels, flagged if i is in malicious."""
     rows = np.asarray(rows, dtype=np.intp)
-    return data.ClientShard(cid, source, rows, source.labels[rows], is_malicious)
+    ids = np.arange(len(rows))
+    return data.ClientGroup(source, ids, rows, source.labels[rows], np.isin(ids, malicious))
 
 
-@given(frac=st.floats(0.0, 0.5), n=st.integers(1, 50), seed=st.integers(0, 5))
+@given(frac=st.floats(0.0, 0.5), shape=samples_and_clients(60), seed=st.integers(0, 5))
 @settings(max_examples=60)
-def test_poison_shards_count_is_rounded_fraction(frac, n, seed):
+def test_poison_shards_count_is_rounded_fraction(frac, shape, seed):
+    """poison_shards flags exactly the client positions its rng.choice draws, round(frac * K) of
+    them, over partition's one or two groups in ascending id."""
+    n, k = shape
     ds = data.Dataset(np.zeros((n, 2)), np.zeros(n, dtype=int), 2)
-    shards = data.partition(ds, n, seed=0)
-    marked = data.poison_shards(shards, frac, 0, 1, seed)
-    assert sum(s.is_malicious for s in marked) == data.round_half_up(frac * n)
-    # An honest shard is passed on as it is, not rebuilt.
-    assert all(m is s for m, s in zip(marked, shards) if not m.is_malicious)
-    # A shard is poisoned once: poisoning the output again rejects the first malicious client.
-    flagged = [s.client_id for s in marked if s.is_malicious]
+    groups = data.partition(ds, k, seed=0)
+    marked = data.poison_shards(groups, frac, 0, 1, seed)
+    flagged = np.concatenate([g.ids[g.malicious] for g in marked]).tolist()
+    count = data.round_half_up(frac * k)
+    assert len(flagged) == count
+    assert flagged == sorted(np.random.default_rng(seed).choice(k, size=count, replace=False).tolist())
+    # A group with no flagged client is passed on as it is, not rebuilt.
+    assert all(m is g for m, g in zip(marked, groups) if not m.malicious.any())
+    # A client is poisoned once: poisoning the output again rejects the first malicious client.
     if flagged:
         with pytest.raises(ValueError, match=f"client {flagged[0]} is already malicious"):
             data.poison_shards(marked, frac, 0, 1, seed + 1)
@@ -227,21 +260,22 @@ def test_poison_shards_flips_exactly_the_source_class():
     rng = np.random.default_rng(0)
     source = data.Dataset(rng.random((50, 4)), rng.integers(0, 10, size=50), 10)
     before = source.labels.copy()
-    shard = index_shard(source, np.sort(rng.choice(50, size=30, replace=False)))
-    labels = shard.labels.copy()
-    # One shard at fraction 0.5 rounds up to one malicious shard.
-    [flipped] = data.poison_shards([shard], 0.5, 5, 3, seed=0)
-    assert flipped.is_malicious
-    source_rows = labels == 5
+    group = group_of(source, np.sort(rng.permutation(50)[:40].reshape(2, 20), axis=1))
+    labels = group.labels.copy()
+    # Two clients at fraction 0.5: the draw flags one of them.
+    [flipped] = data.poison_shards([group], 0.5, 5, 3, seed=0)
+    [bad] = np.flatnonzero(flipped.malicious)
+    source_rows = labels[bad] == 5
     assert source_rows.any()
-    np.testing.assert_array_equal(flipped.labels[source_rows], 3)
-    np.testing.assert_array_equal(flipped.labels[~source_rows], labels[~source_rows])
+    np.testing.assert_array_equal(flipped.labels[bad][source_rows], 3)
+    np.testing.assert_array_equal(flipped.labels[bad][~source_rows], labels[bad][~source_rows])
+    np.testing.assert_array_equal(flipped.labels[1 - bad], labels[1 - bad])  # the honest client keeps its 5s
     # The features stay the shared source's, at the same rows.
     assert flipped.source is source
-    np.testing.assert_array_equal(flipped.rows, shard.rows)
-    # Original shard and the shared source untouched.
-    assert not shard.is_malicious
-    np.testing.assert_array_equal(shard.labels, labels)
+    np.testing.assert_array_equal(flipped.rows, group.rows)
+    # Original group and the shared source untouched.
+    assert not group.malicious.any()
+    np.testing.assert_array_equal(group.labels, labels)
     np.testing.assert_array_equal(source.labels, before)
 
 
@@ -267,59 +301,71 @@ def test_poison_shards_flips_exactly_the_source_class():
 )
 def test_poison_shards_rejects_an_attack_it_cannot_apply(flip, fraction, malicious, shown):
     source = data.Dataset(np.zeros((8, 2)), np.arange(8) % 10, 10)
-    shards = [index_shard(source, [2 * cid, 2 * cid + 1], cid, cid in malicious) for cid in range(4)]
+    group = group_of(source, np.arange(8).reshape(4, 2), malicious)
     with pytest.raises(ValueError, match=re.escape(shown)):
-        data.poison_shards(shards, fraction, *flip, seed=0)
+        data.poison_shards([group], fraction, *flip, seed=0)
 
 
 def test_poison_shards_takes_numpy_scalars_as_the_numbers_they_hold():
     source = data.Dataset(np.zeros((16, 2)), np.arange(16) % 4, 4)
-    shards = data.partition(source, 8, seed=0)
-    poisoned = data.poison_shards(shards, np.float64(0.25), np.int64(1), np.int64(2), seed=0)
-    assert [s.is_malicious for s in poisoned] == [s.is_malicious for s in data.poison_shards(shards, 0.25, 1, 2, seed=0)]
-    assert sum(s.is_malicious for s in poisoned) == 2
+    groups = data.partition(source, 8, seed=0)
+    [poisoned] = data.poison_shards(groups, np.float64(0.25), np.int64(1), np.int64(2), seed=0)
+    [plain] = data.poison_shards(groups, 0.25, 1, 2, seed=0)
+    assert poisoned.malicious.tolist() == plain.malicious.tolist()
+    assert poisoned.malicious.sum() == 2
+
+
+# Two clients of two rows over a 4-row source; each case spoils some of these arrays.
+FITTING = dict(ids=[3, 7], rows=[[0, 1], [2, 3]], labels=[[0, 0], [1, 1]], malicious=[False, True])
 
 
 @pytest.mark.parametrize(
-    "rows, labels, shown",
+    "spoiled, shown",
     [
-        ([0, 1, 2], [0, 1], "client 7 needs rows and labels of one shape (n,), got (3,) and (2,)"),
-        ([[0, 1]], [[0, 1]], "client 7 needs rows and labels of one shape (n,), got (1, 2) and (1, 2)"),
-        ([0, 4], [0, 1], "client 7 has rows outside its 4-row source"),
-        ([-1, 2], [0, 1], "client 7 has rows outside its 4-row source"),
-        ([0.0, 1.0], [0, 1], "client 7 needs integer rows and labels, got float64 and int64"),
-        ([0, 1], [0.0, 1.0], "client 7 needs integer rows and labels, got int64 and float64"),
-        ([0, 2, 2], [0, 1, 1], "client 7 has rows that do not strictly increase"),
-        ([3, 1], [0, 1], "client 7 has rows that do not strictly increase"),
+        (dict(rows=[[0, 1], [0, 4]]), "client 7 has rows outside its 4-row source"),
+        (dict(rows=[[0, 1], [-1, 2]]), "client 7 has rows outside its 4-row source"),
+        (dict(rows=[[0.0, 1.0], [2.0, 3.0]]), "client 3 needs integer rows and labels, got float64 and int64"),
+        (dict(labels=[[0.0, 0.0], [1.0, 1.0]]), "client 3 needs integer rows and labels, got int64 and float64"),
+        (dict(rows=[[0, 1], [2, 2]]), "client 7 has rows that do not strictly increase"),
+        (dict(rows=[[0, 1], [3, 1]]), "client 7 has rows that do not strictly increase"),
         # Both faults: rows out of order are not bounded by their ends, and the range is named first.
-        ([5, 1], [0, 1], "client 7 has rows outside its 4-row source"),
+        (dict(rows=[[0, 1], [5, 1]]), "client 7 has rows outside its 4-row source"),
+        (dict(ids=[7, 7]), "client 7 follows 7: ids must strictly increase"),
+        (dict(ids=[7, 3]), "client 3 follows 7: ids must strictly increase"),
+        (dict(ids=[3.0, 7.0]), "need integer ids and bool malicious flags, got float64 and bool"),
+        (dict(malicious=[0, 1]), "need integer ids and bool malicious flags, got int64 and int64"),
+        (dict(rows=[0, 1], labels=[0, 1]), "need ids and malicious of shape (C,), rows and labels of shape (C, n)"),
     ],
     ids=[
-        "lengths_differ", "not_one_dimensional", "row_past_end", "row_negative", "float_rows", "float_labels",
-        "repeated_row", "rows_descending", "descending_past_end",
+        "row_past_end", "row_negative", "float_rows", "float_labels", "repeated_row", "rows_descending",
+        "descending_past_end", "repeated_id", "ids_descending", "float_ids", "integer_flags", "one_dimensional_rows",
     ],
 )
-def test_client_shard_rejects_rows_that_do_not_fit(rows, labels, shown):
+def test_client_group_rejects_arrays_that_do_not_fit(spoiled, shown):
     source = data.Dataset(np.zeros((4, 3)), np.zeros(4, dtype=int), 2)
+    data.ClientGroup(source, **{name: np.array(value) for name, value in FITTING.items()})
     with pytest.raises(ValueError, match=re.escape(shown)):
-        data.ClientShard(7, source, np.array(rows), np.array(labels))
+        data.ClientGroup(source, **{name: np.array(value) for name, value in {**FITTING, **spoiled}.items()})
 
 
-def test_client_group_gathers_shards_and_takes_clients_by_position():
+def test_client_group_takes_clients_by_position():
     source = data.Dataset(np.zeros((24, 2)), np.arange(24) % 4, 4)
-    shards = data.poison_shards(data.partition(source, 8, seed=0), 0.25, 1, 2, seed=0)
-    group = data.ClientGroup.of(shards[2:6])
-    assert group.source is source and len(group) == 4 and group.samples == 3
-    assert group.ids.tolist() == [2, 3, 4, 5]
-    for name, field in (("rows", "rows"), ("labels", "labels"), ("malicious", "is_malicious")):
-        assert getattr(group, name).tolist() == [np.asarray(getattr(s, field)).tolist() for s in shards[2:6]]
+    [group] = data.poison_shards(data.partition(source, 8, seed=0), 0.25, 1, 2, seed=0)
+    assert group.source is source and len(group) == 8 and group.samples == 3
+    assert group.ids.tolist() == list(range(8))
     assert group.malicious.any() and not group.malicious.all()
-    for positions in ([3, 0], np.array([False, True, True, False]), slice(1, 3)):
+    for positions in ([0, 3], np.arange(8) % 3 == 1, slice(1, 3)):
         taken = group.take(positions)
         assert taken.ids.tolist() == group.ids[positions].tolist()
         assert taken.rows.tolist() == group.rows[positions].tolist()
         assert taken.labels.tolist() == group.labels[positions].tolist()
         assert taken.malicious.tolist() == group.malicious[positions].tolist()
+        data.ClientGroup(taken.source, taken.ids, taken.rows, taken.labels, taken.malicious)  # passes every check
+    # Taking can spoil only the shape and the order of the ids, and those are checked again.
+    for positions, ids in (([3, 0], "[3, 0]"), ([2, 2], "[2, 2]"), (np.zeros(8, bool), "[]"), (4, "4")):
+        shown = f"positions must take one or more clients in ascending id, got ids {ids}"
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            group.take(positions)
 
 
 def test_client_group_rejects_arrays_of_mismatched_shapes():
@@ -358,7 +404,7 @@ def test_dataset_rejects_arrays_of_the_wrong_shape_or_type(features, labels, sho
 
 
 SOURCE = data.Dataset(np.zeros((4, 3)), np.zeros(4, dtype=int), 2)
-ROWS = np.arange(2)
+IDS, ROWS, FLAGS = np.arange(1), np.arange(2)[None], np.zeros(1, dtype=bool)
 
 
 @pytest.mark.parametrize(
@@ -366,9 +412,9 @@ ROWS = np.arange(2)
     [
         (lambda: data.Dataset([[0.0]], np.zeros(1, dtype=int), 1), "features must be a numpy array, got [[0.0]]"),
         (lambda: data.Dataset(np.zeros((1, 1)), np.zeros(1, dtype=int), 2.5), "num_classes must be an integer, got 2.5"),
-        (lambda: data.ClientShard(True, SOURCE, ROWS, ROWS), "client_id must be an integer, got True"),
-        (lambda: data.ClientShard(0, "x", ROWS, ROWS), "source must be a Dataset, got 'x'"),
-        (lambda: data.ClientShard(0, SOURCE, ROWS, ROWS, "no"), "is_malicious must be true or false, got 'no'"),
+        (lambda: data.ClientGroup(SOURCE, [0], ROWS, ROWS, FLAGS), "ids must be a numpy array, got [0]"),
+        (lambda: data.ClientGroup("x", IDS, ROWS, ROWS, FLAGS), "source must be a Dataset, got 'x'"),
+        (lambda: data.ClientGroup(SOURCE, IDS, ROWS, ROWS, "no"), "malicious must be a numpy array, got 'no'"),
         (lambda: run_eliminator({0: 0.1}, None), "config must be a DefenseConfig, got None"),
         (
             lambda: perturb_loss(np.zeros(1), LdpConfig(), np.random.default_rng(0)),
@@ -381,11 +427,150 @@ ROWS = np.arange(2)
         (lambda: perturb_loss(np.zeros(1), LdpConfig(), [0]), "rngs[0] must be a Generator, got 0"),
     ],
     ids=[
-        "dataset_list_features", "dataset_float_classes", "shard_bool_id", "shard_string_source",
-        "shard_string_flag", "eliminator_no_config", "perturb_one_generator", "perturb_string_losses",
+        "dataset_list_features", "dataset_float_classes", "group_list_ids", "group_string_source",
+        "group_string_flags", "eliminator_no_config", "perturb_one_generator", "perturb_string_losses",
         "perturb_integer_generator",
     ],
 )
 def test_library_inputs_of_the_wrong_kind_are_rejected_by_name(build, shown):
     with pytest.raises(ValueError, match=re.escape(shown)):
         build()
+
+
+# --- fuzzed library inputs -------------------------------------------------------
+
+# The words a rejection names its input by: a field or argument, or the client at fault.
+NAMED = re.compile(r"\b(ids|rows|labels|malicious|source|config|losses|loss|rngs|client -?\d+)\b")
+
+@st.composite
+def group_arguments(draw):
+    """ClientGroup's arguments for 1 to 4 clients of 1 to 4 rows over a source of 1 to 8
+    rows, with up to two of them spoiled. A spoiled array has another dtype, another shape,
+    values that do not fit (ids repeated or out of order; rows outside the source, repeated,
+    out of order or none) or is a list; a spoiled source is no Dataset."""
+    size = draw(st.integers(1, 8))
+    c, n = draw(st.integers(1, 4)), draw(st.integers(1, min(4, size)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = np.sort(rng.choice(2 * c + 1, c, replace=False))
+    rows = np.sort(np.argsort(rng.random((c, size)), axis=1)[:, :n], axis=1)
+    arguments = {
+        "source": data.Dataset(np.zeros((size, 2)), np.zeros(size, dtype=int), 2),
+        "ids": ids,
+        "rows": rows,
+        "labels": rng.integers(0, 2, (c, n)),
+        "malicious": rng.random(c) < 0.5,
+    }
+    unfitting = {
+        "ids": [ids[::-1], np.zeros_like(ids), ids - 3],
+        "rows": [rows[:, ::-1], rows + size, rows - size, np.repeat(rows[:, :1], n, axis=1), rows[:, :0]],
+        "labels": [arguments["labels"] - 3],
+        "malicious": [~arguments["malicious"]],
+    }
+    for name in draw(st.lists(st.sampled_from(list(arguments)), max_size=2, unique=True), label="spoiled"):
+        value = arguments[name]
+        spoil = "source" if name == "source" else draw(st.sampled_from(["dtype", "shape", "values", "list"]))
+        if spoil == "source":
+            value = draw(st.sampled_from(["x", None, value.features]))
+        elif spoil == "dtype":
+            value = value.astype(draw(st.sampled_from([np.float64, np.bool_, np.uint8, np.int32, object])))
+        elif spoil == "shape":
+            value = draw(st.sampled_from([value[:-1], value[..., None], value.ravel()]))
+        elif spoil == "values":
+            value = draw(st.sampled_from(unfitting[name]))
+        else:
+            value = value.tolist()
+        arguments[name] = value
+    return arguments
+
+
+@settings(max_examples=400)
+@given(arguments=group_arguments())
+def test_fuzzed_client_groups_build_or_are_rejected_by_name(arguments):
+    """Every draw either builds a group that holds what ClientGroup promises, or raises a
+    ValueError that names the field or the client; never an IndexError or a TypeError."""
+    try:
+        group = data.ClientGroup(**arguments)
+    except ValueError as exc:
+        assert NAMED.search(str(exc)), exc
+        return
+    assert isinstance(group.source, data.Dataset)
+    assert group.ids.dtype.kind in "iu" and group.malicious.dtype == bool
+    assert (np.diff(group.ids) > 0).all()
+    assert group.rows.ndim == 2 and group.rows.size and group.rows.dtype.kind in "iu"
+    assert (group.rows >= 0).all() and (group.rows < len(group.source)).all()
+    assert (np.diff(group.rows, axis=1) > 0).all()
+    assert group.labels.shape == group.rows.shape and group.labels.dtype.kind in "iu"
+    assert group.ids.shape == group.malicious.shape == group.rows.shape[:1]
+
+
+# A report's loss: any float (NaN and the infinities included), one at or just past the
+# eliminators' limit, an integer too large for a float, or something that is no number.
+REPORTED = (
+    st.floats()
+    | st.floats(-REPORT_LIMIT, REPORT_LIMIT)
+    | st.sampled_from([REPORT_LIMIT, -REPORT_LIMIT, 1.01 * REPORT_LIMIT, np.float32(2.5), np.int64(3)])
+    | st.integers(-(10**400), 10**400)
+    | st.sampled_from([None, True, "0.5", np.array([0.5])])
+)
+
+
+@settings(max_examples=400)
+@given(
+    reports=st.dictionaries(
+        st.integers(0, 30) | st.sampled_from([True, 1.5, "3", None, np.int64(4)]), REPORTED, max_size=8
+    ),
+    config=st.builds(
+        DefenseConfig, kind=st.sampled_from(DEFENSE_KINDS), fixed_fraction=st.floats(0.0, 0.9),
+        zscore_threshold=st.floats(0.0, 3.0), zscore_one_sided=st.booleans(), kmeans_guard=st.floats(0.0, 5.0),
+    ) | st.sampled_from([None, {"kind": "kmeans"}]),
+)
+def test_fuzzed_reports_are_judged_or_rejected_by_name(reports, config):
+    """Every draw either splits the reporting clients into eliminated and retained, one
+    retained at least, with no numpy warning, or raises a ValueError that names the
+    config, the ids or the client at fault."""
+    try:
+        outcome = run_eliminator(reports, config)
+    except ValueError as exc:
+        assert NAMED.search(str(exc)), exc
+        return
+    assert outcome.eliminated | outcome.retained == set(reports)
+    assert not outcome.eliminated & outcome.retained and outcome.retained
+    assert all(abs(float(loss)) <= REPORT_LIMIT for loss in reports.values())
+
+
+@settings(max_examples=400)
+@given(choice=st.data())
+def test_fuzzed_perturb_loss_noises_or_rejects_by_name(choice):
+    """Every draw either returns one finite report per loss, or raises a ValueError that
+    names the losses, the config or the rngs."""
+    count = choice.draw(st.integers(0, 4), label="count")
+    values = choice.draw(
+        st.lists(st.floats() | st.floats(-REPORT_LIMIT, REPORT_LIMIT), min_size=count, max_size=count), label="values"
+    )
+    losses = {
+        "floats": np.array(values),
+        "integers": np.arange(count) * choice.draw(st.integers(-(2**40), 2**40)),
+        "list": values,
+        "bools": np.zeros(count, dtype=bool),
+        "strings": np.array(["a"] * count),
+        "objects": np.array(values + [None], dtype=object)[:count],
+        "two_dimensional": np.array(values)[None],
+        "scalar": np.float64(0.5),
+    }
+    losses = losses[choice.draw(st.sampled_from(["floats"] * 4 + list(losses)[1:]), label="losses")]
+    config = choice.draw(
+        st.builds(LdpConfig, epsilon=st.floats(1e-3, 1e3), sensitivity=st.floats(1e-6, 10.0))
+        | st.sampled_from([None, DefenseConfig()])
+    )
+    generators = [np.random.default_rng([5, i]) for i in range(count + 1)]
+    fewer = generators[: max(count - 1, 0)]
+    rngs = choice.draw(st.sampled_from([
+        generators[:count], generators[:count], tuple(generators[:count]), generators, fewer, generators[0], None,
+        [*fewer, 0][:count],
+    ]), label="rngs")
+    try:
+        got = perturb_loss(losses, config, rngs)
+    except ValueError as exc:
+        assert NAMED.search(str(exc)), exc
+        return
+    assert got.shape == (count,) and got.dtype == np.float64 and np.isfinite(got).all()

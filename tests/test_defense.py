@@ -7,6 +7,7 @@ checked as hypothesis properties across all eliminators.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -318,6 +319,24 @@ def test_loss_report_rejects_nonfinite():
         for bad in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match="client 1 reported a non-finite loss"):
                 defense.run_eliminator({0: 0.5, 1: bad, 2: 0.7}, cfg)
+
+
+@pytest.mark.parametrize("bad", [1.01 * defense.REPORT_LIMIT, -1e160, 10**400], ids=["past", "negative", "huge_int"])
+def test_loss_report_rejects_a_loss_beyond_the_report_limit(bad):
+    for cfg in ALL_CONFIGS:
+        with pytest.raises(ValueError, match=re.escape(f"client 1 reported a loss beyond 1e+150 in magnitude: {bad}")):
+            defense.run_eliminator({0: 0.5, 1: bad, 2: 0.7}, cfg)
+
+
+def test_losses_at_the_report_limit_are_judged_without_overflow():
+    """Reports at both ends of the limit: the kmeans guard squares deviations of 2e150
+    and zscore's std squares them too; the suite's warnings-as-errors catches an overflow."""
+    limit = defense.REPORT_LIMIT
+    for cfg in ALL_CONFIGS:
+        out = defense.run_eliminator(reports(limit, -limit, 0.0, limit, -limit), cfg)
+        assert out.retained and out.eliminated | out.retained == set(range(5))
+    out = defense.run_eliminator(reports(-limit, -limit, -limit, limit), DefenseConfig(kind="kmeans"))
+    assert out.eliminated == {3}
 
 
 @pytest.mark.parametrize("bad_id, shown", [(True, "True"), (1.5, "1.5")], ids=["bool", "float"])

@@ -121,7 +121,7 @@ def test_cross_device_lock_spans_stacks():
             CROSS_DEVICE.total_clients,
             CROSS_DEVICE.clients_per_round,
         )
-        groups = federation._size_runs(state.shards, selected)
+        groups = [state.groups[i].take(kept) for i, kept in federation._clients_among(state.groups, selected)]
         orders = [np.zeros((len(group), 0, group.samples), dtype=np.intp) for group in groups]
         retained = set(selected) - set(eliminated)
         stacks.append(len(federation._training_stacks(state.model, groups, orders, retained)))

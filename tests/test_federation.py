@@ -14,11 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsim import cli, federation, nn
-from fedsim.data import ClientGroup, ClientShard, Dataset, IdxData, SyntheticData, partition, poison_shards, synthesize
+from fedsim.data import ClientGroup, Dataset, IdxData, SyntheticData, partition, poison_shards, synthesize
 from fedsim.defense import DEFENSE_KINDS, DefenseConfig
 from fedsim.federation import FederationConfig
 from fedsim.privacy import LdpConfig
-from reference_sim import client_round, mean_model, reference_epoch_means, reference_runs
+from reference_sim import client_data, client_round, mean_model, reference_epoch_means, reference_runs
 
 
 def small_task(noise_std=1.0, seed=0):
@@ -181,8 +181,7 @@ def test_fed_avg_writes_into_none_of_its_stacks():
     rng = np.random.default_rng(9)
     dims = (1, 1, 2)  # the (1, 1) weight and width-1 bias take the loop, the last layer the reduction
     global_model = nn.init_params(dims, rng)
-    shards = make_shards(rng, [5] * 3, dim=1, classes=2)
-    group = ClientGroup.of(shards)
+    [group] = make_groups(rng, [(3, 5)], dim=1, classes=2)
     broadcast = federation.local_train(global_model, group, train_config(0, 0.4, 5), np.zeros((3, 0, 5), int))
     assert not broadcast.weights[0].flags.writeable
     owned = random_models(5, rng, dims=dims)
@@ -200,36 +199,33 @@ def train_config(client_epochs, client_lr, batch_size, ldp=LdpConfig()):
     return FederationConfig(client_epochs=client_epochs, client_lr=client_lr, batch_size=batch_size, ldp=ldp)
 
 
-def make_shards(rng, sizes, dim=4, classes=3, cids=None):
-    """Client shards of the given sizes over one shared training set: client
-    cids[i] holds sizes[i] sorted rows, drawn at random so they interleave."""
+def make_groups(rng, shapes, dim=4, classes=3, ids=None):
+    """Client groups over one shared training set: group j holds shapes[j] = (C, n),
+    C clients of n sorted rows each, drawn at random so they interleave. The ids run
+    0, 1, ... across the groups unless given."""
+    sizes = [c * n for c, n in shapes]
     total = sum(sizes) + 3  # 3 rows that no client holds
     source = Dataset(rng.random((total, dim)), rng.integers(0, classes, size=total), classes)
     cuts = np.split(rng.permutation(total)[: sum(sizes)], np.cumsum(sizes)[:-1])
-    shards = []
-    for cid, rows in zip(cids or range(len(sizes)), cuts):
-        rows = np.sort(rows)
-        shards.append(ClientShard(cid, source, rows, source.labels[rows]))
-    return shards
+    ids = np.arange(sum(c for c, _ in shapes)) if ids is None else np.array(ids)
+    groups, first = [], 0
+    for (c, n), rows in zip(shapes, cuts):
+        rows = np.sort(rows.reshape(c, n), axis=1)
+        groups.append(ClientGroup(source, ids[first : first + c], rows, source.labels[rows], np.zeros(c, dtype=bool)))
+        first += c
+    return groups
 
 
-def shard_features(shard):
-    """The feature rows a shard indexes, in its row order."""
-    return shard.source.features[shard.rows]
-
-
-def report_and_train(model, shards, config, rngs):
+def report_and_train(model, group, config, rngs):
     """Both steps over the same clients, as a round that retains them all runs them."""
-    group = ClientGroup.of(shards)
     noisy_losses, orders = federation.report_losses(model, group, config, rngs)
     return noisy_losses, federation.local_train(model, group, config, orders)
 
 
 def test_local_train_zero_epochs_returns_global_weights():
     rng = np.random.default_rng(0)
-    [shard] = make_shards(rng, [12])
+    [group] = make_groups(rng, [(1, 12)])
     model = nn.init_params((4, 3), rng)
-    group = ClientGroup.of([shard])
     _, orders = federation.report_losses(model, group, train_config(0, 0.5, 4), [np.random.default_rng(1)])
     assert orders.shape == (1, 0, 12)
     trained = federation.local_train(model, group, train_config(0, 0.5, 4), orders)
@@ -242,33 +238,27 @@ def test_local_train_reports_loss_of_incoming_model():
     # The reported loss describes the global model before local fitting;
     # noise at the default scale (1e-4) is far below the check tolerance.
     rng = np.random.default_rng(3)
-    [shard] = make_shards(rng, [12])
+    [group] = make_groups(rng, [(1, 12)])
+    features, labels, _ = client_data([group])[0]
     model = nn.init_params((4, 3), rng)
-    incoming, _ = nn.softmax_cross_entropy(nn.forward(model, shard_features(shard)), shard.labels)
-    [noisy_loss], stack = report_and_train(model, [shard], train_config(3, 0.5, 4), [np.random.default_rng(7)])
+    incoming, _ = nn.softmax_cross_entropy(nn.forward(model, features), labels)
+    [noisy_loss], stack = report_and_train(model, group, train_config(3, 0.5, 4), [np.random.default_rng(7)])
     assert noisy_loss == pytest.approx(incoming, abs=1e-2)
-    trained, _ = nn.softmax_cross_entropy(nn.forward(stack, shard_features(shard)[None]), shard.labels[None])
+    trained, _ = nn.softmax_cross_entropy(nn.forward(stack, features[None]), labels[None])
     assert trained < incoming  # training actually reduced the local loss
-
-
-def test_client_group_rejects_empty_shard():
-    source = Dataset(np.zeros((2, 4)), np.zeros(2, dtype=int), 3)
-    empty = ClientShard(0, source, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=int))
-    with pytest.raises(ValueError, match="client 0 has an empty shard"):
-        ClientGroup.of([empty])
 
 
 def test_report_losses_names_the_client_and_row_behind_a_non_finite_loss():
     rng = np.random.default_rng(0)
-    shards = make_shards(rng, [6, 6, 6])
-    row = int(shards[1].rows[2])
-    shards[1].source.features[row, 1] = np.nan
+    [group] = make_groups(rng, [(3, 6)])
+    row = int(group.rows[1, 2])
+    group.source.features[row, 1] = np.nan
     model = nn.init_params((4, 3), rng)
     rngs = [np.random.default_rng(cid) for cid in range(3)]
     states = [g.bit_generator.state for g in rngs]
     shown = f"client 1 has a non-finite loss nan; its training-set row {row} has a non-finite feature"
     with pytest.raises(ValueError, match=re.escape(shown)):
-        federation.report_losses(model, ClientGroup.of(shards), train_config(1, 0.5, 4), rngs)
+        federation.report_losses(model, group, train_config(1, 0.5, 4), rngs)
     assert [g.bit_generator.state for g in rngs] == states  # raised before any draw
 
 
@@ -280,7 +270,7 @@ def test_orders_shuffled_into_rows_draw_what_per_client_permutations_draw(n, epo
     draws the noise. numpy defines permutation(n) as that shuffle, so each client's
     stream is drawn as with one rng.permutation(n) per epoch followed by rng.random()."""
     rng = np.random.default_rng(n)
-    group = ClientGroup.of(make_shards(rng, [n] * 3))
+    [group] = make_groups(rng, [(3, n)])
     model = nn.init_params((4, 3), rng)
     rngs = [np.random.default_rng([11, i]) for i in range(3)]
     _, orders = federation.report_losses(model, group, train_config(epochs, 0.5, 4), rngs)
@@ -308,17 +298,17 @@ def test_local_train_matches_per_client_loop_bit_for_bit():
     rng = np.random.default_rng(21)
     # 13 samples in batches of 5 leave a short last batch; 13 rows of loss exceed
     # the 8-way unrolled summation of numpy, so a changed reduction order would show.
-    shards = make_shards(rng, [13] * 4, dim=6, classes=4, cids=(3, 1, 8, 5))
+    [group] = make_groups(rng, [(4, 13)], dim=6, classes=4, ids=(1, 3, 5, 8))
     model = nn.init_params((6, 9, 4), rng)
     ldp = LdpConfig(epsilon=0.5)
     noisy_losses, got = report_and_train(
-        model, shards, train_config(3, 0.4, 5, ldp), [np.random.default_rng([7, s.client_id]) for s in shards]
+        model, group, train_config(3, 0.4, 5, ldp), [np.random.default_rng([7, cid]) for cid in group.ids.tolist()]
     )
     assert noisy_losses.dtype == np.float64
-    assert len(got.weights[0]) == len(shards)
-    for i, shard in enumerate(shards):
+    assert len(got.weights[0]) == len(group)
+    for i, (cid, (features, labels, _)) in enumerate(client_data([group]).items()):
         want_loss, want_model = client_round(
-            model, shard, train_config(3, 0.4, 5, ldp), np.random.default_rng([7, shard.client_id])
+            model, features, labels, train_config(3, 0.4, 5, ldp), np.random.default_rng([7, cid])
         )
         assert_same_report(noisy_losses[i], want_loss)
         assert_same_weights(got, i, want_model)
@@ -329,11 +319,11 @@ def test_local_train_owns_contiguous_weights_and_leaves_global_model_alone(clien
     """The first step copies the stack out of the read-only broadcast; later steps
     write only into that copy."""
     rng = np.random.default_rng(4)
-    shards = make_shards(rng, [13] * clients, dim=6, classes=4)
+    [group] = make_groups(rng, [(clients, 13)], dim=6, classes=4)
     model = nn.init_params((6, 9, 4), rng)
     before = [a.tobytes() for a in model.weights + model.biases]
     _, got = report_and_train(
-        model, shards, train_config(3, 0.4, 5), [np.random.default_rng(cid) for cid in range(clients)]
+        model, group, train_config(3, 0.4, 5), [np.random.default_rng(cid) for cid in range(clients)]
     )
     assert [a.tobytes() for a in model.weights + model.biases] == before
     for a in got.weights + got.biases:
@@ -343,10 +333,10 @@ def test_local_train_owns_contiguous_weights_and_leaves_global_model_alone(clien
 @pytest.mark.parametrize("label", [3, -1])
 def test_local_train_rejects_out_of_range_label_before_any_step(monkeypatch, label):
     rng = np.random.default_rng(6)
-    shards = make_shards(rng, [12, 12])
-    bad = shards[1].labels.copy()
-    bad[5] = label
-    shards[1] = replace(shards[1], labels=bad)  # ClientShard checks no label: only the federation can
+    [group] = make_groups(rng, [(2, 12)])
+    bad = group.labels.copy()
+    bad[1, 5] = label
+    group = replace(group, labels=bad)  # ClientGroup checks no label against classes: only the federation can
     model = nn.init_params((4, 3), rng)
     rngs = [np.random.default_rng(i) for i in range(2)]
     states = [r.bit_generator.state for r in rngs]
@@ -357,7 +347,6 @@ def test_local_train_rejects_out_of_range_label_before_any_step(monkeypatch, lab
     for name in ("backward", "sgd_step", "descend"):
         monkeypatch.setattr(nn, name, no_step)
     problem = re.escape("client 1 has a label out of range [0, 3)")
-    group = ClientGroup.of(shards)
     with pytest.raises(ValueError, match=problem):
         federation.report_losses(model, group, train_config(2, 0.5, 4), rngs)
     assert [r.bit_generator.state for r in rngs] == states
@@ -367,18 +356,13 @@ def test_local_train_rejects_out_of_range_label_before_any_step(monkeypatch, lab
         federation.local_train(model, group, train_config(2, 0.5, 4), orders)
 
 
-def test_local_train_rejects_unequal_shards_and_missing_generators():
+def test_local_train_rejects_missing_generators_and_bad_orders():
     rng = np.random.default_rng(0)
     model = nn.init_params((4, 3), rng)
-    shards = make_shards(rng, [12, 11])
+    [first] = make_groups(rng, [(1, 12)])
     rngs = [np.random.default_rng(i) for i in range(2)]
     cfg = train_config(1, 0.5, 4)
-    with pytest.raises(ValueError, match="client 1 has 11 samples, not 12"):
-        ClientGroup.of(shards)
-    with pytest.raises(ValueError, match="need at least one shard"):
-        ClientGroup.of([])
-    first = ClientGroup.of(shards[:1])
-    with pytest.raises(ValueError, match="1 shards and 2 generators; need one each"):
+    with pytest.raises(ValueError, match="1 clients and 2 generators; need one each"):
         federation.report_losses(model, first, cfg, rngs)
     # Batch orders that are missing, for another epoch count, reach past the shard,
     # are not integers, or repeat a row.
@@ -392,68 +376,44 @@ def test_local_train_rejects_unequal_shards_and_missing_generators():
             federation.local_train(model, first, cfg, bad)
 
 
-def test_client_group_rejects_shards_of_two_sources():
-    rng = np.random.default_rng(2)
-    [first] = make_shards(rng, [12], cids=(4,))
-    [second] = make_shards(rng, [12], cids=(9,))
-    assert second.source is not first.source
-    problem = re.escape("client 9 indexes another training set than client 4")
-    with pytest.raises(ValueError, match=problem):
-        ClientGroup.of([first, second])
-
-
 # The inputs a fuzzed group may spoil, one at a time; "none" spoils nothing.
 GROUP_SPOILERS = (
-    "none", "unequal_size", "second_source", "label_negative", "label_too_high", "empty_shard",
-    "generator_count", "orders_shape", "orders_dtype", "orders_values", "lone_model", "other_dims",
+    "none", "label_negative", "label_too_high", "generator_count", "orders_shape", "orders_dtype", "orders_values",
+    "lone_model", "other_dims",
 )
 
 
 @st.composite
 def client_groups(draw, spoiler):
-    """A round's runs of equal-size shards, with the input spoiler names spoiled. Returns a dict:
-    groups, 1 to 3 runs of 1 to 3 shards over one training set, ids ascending, each
-    run of its own size; model and config; generators, the ids whose
-    default_rng([7, id]) each run reports with; spoil_orders, applied to the last
-    run's orders; extra, stacks fed_avg gets after the trained ones; problem, the
+    """A round's report groups, with the input spoiler names spoiled. Returns a dict:
+    groups, 1 to 3 groups of 1 to 3 clients over one training set, ids ascending,
+    each of its own shard size; model and config; generators, the ids whose
+    default_rng([7, id]) each group reports with; spoil_orders, applied to the last
+    group's orders; extra, stacks fed_avg gets after the trained ones; problem, the
     words that name the spoiled input, or None."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="data seed"))
     classes, dim = draw(st.integers(2, 4)), draw(st.integers(1, 5))
-    runs = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 6)), min_size=1, max_size=3))
-    shards = iter(make_shards(rng, [n for count, n in runs for _ in range(count)], dim, classes))
-    groups = [[next(shards) for _ in range(count)] for count, _ in runs]
+    shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 6)), min_size=1, max_size=3))
+    groups = make_groups(rng, shapes, dim, classes)
     model = nn.init_params((dim, *draw(st.lists(st.integers(1, 4), max_size=2)), classes), rng)
     epochs = draw(st.integers(1 if spoiler.startswith("orders") else 0, 2))
     config = train_config(
         epochs, draw(st.floats(0.05, 1.0)), draw(st.integers(1, 4)), LdpConfig(epsilon=draw(st.floats(0.1, 10.0)))
     )
-    last, new_id = groups[-1], sum(count for count, _ in runs)
-    n, source = len(last[0]), last[0].source
+    last, new_id = groups[-1], sum(count for count, _ in shapes)
+    n = last.samples
     case = dict(groups=groups, model=model, config=config, spoil_orders=lambda orders: orders, extra=[], problem=None)
-    if spoiler == "unequal_size":
-        size = draw(st.integers(1, len(source) - 1))
-        size += size >= n  # any size but n
-        rows = np.sort(rng.choice(len(source), size, replace=False))
-        last.append(ClientShard(new_id, source, rows, source.labels[rows]))
-        case["problem"] = f"client {new_id} has {size} samples, not {n}"
-    elif spoiler == "second_source":
-        last.extend(make_shards(rng, [n], dim, classes, cids=(new_id,)))
-        case["problem"] = f"client {new_id} indexes another training set than client {last[0].client_id}"
-    elif spoiler.startswith("label"):
+    if spoiler.startswith("label"):
         victim = draw(st.integers(0, len(last) - 1))
-        labels = last[victim].labels.copy()
-        labels[draw(st.integers(0, n - 1))] = -1 if spoiler == "label_negative" else classes
-        last[victim] = replace(last[victim], labels=labels)
-        case["problem"] = f"client {last[victim].client_id} has a label out of range [0, {classes})"
-    elif spoiler == "empty_shard":
-        empty = ClientShard(new_id, source, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int64))
-        last.insert(draw(st.integers(0, len(last))), empty)
-        case["problem"] = f"client {new_id} has an empty shard"
-    case["generators"] = [[s.client_id for s in g] for g in groups]
+        labels = last.labels.copy()
+        labels[victim, draw(st.integers(0, n - 1))] = -1 if spoiler == "label_negative" else classes
+        groups[-1] = replace(last, labels=labels)
+        case["problem"] = f"client {last.ids[victim]} has a label out of range [0, {classes})"
+    case["generators"] = [g.ids.tolist() for g in groups]
     if spoiler == "generator_count":
         ids = case["generators"][-1]
         case["generators"][-1] = ids[:-1] if draw(st.booleans()) else [*ids, new_id]
-        case["problem"] = f"{len(ids)} shards and {len(case['generators'][-1])} generators; need one each"
+        case["problem"] = f"{len(ids)} clients and {len(case['generators'][-1])} generators; need one each"
     elif spoiler == "orders_shape":
         axis = draw(st.integers(0, 2))
         case["spoil_orders"] = lambda orders: np.delete(orders, -1, axis=axis)
@@ -487,23 +447,22 @@ def client_groups(draw, spoiler):
 def test_fuzzed_groups_match_the_reference_or_are_rejected_by_name(spoiler, data):
     """Every draw either reports, trains and averages to the bits of reference_sim's
     client_round and mean_model, or raises a ValueError that names its spoiled input.
-    A spoiled shard is rejected by ClientGroup.of or report_losses before any
-    generator draws, and again when the last run is gathered for local_train."""
+    A spoiled label is rejected by report_losses before any generator draws, and
+    again by local_train."""
     case = data.draw(client_groups(spoiler), label="case")
     groups, model, config, problem = case["groups"], case["model"], case["config"], case["problem"]
     noisy, stacks = {}, []
     try:
-        for shards, ids in zip(groups, case["generators"]):
+        for group, ids in zip(groups, case["generators"]):
             rngs = [np.random.default_rng([7, cid]) for cid in ids]
             states = [r.bit_generator.state for r in rngs]
             try:
-                group = ClientGroup.of(shards)
                 losses, orders = federation.report_losses(model, group, config, rngs)
             except ValueError:
                 assert [r.bit_generator.state for r in rngs] == states
                 raise
             noisy.update(zip(ids, losses))
-            if shards is groups[-1]:
+            if group is groups[-1]:
                 orders = case["spoil_orders"](orders)
             stacks.append(federation.local_train(model, group, config, orders))
         mean = federation.fed_avg([*stacks, *case["extra"]])
@@ -511,20 +470,19 @@ def test_fuzzed_groups_match_the_reference_or_are_rejected_by_name(spoiler, data
         assert problem is not None and problem in str(exc), (problem, exc)
         if problem.startswith("client"):
             last = groups[-1]
-            orders = np.broadcast_to(np.arange(len(last[0])), (len(last), config.client_epochs, len(last[0])))
+            orders = np.broadcast_to(np.arange(last.samples), (len(last), config.client_epochs, last.samples))
             with pytest.raises(ValueError, match=re.escape(problem)):
-                federation.local_train(model, ClientGroup.of(last), config, orders)
+                federation.local_train(model, last, config, orders)
         return
     assert problem is None
     want = {
-        s.client_id: client_round(model, s, config, np.random.default_rng([7, s.client_id]))
-        for group in groups
-        for s in group
+        cid: client_round(model, features, labels, config, np.random.default_rng([7, cid]))
+        for cid, (features, labels, _) in client_data(groups).items()
     }
     for group, stack in zip(groups, stacks):
-        for i, shard in enumerate(group):
-            assert_same_report(noisy[shard.client_id], want[shard.client_id][0])
-            assert_same_weights(stack, i, want[shard.client_id][1])
+        for i, cid in enumerate(group.ids.tolist()):
+            assert_same_report(noisy[cid], want[cid][0])
+            assert_same_weights(stack, i, want[cid][1])
     assert_same_params(mean, mean_model({cid: trained for cid, (_, trained) in want.items()}))
 
 
@@ -539,7 +497,7 @@ CUT_TWO = DefenseConfig(kind="fixed_fraction", fixed_fraction=0.25)
 )
 def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_per_stack, defense, expected_sizes):
     """50 samples over 8 clients give shards of 7 and 6 samples; a cap of 3 models
-    also cuts a run of equal sizes into stacks. Every selected client reports;
+    also cuts a group into stacks. Every selected client reports;
     only the retained ones train."""
     train = synthesize(5, 10, 8, 6.0, seed=[0, 1000])
     test = synthesize(5, 4, 8, 6.0, seed=[0, 1001])
@@ -548,11 +506,11 @@ def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_pe
     )
     state = federation.init_state(cfg, train, test)
     # Hand the two 7-sample shards (clients 0 and 1) to clients 1 and 7, so the
-    # shard sizes interleave in id order and the round reports and trains runs
-    # of consecutive ids: [0], [1], [2..6], [7].
-    order = (3, 0, 6, 2, 4, 5, 7, 1)
-    state.shards = [replace(state.shards[old], client_id=new) for new, old in enumerate(order)]
-    assert [len(s) for s in state.shards] == [6, 7, 6, 6, 6, 6, 6, 7]
+    # shard sizes interleave in id order and the population is four groups of
+    # consecutive ids: [0], [1], [2..6], [7].
+    state = replace(state, groups=regroup(state.groups, (3, 0, 6, 2, 4, 5, 7, 1)))
+    assert [(g.ids.tolist(), g.samples) for g in state.groups] == [([0], 6), ([1], 7), ([2, 3, 4, 5, 6], 6), ([7], 7)]
+    population = client_data(state.groups)
     if models_per_stack:
         model_bytes = sum(p.nbytes for p in state.model.weights + state.model.biases)
         monkeypatch.setattr(federation, "_STACK_BYTES", models_per_stack * model_bytes)
@@ -577,7 +535,7 @@ def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_pe
     assert len(record.eliminated) == (2 if defense is CUT_TWO else 0)  # round(0.25 * 8)
     want = {
         cid: client_round(
-            model_before, state.shards[cid], cfg,
+            model_before, *population[cid][:2], cfg,
             np.random.default_rng([*state.seed_prefix, federation._STREAM_CLIENT, 0, cid]),
         )
         for cid in record.selected
@@ -586,7 +544,7 @@ def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_pe
         assert_same_report(loss, want[cid][0])
     groups = [ids for ids, _ in calls]
     assert sorted(cid for ids in groups for cid in ids) == sorted(set(record.selected) - set(record.eliminated))
-    assert all(len({len(state.shards[cid]) for cid in ids}) == 1 for ids in groups)
+    assert all(len({population[cid][1].size for cid in ids}) == 1 for ids in groups)
     assert sorted(len(ids) for ids in groups) == expected_sizes
     for ids, stack in calls:
         # Slice i of a stack is the model of the i-th client of the group that local_train was handed.
@@ -598,22 +556,48 @@ def test_global_round_matches_per_client_loop_bit_for_bit(monkeypatch, models_pe
 def test_training_stacks_cut_each_groups_retained_clients_alone(monkeypatch):
     """Each report group's retained clients train in stacks of their own, cut at the
     cap: once client 1 (7 samples) is eliminated, client 0 and clients 2 to 4 (all of
-    6 samples) still train apart, as they were reported in two groups. Each stack's
-    orders and rows are its clients' own."""
+    6 samples) still train apart, as they were reported in two groups, and client 1's
+    group is dropped. Each stack's orders and rows are its clients' own."""
     rng = np.random.default_rng(5)
-    shards = make_shards(rng, [6, 7, 6, 6, 6, 7])
+    groups = make_groups(rng, [(1, 6), (1, 7), (3, 6), (1, 7)])
     model = nn.init_params((4, 3), rng)
     model_bytes = sum(p.nbytes for p in model.weights + model.biases)
     monkeypatch.setattr(federation, "_STACK_BYTES", 2 * model_bytes)
-    groups = federation._size_runs(shards, range(6))
     assert [group.ids.tolist() for group in groups] == [[0], [1], [2, 3, 4], [5]]
     # Each client's orders array is filled with its id, so it can be traced into the stacks.
     orders = [np.broadcast_to(group.ids[:, None, None], (len(group), 1, group.samples)) for group in groups]
     stacks = federation._training_stacks(model, groups, orders, {0, 2, 3, 4, 5})
     assert [group.ids.tolist() for group, _ in stacks] == [[0], [2, 3], [4], [5]]
+    rows = {cid: r for group in groups for cid, r in zip(group.ids.tolist(), group.rows.tolist())}
     for group, drawn in stacks:
         assert drawn[:, 0, 0].tolist() == group.ids.tolist()
-        assert group.rows.tolist() == [shards[cid].rows.tolist() for cid in group.ids]
+        assert group.rows.tolist() == [rows[cid] for cid in group.ids.tolist()]
+
+
+def regroup(groups, order):
+    """The population of groups with client new holding what client order[new] held,
+    cut into groups of consecutive ids with equal shard size."""
+    held = {int(cid): (g.rows[i], g.labels[i], g.malicious[i]) for g in groups for i, cid in enumerate(g.ids)}
+    shards = [held[old] for old in order]
+    return [
+        ClientGroup(groups[0].source, np.array(run), *(np.array([shards[new][k] for new in run]) for k in range(3)))
+        for run in (list(run) for _, run in itertools.groupby(range(len(order)), key=lambda new: shards[new][0].size))
+    ]
+
+
+def test_federation_state_holds_every_client_once_in_ascending_id():
+    train, test = small_task()
+    state = federation.init_state(small_config(), train, test)  # 8 clients of 15 samples: one group
+    [group] = state.groups
+    for groups in (
+        [group.take(slice(1, None))],
+        [group.take(slice(0, 4)), group.take(slice(3, None))],
+        [group.take(slice(4, None)), group.take(slice(0, 4))],
+        [],
+    ):
+        with pytest.raises(ValueError, match=re.escape("the groups' ids must be exactly range(8), in order")):
+            replace(state, groups=groups)
+    assert replace(state, groups=[group.take(slice(0, 3)), group.take(slice(3, None))]).groups[1].ids[0] == 3
 
 
 # (config, training samples per class) of the README desk experiment, and of a
@@ -632,9 +616,10 @@ WORK_SHAPES = {
 }
 
 
-def equal_size_runs(state, ids) -> list[list[int]]:
-    """The runs of consecutive ids in ids with equal shard size."""
-    return [list(run) for _, run in itertools.groupby(ids, key=lambda cid: len(state.shards[cid]))]
+def report_groups(state, ids) -> list[list[int]]:
+    """Each of the population's groups' clients among ids, a group with none dropped."""
+    held = [set(group.ids.tolist()) for group in state.groups]
+    return [run for run in ([cid for cid in ids if cid in h] for h in held) if run]
 
 
 @pytest.mark.parametrize("shape", list(WORK_SHAPES))
@@ -677,9 +662,9 @@ def test_round_work_structure(monkeypatch, shape):
         assert trained == retained
         reported = [cid for (_, group, *_), _ in calls["report_losses"] for cid in group.ids.tolist()]
         assert reported == list(record.selected)
-        assert len(calls["report_losses"]) == len(equal_size_runs(state, record.selected))
+        assert len(calls["report_losses"]) == len(report_groups(state, record.selected))
         kept = set(retained)
-        runs_kept = [sum(cid in kept for cid in run) for run in equal_size_runs(state, record.selected)]
+        runs_kept = [sum(cid in kept for cid in run) for run in report_groups(state, record.selected)]
         want_stacks = sum(math.ceil(count / cap) for count in runs_kept)
         assert len(calls["local_train"]) == want_stacks
         assert len(calls["_client_rngs"]) == len(calls["evaluate_model"]) == 1
@@ -844,7 +829,10 @@ def test_eliminated_clients_do_not_influence_aggregate():
     assert len(record.eliminated) == 1  # round(0.25 * 4)
     retained = sorted(set(record.selected) - set(record.eliminated))
     stacks = [
-        report_and_train(model_before, [state.shards[cid]], cfg, [np.random.default_rng([cfg.seed, 0, 4, 0, cid])])[1]
+        report_and_train(
+            model_before, next(g.take(g.ids == cid) for g in state.groups if cid in g.ids), cfg,
+            [np.random.default_rng([cfg.seed, 0, 4, 0, cid])],
+        )[1]
         for cid in retained
     ]
     expected = federation.fed_avg(stacks)
@@ -867,16 +855,17 @@ def test_init_state_poisons_exactly_the_marked_shards():
     train, test = small_task()
     cfg = small_config(malicious_fraction=0.25)
     state = federation.init_state(cfg, train, test)
-    flagged = [s for s in state.shards if s.is_malicious]
+    shards = [(g.rows[i], g.labels[i], g.malicious[i]) for g in state.groups for i in range(len(g))]
+    flagged = [(rows, labels) for rows, labels, malicious in shards if malicious]
     assert len(flagged) == 2  # round(0.25 * 8)
-    for shard in flagged:
-        assert not np.any(shard.labels == cfg.source_class)
+    for rows, labels in flagged:
+        assert not np.any(labels == cfg.source_class)
         # Only the labels were flipped: the rows hold source-class samples.
-        assert np.any(train.labels[shard.rows] == cfg.source_class)
-    honest = [s for s in state.shards if not s.is_malicious]
-    for shard in honest:
-        np.testing.assert_array_equal(shard.labels, train.labels[shard.rows])
-    assert np.any(np.concatenate([s.labels for s in honest]) == cfg.source_class)
+        assert np.any(train.labels[rows] == cfg.source_class)
+    honest = [(rows, labels) for rows, labels, malicious in shards if not malicious]
+    for rows, labels in honest:
+        np.testing.assert_array_equal(labels, train.labels[rows])
+    assert np.any(np.concatenate([labels for _, labels in honest]) == cfg.source_class)
 
 
 def test_init_state_indexes_the_training_set_without_copying_it():
@@ -893,9 +882,9 @@ def test_init_state_indexes_the_training_set_without_copying_it():
     finally:
         tracemalloc.stop()
     assert peak < 0.05 * train.features.nbytes
-    assert len(state.shards) == 50
-    assert all(shard.source is train for shard in state.shards)
-    assert sum(shard.is_malicious for shard in state.shards) == 20
+    assert sum(len(group) for group in state.groups) == 50
+    assert all(group.source is train for group in state.groups)
+    assert sum(int(group.malicious.sum()) for group in state.groups) == 20
 
 
 def test_config_validation():
@@ -988,6 +977,9 @@ OUT_OF_RANGE = {
     ),
     "ldp_largest_draw_overflows": (
         lambda: LdpConfig(sensitivity=1e308), "sensitivity 1e+308 / epsilon 1.0 is too large"
+    ),
+    "ldp_largest_draw_passes_report_limit": (
+        lambda: LdpConfig(sensitivity=1e160), "sensitivity 1e+160 / epsilon 1.0 is too large"
     ),
     "separation_nan": (lambda: synthesize(4, 5, 8, NAN, seed=0), "separation nan"),
     "noise_std_infinite": (lambda: synthesize(4, 5, 8, 6.0, seed=0, noise_std=INF), "noise_std inf"),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsim import privacy
+from fedsim import defense, privacy
 
 
 def test_scale_is_sensitivity_over_epsilon():
@@ -72,6 +72,15 @@ def test_perturb_loss_adds_noise_at_configured_scale():
     assert noise.var() == pytest.approx(2 * 1e-8, rel=0.05)
 
 
+def test_largest_draw_must_stay_within_the_report_limit():
+    """The largest draw, 53 ln 2 (about 36.74) times b, is compared with the limit itself."""
+    largest = 53 * np.log(2)
+    privacy.LdpConfig(sensitivity=defense.REPORT_LIMIT / largest * (1 - 1e-12))
+    shown = "its largest Laplace draw 1e+150 passes the eliminators' report limit 1e+150"
+    with pytest.raises(ValueError, match=re.escape(shown)):
+        privacy.LdpConfig(sensitivity=defense.REPORT_LIMIT / largest * (1 + 1e-12))
+
+
 def test_perturb_loss_rejects_nonfinite():
     cfg = privacy.LdpConfig()
     rngs = [np.random.default_rng(0), np.random.default_rng(1)]
@@ -79,6 +88,8 @@ def test_perturb_loss_rejects_nonfinite():
         privacy.perturb_loss(np.array([0.5, float("nan")]), cfg, rngs)
     with pytest.raises(ValueError, match="loss must be finite, got inf"):
         privacy.perturb_loss(np.array([float("inf"), 0.5]), cfg, rngs)
+    with pytest.raises(ValueError, match=re.escape("loss must be at most 1e+150 in magnitude, got -1e+151")):
+        privacy.perturb_loss(np.array([0.5, -1e151]), cfg, rngs)
 
 
 def test_perturb_loss_needs_one_generator_per_loss():
