@@ -24,8 +24,8 @@ print(f"P(noise > 0)    {np.mean(samples > 0):.4f}     (theory 0.5)")
 # Adjacent losses: the mechanism's output distributions may differ at most
 # by a factor of e^epsilon. Compare histogram densities bin by bin.
 x, y = 0.73, 0.73 + config.sensitivity
-# perturb_loss noises a stack of clients' losses, each from its own generator.
-[report] = perturb_loss(np.array([x]), config, [np.random.default_rng(42)])
+# perturb_loss noises a stack of clients' losses, each with one uniform draw of its own.
+[report] = perturb_loss(np.array([x]), config, np.random.default_rng(42).random(1))
 print(f"one private report of loss {x}: {report:.6f}")
 out_x = x + laplace_sample(b, np.random.default_rng(1), size=500_000)
 out_y = y + laplace_sample(b, np.random.default_rng(2), size=500_000)

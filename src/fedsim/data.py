@@ -41,7 +41,9 @@ class Dataset:
         if self.labels.dtype.kind not in "iu":
             raise ValueError(f"labels must be integers, got dtype {self.labels.dtype}")
         if self.features.shape[0] != self.labels.shape[0]:
-            raise ValueError("feature/label count mismatch")
+            raise ValueError(f"features and labels differ in rows: {len(self.features)} and {len(self.labels)}")
+        if self.num_classes < 0:
+            raise ValueError(f"num_classes {self.num_classes} must be non-negative")
         outside = self.labels[(self.labels < 0) | (self.labels >= self.num_classes)]
         if outside.size:
             raise ValueError(f"label {outside[0]} outside [0, {self.num_classes})")
@@ -215,7 +217,10 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Datase
     """Read an IDX image/label file pair into a normalized Dataset.
 
     Pixels are scaled to [0, 1] by dividing by 255; each image is flattened
-    row-major. Both headers are big-endian per the IDX convention.
+    row-major. Both headers are big-endian per the IDX convention. A claim a
+    regular file cannot hold is rejected before the read; a pipe has no size
+    to check, so there the read tries it, and the CLI's MemoryError backstop
+    catches a claim too large to allocate.
     """
     images_path, labels_path = str(images_path), str(labels_path)
     with open(images_path, "rb") as f:

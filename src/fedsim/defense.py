@@ -155,14 +155,17 @@ def run_eliminator(reports, config: DefenseConfig) -> EliminationOutcome:
             raise ValueError(f"client {cid} reported a loss that is not a number: {reports[cid]!r}")
     ids = sorted(reports)
     values = [reports[cid] for cid in ids]
-    if int in kinds:  # a Python int may pass float64's range; held at twice the limit, it is rejected all the same
-        values = [min(max(v, -2 * REPORT_LIMIT), 2 * REPORT_LIMIT) if isinstance(v, int) else v for v in values]
+    # A Python int or a finite longdouble may pass float64's range: held at twice the limit,
+    # compared in its own precision, it is rejected all the same.
+    if wide := kinds & {int, np.longdouble}:
+        limit = 2 * REPORT_LIMIT
+        values = [min(max(v, -limit), limit) if type(v) in wide and abs(v) < np.inf else v for v in values]
     losses = np.array(values, dtype=np.float64)
     bad = np.flatnonzero(~(np.abs(losses) <= REPORT_LIMIT))  # NaN fails the comparison too
     if bad.size:
         cid = ids[int(bad[0])]
         fault = f"a loss beyond {REPORT_LIMIT:g} in magnitude:" if np.isfinite(losses[bad[0]]) else "a non-finite loss"
-        raise ValueError(f"client {cid} reported {fault} {reports[cid]}")
+        raise ValueError(f"client {cid} reported {fault} {reports[cid]!s}")  # a longdouble formats as a float
     drop, diagnostics = _KERNELS[config.kind](losses, config)
     eliminated = {ids[i] for i in drop}
     if len(eliminated) == len(ids):

@@ -17,14 +17,14 @@ determines every round record. Client cid in epoch e of repeat r draws from
 exactly np.random.default_rng([seed, r, 4, e, cid]): its batch order for each
 local epoch, a shuffle of range(n) as rng.permutation(n) draws it, then its
 noise. numpy's SeedSequence mixes the round's shared prefix [seed, r, 4, e]
-once; fedsim folds in the client ids and hashes out PCG64's seeding words in
-one vector pass.
+once per report group; _client_draws folds in the client ids, hashes out
+PCG64's seeding words in one vector pass, and hands back the group's batch
+orders and noise uniforms as arrays: no generator leaves it.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,51 +181,29 @@ def _stack(model: nn.ModelParams, group: ClientGroup) -> tuple[nn.ModelParams, n
     return stack, group.source.features[group.rows]
 
 
-def report_losses(
-    global_model: nn.ModelParams,
-    group: ClientGroup,
-    config: FederationConfig,
-    rngs: list[np.random.Generator],
-) -> tuple[np.ndarray, np.ndarray]:
-    """A group of clients' noisy loss reports, and the batch orders their training draws.
+def report_losses(global_model: nn.ModelParams, group: ClientGroup) -> np.ndarray:
+    """A group of clients' raw losses: a float64 array of C, in group order.
 
-    The group's losses come from one stacked forward pass over a read-only
-    broadcast of global_model. Each client draws from its own generator in
-    rngs, in group order: for each of config's client_epochs, rng.shuffle of
-    range(n) into its row of one preallocated orders array, which draws what
-    rng.permutation(n) would; then the Laplace noise of config's ldp.
-    Returns (noisy_losses, orders) in group order: a float64 array of C
-    reports and an integer array of shape (C, client_epochs, n) whose [i, e]
-    is client i's batch order in epoch e, as local_train takes it.
+    Client i's loss is its shard's mean loss under the incoming global model,
+    from one stacked forward pass over a read-only broadcast of it; only
+    perturb_loss's noised value of it leaves the client. The training-start
+    loss reflects how well the shared model matches the client's labels,
+    which is what separates honest from poisoned shards; by the end of local
+    training the client has fit its own labels, flipped or not, and the
+    signal is gone.
 
-    The raw loss is the shard's mean loss under the incoming global model,
-    monitored at the start of local training; only the noised value leaves
-    the client. The training-start loss reflects how well the shared model
-    matches the client's labels, which is what separates honest from
-    poisoned shards; by the end of local training the client has fit its
-    own labels, flipped or not, and the signal is gone.
-
-    A label outside the model's classes, or a non-finite raw loss, raises
-    ValueError before any generator is drawn. A non-finite loss names the
-    first such client and, if it has one, the first training-set row of that
-    client with a non-finite feature.
+    A label outside the model's classes, or a non-finite loss, raises
+    ValueError. A non-finite loss names the first such client and, if it has
+    one, the first training-set row of that client with a non-finite feature.
     """
-    if len(group) != len(rngs):
-        raise ValueError(f"{len(group)} clients and {len(rngs)} generators; need one each")
     model, features = _stack(global_model, group)
-    raw_losses, _ = nn.softmax_cross_entropy(nn.forward(model, features), group.labels)
-    if not np.isfinite(raw_losses).all():
-        i = int(np.flatnonzero(~np.isfinite(raw_losses))[0])
+    losses, _ = nn.softmax_cross_entropy(nn.forward(model, features), group.labels)
+    if not np.isfinite(losses).all():
+        i = int(np.flatnonzero(~np.isfinite(losses))[0])
         bad = ~np.isfinite(features[i]).all(axis=1)
         row = f"; its training-set row {group.rows[i][bad][0]} has a non-finite feature" if bad.any() else ""
-        raise ValueError(f"client {group.ids[i]} has a non-finite loss {raw_losses[i]}{row}")
-    epochs, n = config.client_epochs, group.samples
-    orders = np.empty((len(group), epochs, n), dtype=np.intp)
-    orders[...] = np.arange(n)
-    # Row k of the flat view is epoch k % epochs of client k // epochs.
-    for order, rng in zip(orders.reshape(-1, n), (rng for rng in rngs for _ in range(epochs))):
-        rng.shuffle(order)
-    return perturb_loss(raw_losses, config.ldp, rngs), orders
+        raise ValueError(f"client {group.ids[i]} has a non-finite loss {losses[i]}{row}")
+    return losses
 
 
 def local_train(
@@ -242,7 +220,7 @@ def local_train(
     computes exactly what training each client alone would; its features are
     gathered from the training set here. orders is an integer array of shape
     (C, client_epochs, n): orders[i, e] is a permutation of range(n), client
-    i's batch order in epoch e, as report_losses draws it; local_train itself
+    i's batch order in epoch e, as _client_draws draws it; local_train itself
     draws from no generator.
 
     Returns the trained stack, in group order: slice i is client i's model.
@@ -344,8 +322,13 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def _client_rngs(entropy, ids) -> list[np.random.Generator]:
-    """The generators [np.random.default_rng([*entropy, cid]) for cid in ids] would build.
+def _client_draws(entropy, ids, epochs: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(orders, uniforms): what np.random.default_rng([*entropy, cid]) draws for each cid in ids.
+
+    Each client draws, per local epoch, a shuffle of range(n) into its row of
+    orders (what rng.permutation(n) draws), then one rng.random(). orders is
+    an intp array of shape (C, epochs, n), as local_train takes it; uniforms
+    a float64 array of C, as perturb_loss takes it.
 
     Needs at least four 32-bit words of entropy and every id below 2**32.
     The entropy is the same for every id, so numpy's SeedSequence mixes its
@@ -356,7 +339,7 @@ def _client_rngs(entropy, ids) -> list[np.random.Generator]:
     pool = np.random.SeedSequence(entropy).pool.astype(np.uint64)[:, None]
     # Mixing the pool advanced the hash constant 4 times per 32-bit entropy word
     # (0 is one word): 4 initial hashes, 12 cross-mixes, 4 per word past the fourth.
-    words = sum(max(1, -(-int(n).bit_length() // 32)) for n in entropy)
+    words = sum(max(1, -(-int(value).bit_length() // 32)) for value in entropy)
     # Row d of the (4, clients) arrays folds the id into pool[d] with the
     # d-th of the next 4 hash constants.
     consts = _hash_consts(_MIX_HASH[0] * pow(_MIX_HASH[1], 4 * words, 1 << 32) & _MASK32, _MIX_HASH[1], 5)
@@ -370,7 +353,15 @@ def _client_rngs(entropy, ids) -> list[np.random.Generator]:
     out ^= out >> shift
     # Little-endian pairs of the 8 words: one contiguous row of 4 uint64 per client.
     seeds = np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
-    return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in seeds]
+    orders = np.empty((len(seeds), epochs, n), dtype=np.intp)
+    orders[...] = np.arange(n)
+    uniforms = np.empty(len(seeds))
+    for i, row in enumerate(seeds):
+        rng = np.random.Generator(np.random.PCG64(_SeedWords(row)))
+        for order in orders[i]:
+            rng.shuffle(order)
+        uniforms[i] = rng.random()
+    return orders, uniforms
 
 
 def _clients_among(groups, ids) -> list[tuple[int, np.ndarray]]:
@@ -387,7 +378,7 @@ def _training_stacks(model: nn.ModelParams, groups, orders, retained) -> list[tu
     of each group, taken by position with their orders, cut into stacks of at
     most _STACK_BYTES of model parameters. A stack never spans two groups.
 
-    groups and orders are a round's report groups and their report_losses
+    groups and orders are a round's report groups and their _client_draws
     orders, in ascending id.
     """
     model_bytes = sum(p.nbytes for p in model.weights + model.biases)
@@ -406,10 +397,11 @@ def global_round(state: FederationState, epoch: int) -> RoundRecord:
     """Run one global epoch in place and return its record.
 
     The round selects clients and takes each group's selected clients by one
-    mask. It gathers every selected client's report (one report_losses call
-    per group), runs the eliminator on the reports, and hands fed_avg the
-    retained clients' local_train stacks one at a time, in ascending client
-    id; it then evaluates the new model.
+    mask. For each group it draws the clients' batch orders and noise
+    uniforms, and reports report_losses' raw losses noised by perturb_loss.
+    It runs the eliminator on the reports, and hands fed_avg the retained
+    clients' local_train stacks one at a time, in ascending client id; it
+    then evaluates the new model.
     """
     cfg = state.config
     selected = select_clients(
@@ -418,11 +410,11 @@ def global_round(state: FederationState, epoch: int) -> RoundRecord:
         cfg.clients_per_round,
     )
     groups = [state.groups[i].take(kept) for i, kept in _clients_among(state.groups, selected)]
-    rngs = iter(_client_rngs([*state.seed_prefix, _STREAM_CLIENT, epoch], selected))
-    noisy, orders = {}, []
+    entropy, noisy, orders = [*state.seed_prefix, _STREAM_CLIENT, epoch], {}, []
     for group in groups:
-        losses, drawn = report_losses(state.model, group, cfg, list(itertools.islice(rngs, len(group))))
-        noisy.update(zip(group.ids.tolist(), losses.tolist()))
+        losses = report_losses(state.model, group)
+        drawn, uniforms = _client_draws(entropy, group.ids, cfg.client_epochs, group.samples)
+        noisy.update(zip(group.ids.tolist(), perturb_loss(losses, cfg.ldp, uniforms).tolist()))
         orders.append(drawn)
     outcome = run_eliminator(noisy, cfg.defense)
     state.model = fed_avg(

@@ -64,31 +64,30 @@ def laplace_sample(b: float, rng: np.random.Generator, size: int | None = None):
     return float(noise) if size is None else noise
 
 
-def perturb_loss(losses: np.ndarray, config: LdpConfig, rngs) -> np.ndarray:
+def perturb_loss(losses: np.ndarray, config: LdpConfig, uniforms: np.ndarray) -> np.ndarray:
     """The reported values: each true loss plus Laplace noise. May go negative.
 
-    Client i draws one uniform from rngs[i], so its noise is what
-    laplace_sample(laplace_scale(config), rngs[i]) would return. A loss that
+    uniforms holds one float64 draw in [0, 1) per loss, as Generator.random
+    gives it; loss i gets the noise that laplace_sample(laplace_scale(config),
+    rng) returns from a generator whose next draw is uniforms[i]. A loss that
     is not finite or lies beyond defense.REPORT_LIMIT is rejected.
     """
-    losses = np.asarray(losses)
+    losses, uniforms = np.asarray(losses), np.asarray(uniforms)
     if losses.ndim != 1:
         raise ValueError(f"losses must be 1-D, one per client, got shape {losses.shape}")
     if losses.dtype.kind not in "iuf":
         raise ValueError(f"losses must be numbers, got dtype {losses.dtype}")
     if not isinstance(config, LdpConfig):
         raise ValueError(f"config must be an LdpConfig, got {config!r}")
-    if not isinstance(rngs, (list, tuple)):
-        got = "one Generator" if isinstance(rngs, np.random.Generator) else repr(rngs)
-        raise ValueError(f"rngs must be a list of generators, one per loss, got {got}")
-    if len(losses) != len(rngs):
-        raise ValueError(f"{len(losses)} losses and {len(rngs)} generators; need one each")
-    for i, rng in enumerate(rngs):  # anything with a Generator's random() draws
-        if not callable(getattr(rng, "random", None)):
-            raise ValueError(f"rngs[{i}] must be a Generator, got {rng!r}")
+    if uniforms.shape != losses.shape or uniforms.dtype != np.float64:
+        shown = f"shape {uniforms.shape} and dtype {uniforms.dtype}"
+        raise ValueError(f"uniforms must be float64 of shape {losses.shape}, one per loss, got {shown}")
+    outside = uniforms[~((uniforms >= 0) & (uniforms < 1))]  # NaN fails the comparisons too
+    if outside.size:
+        raise ValueError(f"uniforms must lie in [0, 1), got {outside[0]}")
     beyond = ~(np.abs(losses) <= REPORT_LIMIT)  # NaN fails the comparison too
     if beyond.any():
         loss = losses[beyond][0]
         bound = f"at most {REPORT_LIMIT:g} in magnitude" if np.isfinite(loss) else "finite"
         raise ValueError(f"loss must be {bound}, got {loss}")
-    return losses + _laplace_noise(laplace_scale(config), np.array([rng.random() for rng in rngs]))
+    return losses + _laplace_noise(laplace_scale(config), uniforms)

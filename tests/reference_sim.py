@@ -5,9 +5,10 @@ loss report and local training, one SGD step at a time. Each client's rows,
 labels and malicious flag are read out of partition's and poison_shards'
 groups, one client at a time, before the first round. The server keeps the
 reports in a dict and averages the retained models in ascending client id.
-Nothing here stacks clients, takes clients from a group by mask, builds
-generators in a vector pass or calls report_losses, local_train or fed_avg;
-it shares only fedsim's data, nn, privacy, defense and metrics layers.
+Nothing here stacks clients, takes clients from a group by mask, seeds
+client streams in a vector pass or calls report_losses, perturb_loss,
+local_train or fed_avg; it shares only fedsim's data, nn, privacy, defense
+and metrics layers.
 run_experiment must give the same round records, field for field.
 """
 

@@ -418,18 +418,18 @@ IDS, ROWS, FLAGS = np.arange(1), np.arange(2)[None], np.zeros(1, dtype=bool)
         (lambda: run_eliminator({0: 0.1}, None), "config must be a DefenseConfig, got None"),
         (
             lambda: perturb_loss(np.zeros(1), LdpConfig(), np.random.default_rng(0)),
-            "rngs must be a list of generators, one per loss, got one Generator",
+            "uniforms must be float64 of shape (1,), one per loss, got shape () and dtype object",
         ),
+        (lambda: perturb_loss(np.array(["a"]), LdpConfig(), np.zeros(1)), "losses must be numbers, got dtype <U1"),
         (
-            lambda: perturb_loss(np.array(["a"]), LdpConfig(), [np.random.default_rng(0)]),
-            "losses must be numbers, got dtype <U1",
+            lambda: perturb_loss(np.zeros(1), LdpConfig(), [0]),
+            "uniforms must be float64 of shape (1,), one per loss, got shape (1,) and dtype int64",
         ),
-        (lambda: perturb_loss(np.zeros(1), LdpConfig(), [0]), "rngs[0] must be a Generator, got 0"),
     ],
     ids=[
         "dataset_list_features", "dataset_float_classes", "group_list_ids", "group_string_source",
-        "group_string_flags", "eliminator_no_config", "perturb_one_generator", "perturb_string_losses",
-        "perturb_integer_generator",
+        "group_string_flags", "eliminator_no_config", "perturb_generator_for_uniforms", "perturb_string_losses",
+        "perturb_integer_uniforms",
     ],
 )
 def test_library_inputs_of_the_wrong_kind_are_rejected_by_name(build, shown):
@@ -440,7 +440,7 @@ def test_library_inputs_of_the_wrong_kind_are_rejected_by_name(build, shown):
 # --- fuzzed library inputs -------------------------------------------------------
 
 # The words a rejection names its input by: a field or argument, or the client at fault.
-NAMED = re.compile(r"\b(ids|rows|labels|malicious|source|config|losses|loss|rngs|client -?\d+)\b")
+NAMED = re.compile(r"\b(ids|rows|labels|malicious|source|config|losses|loss|uniforms|client -?\d+)\b")
 
 @st.composite
 def group_arguments(draw):
@@ -503,6 +503,54 @@ def test_fuzzed_client_groups_build_or_are_rejected_by_name(arguments):
     assert group.ids.shape == group.malicious.shape == group.rows.shape[:1]
 
 
+@st.composite
+def dataset_arguments(draw):
+    """Dataset's arguments for 0 to 6 samples of 1 to 3 features and 1 to 4 classes, with up
+    to two of them spoiled. A spoiled array has another dtype, another shape, values that do
+    not fit (labels outside the classes; non-finite features, which a Dataset holds as they
+    are) or is a list; a spoiled num_classes is negative, too small or of another kind."""
+    n, d, classes = draw(st.integers(0, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arguments = {"features": rng.random((n, d)), "labels": rng.integers(0, classes, n), "num_classes": classes}
+    unfitting = {
+        "features": [np.full((n, d), np.nan), np.full((n, d), -np.inf)],
+        "labels": [arguments["labels"] + classes, arguments["labels"] - classes],
+    }
+    for name in draw(st.lists(st.sampled_from(list(arguments)), max_size=2, unique=True), label="spoiled"):
+        value = arguments[name]
+        if name == "num_classes":
+            value = draw(st.sampled_from([-1, 0, classes - 1, np.int64(classes), float(classes), True, "3", None]))
+        else:
+            spoil = draw(st.sampled_from(["dtype", "shape", "values", "list"]))
+            if spoil == "dtype":
+                dtypes = [np.float64, np.float32, np.bool_, np.uint8, np.int32, np.complex128, object]
+                value = value.astype(draw(st.sampled_from(dtypes)))
+            elif spoil == "shape":
+                value = draw(st.sampled_from([value[:-1], value[..., None], value.ravel(), value[None]]))
+            elif spoil == "values":
+                value = draw(st.sampled_from(unfitting[name]))
+            else:
+                value = value.tolist()
+        arguments[name] = value
+    return arguments
+
+
+@settings(max_examples=300)
+@given(arguments=dataset_arguments())
+def test_fuzzed_datasets_build_or_are_rejected_by_name(arguments):
+    """Every draw either builds a Dataset that holds what it promises, or raises a
+    ValueError that names the field; never an IndexError or a TypeError."""
+    try:
+        dataset = data.Dataset(**arguments)
+    except ValueError as exc:
+        assert re.search(r"\b(features|labels|label|num_classes)\b", str(exc)), exc
+        return
+    assert dataset.features.ndim == 2 and dataset.features.dtype.kind == "f"
+    assert dataset.labels.shape == (len(dataset),) and dataset.labels.dtype.kind in "iu"
+    assert type(dataset.num_classes) is int and dataset.num_classes >= 0
+    assert ((dataset.labels >= 0) & (dataset.labels < dataset.num_classes)).all()
+
+
 # A report's loss: any float (NaN and the infinities included), one at or just past the
 # eliminators' limit, an integer too large for a float, or something that is no number.
 REPORTED = (
@@ -538,11 +586,22 @@ def test_fuzzed_reports_are_judged_or_rejected_by_name(reports, config):
     assert all(abs(float(loss)) <= REPORT_LIMIT for loss in reports.values())
 
 
+# Each way to spoil perturb_loss's uniforms; a count of 0 leaves none to drop and no value to spoil.
+SHAPE_SPOILS = {
+    "longer": lambda u: np.append(u, 0.5),
+    "two_dimensional": lambda u: u[None],
+    "integers": lambda u: u.astype(np.int64),
+    "float32": lambda u: u.astype(np.float32),
+}
+VALUE_SPOILS = {"one": 1.0, "negative": -0.25, "nan": float("nan"), "infinite": float("inf")}
+
+
 @settings(max_examples=400)
 @given(choice=st.data())
 def test_fuzzed_perturb_loss_noises_or_rejects_by_name(choice):
     """Every draw either returns one finite report per loss, or raises a ValueError that
-    names the losses, the config or the rngs."""
+    names the losses, the config or the uniforms; spoiled uniforms beside well-formed
+    losses and config are named."""
     count = choice.draw(st.integers(0, 4), label="count")
     values = choice.draw(
         st.lists(st.floats() | st.floats(-REPORT_LIMIT, REPORT_LIMIT), min_size=count, max_size=count), label="values"
@@ -557,20 +616,28 @@ def test_fuzzed_perturb_loss_noises_or_rejects_by_name(choice):
         "two_dimensional": np.array(values)[None],
         "scalar": np.float64(0.5),
     }
-    losses = losses[choice.draw(st.sampled_from(["floats"] * 4 + list(losses)[1:]), label="losses")]
+    kind = choice.draw(st.sampled_from(["floats"] * 4 + list(losses)[1:]), label="losses")
     config = choice.draw(
         st.builds(LdpConfig, epsilon=st.floats(1e-3, 1e3), sensitivity=st.floats(1e-6, 10.0))
         | st.sampled_from([None, DefenseConfig()])
     )
-    generators = [np.random.default_rng([5, i]) for i in range(count + 1)]
-    fewer = generators[: max(count - 1, 0)]
-    rngs = choice.draw(st.sampled_from([
-        generators[:count], generators[:count], tuple(generators[:count]), generators, fewer, generators[0], None,
-        [*fewer, 0][:count],
-    ]), label="rngs")
+    uniforms = np.random.default_rng([5, count]).random(count)
+    spoils = ["none"] * 4 + ["list", *SHAPE_SPOILS] + (["shorter", *VALUE_SPOILS] if count else [])
+    spoil = choice.draw(st.sampled_from(spoils), label="uniforms")
+    if spoil == "list":
+        uniforms = uniforms.tolist()
+    elif spoil == "shorter":
+        uniforms = uniforms[:-1]
+    elif spoil in SHAPE_SPOILS:
+        uniforms = SHAPE_SPOILS[spoil](uniforms)
+    elif spoil in VALUE_SPOILS:
+        uniforms[choice.draw(st.integers(0, count - 1))] = VALUE_SPOILS[spoil]
     try:
-        got = perturb_loss(losses, config, rngs)
+        got = perturb_loss(losses[kind], config, uniforms)
     except ValueError as exc:
         assert NAMED.search(str(exc)), exc
+        if spoil not in ("none", "list") and kind in ("floats", "integers", "list") and isinstance(config, LdpConfig):
+            assert "uniforms" in str(exc), exc
         return
+    assert spoil in ("none", "list")
     assert got.shape == (count,) and got.dtype == np.float64 and np.isfinite(got).all()

@@ -8,7 +8,8 @@ clients of 4 samples and trains 120 of them a round in up to 5 stacks, and kmean
 eliminates clients from several stacks of one round, so the locked numbers
 depend on which slice of which stack every retained client is averaged from.
 A smaller cross-device config at seed 2**64 + 5 locks the path where the seed
-spans three 32-bit entropy words of every generator.
+spans three 32-bit entropy words of every client stream; its batches of 2 split
+each 4-sample shard, so every round's bytes depend on the clients' batch orders.
 A change that alters these numbers on purpose rewrites both files (run this
 module) and says why.
 """
@@ -47,11 +48,13 @@ CROSS_DEVICE = FederationConfig(
 )
 
 # Seed 2**64 + 5: three 32-bit words, so every client stream's entropy has seven.
+# Batches of 2 make each client's batch order, drawn from its stream, change its weights.
 MULTIWORD_SEED = replace(
     CROSS_DEVICE,
     total_clients=60,
     clients_per_round=30,
     global_epochs=4,
+    batch_size=2,
     repeats=2,
     seed=2**64 + 5,
 )

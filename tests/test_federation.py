@@ -17,7 +17,7 @@ from fedsim import cli, federation, nn
 from fedsim.data import ClientGroup, Dataset, IdxData, SyntheticData, partition, poison_shards, synthesize
 from fedsim.defense import DEFENSE_KINDS, DefenseConfig
 from fedsim.federation import FederationConfig
-from fedsim.privacy import LdpConfig
+from fedsim.privacy import LdpConfig, perturb_loss
 from reference_sim import client_data, client_round, mean_model, reference_epoch_means, reference_runs
 
 
@@ -194,8 +194,12 @@ def test_fed_avg_writes_into_none_of_its_stacks():
 
 # --- report_losses and local_train ---------------------------------------------
 
+# The client streams' entropy in these tests: client cid draws as default_rng([*ENTROPY, cid]).
+ENTROPY = (7, 0, federation._STREAM_CLIENT, 0)
+
+
 def train_config(client_epochs, client_lr, batch_size, ldp=LdpConfig()):
-    """A FederationConfig that sets only what report_losses and local_train read."""
+    """A FederationConfig that sets only what the report and local_train read."""
     return FederationConfig(client_epochs=client_epochs, client_lr=client_lr, batch_size=batch_size, ldp=ldp)
 
 
@@ -216,9 +220,15 @@ def make_groups(rng, shapes, dim=4, classes=3, ids=None):
     return groups
 
 
-def report_and_train(model, group, config, rngs):
+def report(model, group, config, entropy=ENTROPY):
+    """A group's noisy losses and batch orders, composed as global_round composes them."""
+    orders, uniforms = federation._client_draws(entropy, group.ids, config.client_epochs, group.samples)
+    return perturb_loss(federation.report_losses(model, group), config.ldp, uniforms), orders
+
+
+def report_and_train(model, group, config, entropy=ENTROPY):
     """Both steps over the same clients, as a round that retains them all runs them."""
-    noisy_losses, orders = federation.report_losses(model, group, config, rngs)
+    noisy_losses, orders = report(model, group, config, entropy)
     return noisy_losses, federation.local_train(model, group, config, orders)
 
 
@@ -226,7 +236,7 @@ def test_local_train_zero_epochs_returns_global_weights():
     rng = np.random.default_rng(0)
     [group] = make_groups(rng, [(1, 12)])
     model = nn.init_params((4, 3), rng)
-    _, orders = federation.report_losses(model, group, train_config(0, 0.5, 4), [np.random.default_rng(1)])
+    orders, _ = federation._client_draws(ENTROPY, group.ids, 0, 12)
     assert orders.shape == (1, 0, 12)
     trained = federation.local_train(model, group, train_config(0, 0.5, 4), orders)
     assert [w.shape for w in trained.weights] == [(1, *w.shape) for w in model.weights]
@@ -242,7 +252,8 @@ def test_local_train_reports_loss_of_incoming_model():
     features, labels, _ = client_data([group])[0]
     model = nn.init_params((4, 3), rng)
     incoming, _ = nn.softmax_cross_entropy(nn.forward(model, features), labels)
-    [noisy_loss], stack = report_and_train(model, group, train_config(3, 0.5, 4), [np.random.default_rng(7)])
+    assert federation.report_losses(model, group).tobytes() == np.float64(incoming).tobytes()
+    [noisy_loss], stack = report_and_train(model, group, train_config(3, 0.5, 4))
     assert noisy_loss == pytest.approx(incoming, abs=1e-2)
     trained, _ = nn.softmax_cross_entropy(nn.forward(stack, features[None]), labels[None])
     assert trained < incoming  # training actually reduced the local loss
@@ -254,33 +265,9 @@ def test_report_losses_names_the_client_and_row_behind_a_non_finite_loss():
     row = int(group.rows[1, 2])
     group.source.features[row, 1] = np.nan
     model = nn.init_params((4, 3), rng)
-    rngs = [np.random.default_rng(cid) for cid in range(3)]
-    states = [g.bit_generator.state for g in rngs]
     shown = f"client 1 has a non-finite loss nan; its training-set row {row} has a non-finite feature"
     with pytest.raises(ValueError, match=re.escape(shown)):
-        federation.report_losses(model, group, train_config(1, 0.5, 4), rngs)
-    assert [g.bit_generator.state for g in rngs] == states  # raised before any draw
-
-
-# CI runs this on the numpy 1.24 leg too, so the draw order is confirmed there.
-@pytest.mark.parametrize("n", [1, 4, 40, 120])
-@pytest.mark.parametrize("epochs", [0, 1, 3])
-def test_orders_shuffled_into_rows_draw_what_per_client_permutations_draw(n, epochs):
-    """report_losses shuffles range(n) into each client's rows of one orders array, then
-    draws the noise. numpy defines permutation(n) as that shuffle, so each client's
-    stream is drawn as with one rng.permutation(n) per epoch followed by rng.random()."""
-    rng = np.random.default_rng(n)
-    [group] = make_groups(rng, [(3, n)])
-    model = nn.init_params((4, 3), rng)
-    rngs = [np.random.default_rng([11, i]) for i in range(3)]
-    _, orders = federation.report_losses(model, group, train_config(epochs, 0.5, 4), rngs)
-    assert orders.shape == (3, epochs, n) and orders.dtype == np.intp
-    for i, got in enumerate(rngs):
-        want = np.random.default_rng([11, i])
-        for epoch in range(epochs):
-            assert orders[i, epoch].tobytes() == want.permutation(n).astype(np.intp).tobytes()
-        want.random()
-        assert got.bit_generator.state == want.bit_generator.state
+        federation.report_losses(model, group)
 
 
 def assert_same_weights(got: nn.ModelParams, i: int, want_model):
@@ -301,14 +288,12 @@ def test_local_train_matches_per_client_loop_bit_for_bit():
     [group] = make_groups(rng, [(4, 13)], dim=6, classes=4, ids=(1, 3, 5, 8))
     model = nn.init_params((6, 9, 4), rng)
     ldp = LdpConfig(epsilon=0.5)
-    noisy_losses, got = report_and_train(
-        model, group, train_config(3, 0.4, 5, ldp), [np.random.default_rng([7, cid]) for cid in group.ids.tolist()]
-    )
+    noisy_losses, got = report_and_train(model, group, train_config(3, 0.4, 5, ldp))
     assert noisy_losses.dtype == np.float64
     assert len(got.weights[0]) == len(group)
     for i, (cid, (features, labels, _)) in enumerate(client_data([group]).items()):
         want_loss, want_model = client_round(
-            model, features, labels, train_config(3, 0.4, 5, ldp), np.random.default_rng([7, cid])
+            model, features, labels, train_config(3, 0.4, 5, ldp), np.random.default_rng([*ENTROPY, cid])
         )
         assert_same_report(noisy_losses[i], want_loss)
         assert_same_weights(got, i, want_model)
@@ -322,9 +307,7 @@ def test_local_train_owns_contiguous_weights_and_leaves_global_model_alone(clien
     [group] = make_groups(rng, [(clients, 13)], dim=6, classes=4)
     model = nn.init_params((6, 9, 4), rng)
     before = [a.tobytes() for a in model.weights + model.biases]
-    _, got = report_and_train(
-        model, group, train_config(3, 0.4, 5), [np.random.default_rng(cid) for cid in range(clients)]
-    )
+    _, got = report_and_train(model, group, train_config(3, 0.4, 5))
     assert [a.tobytes() for a in model.weights + model.biases] == before
     for a in got.weights + got.biases:
         assert a.flags.c_contiguous and a.flags.writeable
@@ -338,8 +321,6 @@ def test_local_train_rejects_out_of_range_label_before_any_step(monkeypatch, lab
     bad[1, 5] = label
     group = replace(group, labels=bad)  # ClientGroup checks no label against classes: only the federation can
     model = nn.init_params((4, 3), rng)
-    rngs = [np.random.default_rng(i) for i in range(2)]
-    states = [r.bit_generator.state for r in rngs]
 
     def no_step(*args):
         raise AssertionError("a training step ran")
@@ -348,25 +329,21 @@ def test_local_train_rejects_out_of_range_label_before_any_step(monkeypatch, lab
         monkeypatch.setattr(nn, name, no_step)
     problem = re.escape("client 1 has a label out of range [0, 3)")
     with pytest.raises(ValueError, match=problem):
-        federation.report_losses(model, group, train_config(2, 0.5, 4), rngs)
-    assert [r.bit_generator.state for r in rngs] == states
+        federation.report_losses(model, group)
     # The training step checks too: nn.descend reads labels unchecked.
     orders = np.broadcast_to(np.arange(12), (2, 2, 12))
     with pytest.raises(ValueError, match=problem):
         federation.local_train(model, group, train_config(2, 0.5, 4), orders)
 
 
-def test_local_train_rejects_missing_generators_and_bad_orders():
+def test_local_train_rejects_bad_orders():
     rng = np.random.default_rng(0)
     model = nn.init_params((4, 3), rng)
     [first] = make_groups(rng, [(1, 12)])
-    rngs = [np.random.default_rng(i) for i in range(2)]
     cfg = train_config(1, 0.5, 4)
-    with pytest.raises(ValueError, match="1 clients and 2 generators; need one each"):
-        federation.report_losses(model, first, cfg, rngs)
     # Batch orders that are missing, for another epoch count, reach past the shard,
     # are not integers, or repeat a row.
-    _, orders = federation.report_losses(model, first, cfg, rngs[:1])
+    _, orders = report(model, first, cfg)
     bad_orders = (
         orders[:0], np.concatenate([orders, orders], axis=1), orders + 1, orders - 1,
         orders.astype(np.float64), np.zeros_like(orders),
@@ -378,8 +355,8 @@ def test_local_train_rejects_missing_generators_and_bad_orders():
 
 # The inputs a fuzzed group may spoil, one at a time; "none" spoils nothing.
 GROUP_SPOILERS = (
-    "none", "label_negative", "label_too_high", "generator_count", "orders_shape", "orders_dtype", "orders_values",
-    "lone_model", "other_dims",
+    "none", "label_negative", "label_too_high", "orders_shape", "orders_dtype", "orders_values", "lone_model",
+    "other_dims",
 )
 
 
@@ -387,8 +364,7 @@ GROUP_SPOILERS = (
 def client_groups(draw, spoiler):
     """A round's report groups, with the input spoiler names spoiled. Returns a dict:
     groups, 1 to 3 groups of 1 to 3 clients over one training set, ids ascending,
-    each of its own shard size; model and config; generators, the ids whose
-    default_rng([7, id]) each group reports with; spoil_orders, applied to the last
+    each of its own shard size; model and config; spoil_orders, applied to the last
     group's orders; extra, stacks fed_avg gets after the trained ones; problem, the
     words that name the spoiled input, or None."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="data seed"))
@@ -400,7 +376,7 @@ def client_groups(draw, spoiler):
     config = train_config(
         epochs, draw(st.floats(0.05, 1.0)), draw(st.integers(1, 4)), LdpConfig(epsilon=draw(st.floats(0.1, 10.0)))
     )
-    last, new_id = groups[-1], sum(count for count, _ in shapes)
+    last = groups[-1]
     n = last.samples
     case = dict(groups=groups, model=model, config=config, spoil_orders=lambda orders: orders, extra=[], problem=None)
     if spoiler.startswith("label"):
@@ -409,12 +385,7 @@ def client_groups(draw, spoiler):
         labels[victim, draw(st.integers(0, n - 1))] = -1 if spoiler == "label_negative" else classes
         groups[-1] = replace(last, labels=labels)
         case["problem"] = f"client {last.ids[victim]} has a label out of range [0, {classes})"
-    case["generators"] = [g.ids.tolist() for g in groups]
-    if spoiler == "generator_count":
-        ids = case["generators"][-1]
-        case["generators"][-1] = ids[:-1] if draw(st.booleans()) else [*ids, new_id]
-        case["problem"] = f"{len(ids)} clients and {len(case['generators'][-1])} generators; need one each"
-    elif spoiler == "orders_shape":
+    if spoiler == "orders_shape":
         axis = draw(st.integers(0, 2))
         case["spoil_orders"] = lambda orders: np.delete(orders, -1, axis=axis)
     elif spoiler == "orders_dtype":
@@ -447,21 +418,14 @@ def client_groups(draw, spoiler):
 def test_fuzzed_groups_match_the_reference_or_are_rejected_by_name(spoiler, data):
     """Every draw either reports, trains and averages to the bits of reference_sim's
     client_round and mean_model, or raises a ValueError that names its spoiled input.
-    A spoiled label is rejected by report_losses before any generator draws, and
-    again by local_train."""
+    A spoiled label is rejected by report_losses, and again by local_train."""
     case = data.draw(client_groups(spoiler), label="case")
     groups, model, config, problem = case["groups"], case["model"], case["config"], case["problem"]
     noisy, stacks = {}, []
     try:
-        for group, ids in zip(groups, case["generators"]):
-            rngs = [np.random.default_rng([7, cid]) for cid in ids]
-            states = [r.bit_generator.state for r in rngs]
-            try:
-                losses, orders = federation.report_losses(model, group, config, rngs)
-            except ValueError:
-                assert [r.bit_generator.state for r in rngs] == states
-                raise
-            noisy.update(zip(ids, losses))
+        for group in groups:
+            losses, orders = report(model, group, config)
+            noisy.update(zip(group.ids.tolist(), losses))
             if group is groups[-1]:
                 orders = case["spoil_orders"](orders)
             stacks.append(federation.local_train(model, group, config, orders))
@@ -476,7 +440,7 @@ def test_fuzzed_groups_match_the_reference_or_are_rejected_by_name(spoiler, data
         return
     assert problem is None
     want = {
-        cid: client_round(model, features, labels, config, np.random.default_rng([7, cid]))
+        cid: client_round(model, features, labels, config, np.random.default_rng([*ENTROPY, cid]))
         for cid, (features, labels, _) in client_data(groups).items()
     }
     for group, stack in zip(groups, stacks):
@@ -625,10 +589,9 @@ def report_groups(state, ids) -> list[list[int]]:
 @pytest.mark.parametrize("shape", list(WORK_SHAPES))
 def test_round_work_structure(monkeypatch, shape):
     """Counted calls pin a round's work: every selected client reports, in one
-    report_losses call per run of equal shard sizes; only the retained clients
-    train, in one local_train call per capped stack of each run's retained
-    clients; the client generators are built once and the new model is
-    evaluated once."""
+    report_losses, _client_draws and perturb_loss call per run of equal shard
+    sizes; only the retained clients train, in one local_train call per capped
+    stack of each run's retained clients; the new model is evaluated once."""
     cfg, per_class = WORK_SHAPES[shape]
     train, test = (
         synthesize(10, count, 64, 6.0, seed=[cfg.seed, stream]) for count, stream in ((per_class, 1000), (50, 1001))
@@ -636,7 +599,7 @@ def test_round_work_structure(monkeypatch, shape):
     state = federation.init_state(cfg, train, test)
     model_bytes = sum(p.nbytes for p in state.model.weights + state.model.biases)
     cap = max(1, federation._STACK_BYTES // model_bytes)
-    names = ("report_losses", "local_train", "evaluate_model", "_client_rngs", "run_eliminator")
+    names = ("report_losses", "_client_draws", "perturb_loss", "local_train", "evaluate_model", "run_eliminator")
     calls = {name: [] for name in names}
 
     def recording(name):
@@ -662,12 +625,14 @@ def test_round_work_structure(monkeypatch, shape):
         assert trained == retained
         reported = [cid for (_, group, *_), _ in calls["report_losses"] for cid in group.ids.tolist()]
         assert reported == list(record.selected)
-        assert len(calls["report_losses"]) == len(report_groups(state, record.selected))
+        drawn = [cid for (_, ids, *_), _ in calls["_client_draws"] for cid in ids.tolist()]
+        assert drawn == list(record.selected)
+        assert len(calls["perturb_loss"]) == len(calls["report_losses"]) == len(report_groups(state, record.selected))
         kept = set(retained)
         runs_kept = [sum(cid in kept for cid in run) for run in report_groups(state, record.selected)]
         want_stacks = sum(math.ceil(count / cap) for count in runs_kept)
         assert len(calls["local_train"]) == want_stacks
-        assert len(calls["_client_rngs"]) == len(calls["evaluate_model"]) == 1
+        assert len(calls["evaluate_model"]) == 1
         cut += len(outcome.eliminated)
         runs.append(len(calls["report_losses"]))
         stacks.append(len(calls["local_train"]))
@@ -677,8 +642,17 @@ def test_round_work_structure(monkeypatch, shape):
     assert shape == "desk" or (min(runs) == 2 and min(stacks) >= 3), (runs, stacks)
 
 
-# --- client generators ---------------------------------------------------------
+# --- client draws ----------------------------------------------------------------
 
+def pin_draw_shapes(test):
+    """Pin three clients' draws at every n of 1, 4, 40 and 120 and epochs of 0, 1 and 3."""
+    for n, epochs in itertools.product((1, 4, 40, 120), (0, 1, 3)):
+        test = example(seed=11, repeat=0, epoch=0, ids=[0, 1, 2], n=n, epochs=epochs)(test)
+    return test
+
+
+# CI runs this on the numpy 1.24 leg too, so the draw order is confirmed there.
+@pin_draw_shapes
 @settings(max_examples=200)
 @given(
     seed=st.one_of(
@@ -690,18 +664,21 @@ def test_round_work_structure(monkeypatch, shape):
     epoch=st.one_of(st.integers(0, 500), st.sampled_from([2**32 - 1, 2**32, 2**64])),
     ids=st.sets(st.integers(0, 100_000), min_size=1, max_size=12).map(sorted),
     n=st.integers(1, 9),
+    epochs=st.integers(0, 3),
 )
-def test_client_rngs_match_default_rng(seed, repeat, epoch, ids, n):
-    """Every client generator starts where default_rng([seed, repeat, 4, epoch, cid])
-    does, and drawing from one leaves the next where it started."""
+def test_client_draws_match_default_rng(seed, repeat, epoch, ids, n, epochs):
+    """Client i's orders and uniform are what default_rng([seed, repeat, 4, epoch, ids[i]])
+    draws: one rng.permutation(n) per epoch, which numpy defines as the shuffle of
+    range(n) that fills the row, then one rng.random()."""
     entropy = [seed, repeat, federation._STREAM_CLIENT, epoch]
-    rngs = federation._client_rngs(entropy, ids)
-    assert len(rngs) == len(ids)
-    for cid, rng in zip(ids, rngs):
+    orders, uniforms = federation._client_draws(entropy, ids, epochs, n)
+    assert orders.shape == (len(ids), epochs, n) and orders.dtype == np.intp
+    assert uniforms.shape == (len(ids),) and uniforms.dtype == np.float64
+    for i, cid in enumerate(ids):
         want = np.random.default_rng([*entropy, cid])
-        assert rng.bit_generator.state == want.bit_generator.state
-        assert np.array_equal(rng.permutation(n), want.permutation(n))
-        assert rng.random() == want.random()
+        for e in range(epochs):
+            assert orders[i, e].tobytes() == want.permutation(n).astype(np.intp).tobytes()
+        assert uniforms[i] == want.random()
 
 
 def test_seed_words_refuse_another_request():
@@ -830,8 +807,7 @@ def test_eliminated_clients_do_not_influence_aggregate():
     retained = sorted(set(record.selected) - set(record.eliminated))
     stacks = [
         report_and_train(
-            model_before, next(g.take(g.ids == cid) for g in state.groups if cid in g.ids), cfg,
-            [np.random.default_rng([cfg.seed, 0, 4, 0, cid])],
+            model_before, next(g.take(g.ids == cid) for g in state.groups if cid in g.ids), cfg, (cfg.seed, 0, 4, 0)
         )[1]
         for cid in retained
     ]

@@ -66,8 +66,7 @@ def test_sampler_tail_probability():
 
 def test_perturb_loss_adds_noise_at_configured_scale():
     cfg = privacy.LdpConfig(epsilon=1.0, sensitivity=0.0001)
-    rng = np.random.default_rng(5)
-    noise = privacy.perturb_loss(np.ones(20000), cfg, [rng] * 20000) - 1.0
+    noise = privacy.perturb_loss(np.ones(20000), cfg, np.random.default_rng(5).random(20000)) - 1.0
     assert abs(noise.mean()) < 1e-5
     assert noise.var() == pytest.approx(2 * 1e-8, rel=0.05)
 
@@ -83,25 +82,26 @@ def test_largest_draw_must_stay_within_the_report_limit():
 
 def test_perturb_loss_rejects_nonfinite():
     cfg = privacy.LdpConfig()
-    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    uniforms = np.array([0.25, 0.75])
     with pytest.raises(ValueError, match="loss must be finite, got nan"):
-        privacy.perturb_loss(np.array([0.5, float("nan")]), cfg, rngs)
+        privacy.perturb_loss(np.array([0.5, float("nan")]), cfg, uniforms)
     with pytest.raises(ValueError, match="loss must be finite, got inf"):
-        privacy.perturb_loss(np.array([float("inf"), 0.5]), cfg, rngs)
+        privacy.perturb_loss(np.array([float("inf"), 0.5]), cfg, uniforms)
     with pytest.raises(ValueError, match=re.escape("loss must be at most 1e+150 in magnitude, got -1e+151")):
-        privacy.perturb_loss(np.array([0.5, -1e151]), cfg, rngs)
+        privacy.perturb_loss(np.array([0.5, -1e151]), cfg, uniforms)
 
 
-def test_perturb_loss_needs_one_generator_per_loss():
-    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
-    with pytest.raises(ValueError, match="3 losses and 2 generators"):
-        privacy.perturb_loss(np.array([0.5, 0.5, 0.5]), privacy.LdpConfig(), rngs)
+def test_perturb_loss_needs_one_uniform_per_loss():
+    shown = "uniforms must be float64 of shape (3,), one per loss, got shape (2,) and dtype float64"
+    with pytest.raises(ValueError, match=re.escape(shown)):
+        privacy.perturb_loss(np.array([0.5, 0.5, 0.5]), privacy.LdpConfig(), np.array([0.25, 0.75]))
+    with pytest.raises(ValueError, match=re.escape("uniforms must lie in [0, 1), got 1.0")):
+        privacy.perturb_loss(np.array([0.5, 0.5]), privacy.LdpConfig(), np.array([0.25, 1.0]))
 
 
 def test_perturb_loss_rejects_losses_that_are_not_one_dimensional():
-    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
     with pytest.raises(ValueError, match=re.escape("losses must be 1-D, one per client, got shape (2, 2)")):
-        privacy.perturb_loss(np.full((2, 2), 0.5), privacy.LdpConfig(), rngs)
+        privacy.perturb_loss(np.full((2, 2), 0.5), privacy.LdpConfig(), np.full((2, 2), 0.5))
 
 
 class ZeroDraw:
@@ -126,7 +126,7 @@ def test_perturb_loss_matches_per_client_laplace_sample_bit_for_bit(losses, epsi
     def generators():
         return [ZeroDraw() if i in zero_draws else np.random.default_rng([seed, i]) for i in range(len(losses))]
 
-    got = privacy.perturb_loss(np.array(losses), cfg, generators())
+    got = privacy.perturb_loss(np.array(losses), cfg, np.array([rng.random() for rng in generators()]))
     want = [loss + privacy.laplace_sample(b, rng) for loss, rng in zip(losses, generators())]
     assert got.dtype == np.float64
     assert got.tobytes() == np.array(want).tobytes()
@@ -139,7 +139,7 @@ def test_zero_draw_is_nudged_inside_the_open_interval():
     # u = 0.0 - 0.5 moves to the largest float above -0.5: noise = b * ln(1 - 2|u|), about -36.7 b.
     assert noise == b * np.log1p(-2.0 * abs(np.nextafter(-0.5, 0.0)))
     assert -37 * b < noise < -36 * b
-    [reported] = privacy.perturb_loss(np.array([1.0]), privacy.LdpConfig(epsilon=1.0, sensitivity=b), [ZeroDraw()])
+    [reported] = privacy.perturb_loss(np.array([1.0]), privacy.LdpConfig(epsilon=1.0, sensitivity=b), np.zeros(1))
     assert reported == 1.0 + noise
 
 
