@@ -428,7 +428,7 @@ IDS, ROWS, FLAGS = np.arange(1), np.arange(2)[None], np.zeros(1, dtype=bool)
     ],
     ids=[
         "dataset_list_features", "dataset_float_classes", "group_list_ids", "group_string_source",
-        "group_string_flags", "eliminator_no_config", "perturb_generator_for_uniforms", "perturb_string_losses",
+        "group_string_flags", "eliminator_no_config", "perturb_one_generator", "perturb_string_losses",
         "perturb_integer_uniforms",
     ],
 )

@@ -644,15 +644,24 @@ def test_round_work_structure(monkeypatch, shape):
 
 # --- client draws ----------------------------------------------------------------
 
-def pin_draw_shapes(test):
-    """Pin three clients' draws at every n of 1, 4, 40 and 120 and epochs of 0, 1 and 3."""
-    for n, epochs in itertools.product((1, 4, 40, 120), (0, 1, 3)):
-        test = example(seed=11, repeat=0, epoch=0, ids=[0, 1, 2], n=n, epochs=epochs)(test)
-    return test
-
-
 # CI runs this on the numpy 1.24 leg too, so the draw order is confirmed there.
-@pin_draw_shapes
+@pytest.mark.parametrize("n", [1, 4, 40, 120])
+@pytest.mark.parametrize("epochs", [0, 1, 3])
+def test_orders_shuffled_into_rows_draw_what_per_client_permutations_draw(n, epochs):
+    """_client_draws shuffles range(n) into each client's row of one orders array,
+    then draws the noise uniform. numpy defines permutation(n) as that shuffle, so
+    each client's stream is drawn as with one rng.permutation(n) per epoch followed
+    by rng.random()."""
+    ids = [0, 1, 2]
+    orders, uniforms = federation._client_draws(ENTROPY, ids, epochs, n)
+    assert orders.shape == (3, epochs, n) and orders.dtype == np.intp
+    for i, cid in enumerate(ids):
+        want = np.random.default_rng([*ENTROPY, cid])
+        for epoch in range(epochs):
+            assert orders[i, epoch].tobytes() == want.permutation(n).astype(np.intp).tobytes()
+        assert uniforms[i] == want.random()
+
+
 @settings(max_examples=200)
 @given(
     seed=st.one_of(
